@@ -13,16 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .oracle import (
+    j_characteristics,
     projection_level_full,
     projectivity as oracle_projectivity,
     spectrum_bruteforce,
@@ -76,20 +76,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def worker_count() -> int:
-    """Thread count from QCDESIGN_THREADS; affects speed only, never results."""
-    raw = os.environ.get("QCDESIGN_THREADS", "")
-    if raw.strip():
-        try:
-            count = int(raw)
-        except ValueError:
-            raise UsageError(f"QCDESIGN_THREADS must be an integer, got {raw!r}")
-        if count < 1:
-            raise UsageError("QCDESIGN_THREADS must be at least 1")
-        return count
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +312,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if method in ("theory", "both"):
         payloads["theory"] = _metrics_payload(_theory_spectrum_for(doc), q)
     if method in ("oracle", "both"):
+        table = j_characteristics(doc.design, args.max_factors)
         proj = None
         if not args.skip_projectivity:
-            proj = oracle_projectivity(doc.design, args.max_factors)
+            proj = oracle_projectivity(doc.design, args.max_factors, table)
         payloads["oracle"] = _metrics_payload(
-            spectrum_bruteforce(doc.design, args.max_factors), q, proj
+            spectrum_bruteforce(doc.design, args.max_factors, table=table), q, proj
         )
     agree = True
     if method == "both":
@@ -522,14 +509,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerifyStats:
-    checked: int = 0
-    failures: list[str] = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+#: Failure messages ``verify`` prints in full; the rest are only counted.
+VERIFY_SHOWN = 5
 
 
 def _verify_one(
@@ -541,19 +522,20 @@ def _verify_one(
     design = build_design(spec)
     tag = f"{family.value} profile={profile.digits} u0v0={u0v0}"
     theory_spec = family_spectrum(family, profile, u0v0)
-    oracle_spec = spectrum_bruteforce(design)
+    table = j_characteristics(design)
+    oracle_spec = spectrum_bruteforce(design, table=table)
     if theory_spec != oracle_spec:
         return f"{tag}: theory and oracle spectra differ"
     resolution, wlp = spectrum_metrics(oracle_spec, design.n_factors)
     if 1 + sum(wlp) != Fraction(2**design.n_factors, design.n_runs):
         return f"{tag}: Parseval identity fails"
     floor_p = math.ceil(resolution) - 1
-    if floor_p >= 1 and not projection_level_full(design, floor_p):
+    if floor_p >= 1 and not projection_level_full(design, floor_p, table=table):
         return f"{tag}: projectivity below ceil(R) - 1"
     if family.sixteenth:
         bound = projectivity_bound(profile.n, family)
         if bound + 1 <= design.n_factors and projection_level_full(
-            design, bound + 1
+            design, bound + 1, table=table
         ):
             return f"{tag}: projectivity exceeds the closed-form bound"
     return None
@@ -587,20 +569,23 @@ def _verify_tasks(
 def cmd_verify(args: argparse.Namespace) -> int:
     families = [Family.from_label(f) for f in args.families]
     tasks = _verify_tasks(families, args.n_max, args.sample, args.seed)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda t: _verify_one(*t), tasks, chunksize=16))
-    else:
-        outcomes = [_verify_one(*t) for t in tasks]
-    failures = [msg for msg in outcomes if msg is not None]
+    failures = [
+        (family, profile.n, msg)
+        for family, profile, pair in tasks
+        if (msg := _verify_one(family, profile, pair)) is not None
+    ]
     print(
         f"verified {len(tasks)} designs "
         f"(families: {', '.join(f.value for f in families)}, n <= {args.n_max}, "
         f"{args.sample} sampled larger cases)"
     )
     if failures:
-        print(f"FAILURES: {len(failures)}; first: {failures[0]}", file=sys.stderr)
+        print(f"FAILURES: {len(failures)}", file=sys.stderr)
+        groups = Counter((family.value, n) for family, n, _ in failures)
+        for (family, n), count in sorted(groups.items()):
+            print(f"  {family} n={n}: {count}", file=sys.stderr)
+        for _, _, msg in failures[:VERIFY_SHOWN]:
+            print(f"  {msg}", file=sys.stderr)
         return EXIT_MISMATCH
     print("all checks passed: spectra, Parseval, projectivity bounds")
     return EXIT_OK

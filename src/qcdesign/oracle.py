@@ -2,9 +2,9 @@
 
 Everything here works from the +1/-1 matrix alone (no generator theory):
 J-characteristics through a subset-parity transform of the sign-pattern
-frequency table, word spectra, resolution/WLP/projectivity, and an
-independent re-evaluation of subset correlations straight from generator
-data for cross-checking.
+frequency table, word spectra, resolution/WLP, projectivity from the same
+J-table, and an independent re-evaluation of subset correlations straight
+from generator data for cross-checking.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import numpy as np
 from .qc_core import DesignMatrix, GeneratorSpec
 from .spectrum import DesignMetrics, WordSpectrum, spectrum_metrics
 
-#: Default cap on the number of factors; the transform allocates two
-#: 2^q arrays of int64, i.e. 16 * 2^q bytes (16 MiB at q = 20).
+#: Default cap on the number of factors.  The J-table and the subset sums
+#: that projectivity adds are 2^q int64 arrays each; with the smaller
+#: per-subset arrays the oracle peaks near 18 * 2^q bytes (tracemalloc:
+#: 17.7 MiB for ``metrics`` on a 65536-run design at q = 20).
 DEFAULT_MAX_FACTORS = 20
 
 # First/second Gray coordinate of k in Z4 (equivalently, the exact values
@@ -33,7 +35,7 @@ def _check_cap(q: int, max_factors: int) -> None:
     if q > max_factors:
         raise ValueError(
             f"design has {q} factors, above the cap of {max_factors}; "
-            f"the pattern table needs 16 * 2^q bytes"
+            f"the oracle needs about 18 * 2^q bytes"
         )
 
 
@@ -47,20 +49,33 @@ def sign_patterns(design: DesignMatrix) -> np.ndarray:
     return bits @ weights
 
 
-def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Sylvester-ordered transform: out[s] = sum_p (-1)^popcount(s & p) in[p]."""
-    a = np.array(values, dtype=np.int64)
-    size = a.size
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Sylvester-ordered transform over the last axis, in place.
+
+    out[s] = sum_p (-1)^popcount(s & p) in[p]; ``a`` must be a C-contiguous
+    int64 array whose last axis has power-of-two length.  Returns ``a``.
+    """
+    size = a.shape[-1]
     if size & (size - 1):
         raise ValueError("transform length must be a power of two")
     h = 1
     while h < size:
-        a = a.reshape(-1, 2 * h)
-        low = a[:, :h].copy()
-        high = a[:, h:].copy()
-        a[:, :h] = low + high
-        a[:, h:] = low - high
-        a = a.reshape(size)
+        pairs = a.reshape(*a.shape[:-1], -1, 2, h)
+        low, high = pairs[..., 0, :], pairs[..., 1, :]
+        low += high
+        high *= -2
+        high += low
+        h *= 2
+    return a
+
+
+def _subset_sums(a: np.ndarray) -> np.ndarray:
+    """Zeta transform in place: out[s] = sum over submasks t of s of in[t]."""
+    size = a.size
+    h = 1
+    while h < size:
+        pairs = a.reshape(-1, 2, h)
+        pairs[:, 1, :] += pairs[:, 0, :]
         h *= 2
     return a
 
@@ -117,6 +132,7 @@ def j_characteristics(
     q = design.n_factors
     _check_cap(q, max_factors)
     freq = np.bincount(sign_patterns(design), minlength=1 << q)
+    freq = freq.astype(np.int64, copy=False)
     return JTable(design.columns, design.n_runs, _walsh_hadamard(freq))
 
 
@@ -132,14 +148,17 @@ def spectrum_bruteforce(
     design: DesignMatrix,
     max_factors: int = DEFAULT_MAX_FACTORS,
     exclude: Iterable[str] = (),
+    table: JTable | None = None,
 ) -> WordSpectrum:
     """Word spectrum from the full J-table.
 
     ``exclude`` restricts to subsets avoiding the named columns, which is
     how an eighth fraction's spectrum is read off its parent sixteenth.
+    ``table`` is the design's J-table when the caller already has it.
     """
     q = design.n_factors
-    table = j_characteristics(design, max_factors)
+    if table is None:
+        table = j_characteristics(design, max_factors)
     values = table.values.copy()
     values[0] = 0
     for label in exclude:
@@ -159,6 +178,11 @@ def spectrum_bruteforce(
         length, j = divmod(key, n + 1)
         entries.append((length, Fraction(j, n), count))
     return WordSpectrum.from_entries(entries)
+
+
+# The sort-based projection scan below is the independent reference for
+# ``projectivity``: the tests and the benchmark's reference generator
+# (perfbench/make_reference.py) call it; the library does not.
 
 
 def _distinct_patterns(design: DesignMatrix) -> np.ndarray:
@@ -198,27 +222,96 @@ def _first_deficient(
     return None
 
 
-def projection_level_full(design: DesignMatrix, p: int) -> bool:
-    """True when every p-column projection contains all 2^p level combos."""
-    if not 1 <= p <= design.n_factors:
+#: Cap on the entries one batch of exact projection checks gathers.
+_BATCH_ELEMS = 1 << 20
+
+
+class _Projections:
+    """Which column sets P could miss a level combination, from the J-table.
+
+    The runs' frequencies on the 2^p level combinations of a p-set P are
+    2^-p * sum_{S subset of P} J(S) (-1)^popcount(S & x), with J(empty) = N.
+    A combination is missing only if the nonempty terms sum to -N there,
+    which needs sum_{nonempty S subset of P} |J(S)| >= N.  One subset-sum
+    transform of |J| gives that sum for every P at once; the sets that reach
+    N are the survivors, and only they need the exact check.
+    """
+
+    def __init__(self, table: JTable) -> None:
+        self.values = table.values
+        self.q = len(table.columns)
+        sums = np.abs(table.values)
+        sums[0] = 0
+        self.survivors = np.flatnonzero(_subset_sums(sums) >= table.n_runs)
+        self.sizes = _popcounts(self.q)[self.survivors]
+
+    def deficient(self, p: int) -> bool:
+        """Whether some p-column projection misses a level combination.
+
+        Survivors of size p are checked exactly, in batches of 1, 2, 4, ...
+        sets (at most about _BATCH_ELEMS gathered entries), so a deficient
+        set early in the list ends the check early.  Each check gathers J
+        over the set's 2^p submasks; their transform is 2^p times the
+        projected frequencies, and the set is deficient iff one is 0.
+        """
+        masks = self.survivors[self.sizes == p]
+        cap = max(1, _BATCH_ELEMS >> p)
+        start, size = 0, 1
+        while start < masks.size:
+            batch = masks[start : start + size]
+            bits = (batch[:, None] >> np.arange(self.q)) & 1
+            columns = np.nonzero(bits)[1].reshape(batch.size, p)
+            submasks = np.zeros((batch.size, 1), dtype=np.int64)
+            for bit in (np.int64(1) << columns).T:
+                submasks = np.concatenate(
+                    [submasks, submasks + bit[:, None]], axis=1
+                )
+            if not _walsh_hadamard(self.values[submasks]).all():
+                return True
+            start += size
+            size = min(2 * size, cap)
+        return False
+
+
+def projection_level_full(
+    design: DesignMatrix,
+    p: int,
+    max_factors: int = DEFAULT_MAX_FACTORS,
+    table: JTable | None = None,
+) -> bool:
+    """True when every p-column projection contains all 2^p level combos.
+
+    ``table`` is the design's J-table when the caller already has it.
+    """
+    q = design.n_factors
+    if not 1 <= p <= q:
         raise ValueError("p must lie in 1..q")
-    patterns = _distinct_patterns(design)
-    return _first_deficient(patterns, design.n_factors, p) is None
+    _check_cap(q, max_factors)
+    if table is None:
+        table = j_characteristics(design, max_factors)
+    return not _Projections(table).deficient(p)
 
 
-def projectivity(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS) -> int:
+def projectivity(
+    design: DesignMatrix,
+    max_factors: int = DEFAULT_MAX_FACTORS,
+    table: JTable | None = None,
+) -> int:
     """Largest p such that every p-factor projection is a full factorial.
 
     Searches p upward and stops at the first level with a deficient
     projection (fullness at p implies fullness at p - 1, so the first
     failure is conclusive).  Returns q itself only when the design contains
-    a complete 2^q factorial.
+    a complete 2^q factorial.  ``table`` is the design's J-table when the
+    caller already has it.
     """
     q = design.n_factors
     _check_cap(q, max_factors)
-    patterns = _distinct_patterns(design)
+    if table is None:
+        table = j_characteristics(design, max_factors)
+    projections = _Projections(table)
     for p in range(1, q + 1):
-        if _first_deficient(patterns, q, p) is not None:
+        if projections.deficient(p):
             return p - 1
     return q
 
@@ -229,9 +322,10 @@ def metrics(
     with_projectivity: bool = True,
 ) -> DesignMetrics:
     """Resolution, WLP, and projectivity of an explicit design matrix."""
-    spec = spectrum_bruteforce(design, max_factors)
+    table = j_characteristics(design, max_factors)
+    spec = spectrum_bruteforce(design, max_factors, table=table)
     resolution, wlp = spectrum_metrics(spec, design.n_factors)
-    proj = projectivity(design, max_factors) if with_projectivity else None
+    proj = projectivity(design, max_factors, table) if with_projectivity else None
     return DesignMetrics(resolution, wlp, proj)
 
 

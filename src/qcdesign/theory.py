@@ -106,6 +106,16 @@ class _Exponents:
         return self.omega1 + self.omega2
 
 
+def _indicators(u0v0: tuple[int, int]) -> tuple[int, int, int, int]:
+    """delta1, delta2, eps1, eps2 of a branching pair (u0, v0)."""
+    u0, v0 = u0v0
+    d1 = 1 if u0 in (1, 3) else 0
+    d2 = 1 if v0 in (1, 3) else 0
+    e1 = 1 if (u0, v0) in ((1, 0), (1, 2), (3, 0), (3, 2)) else 0
+    e2 = 1 if (u0, v0) in ((0, 1), (0, 3), (2, 1), (2, 3)) else 0
+    return d1, d2, e1, e2
+
+
 def _exponents(
     profile: GeneratorProfile, u0v0: tuple[int, int] | None = None
 ) -> _Exponents:
@@ -119,11 +129,7 @@ def _exponents(
     )
     if u0v0 is None:
         return _Exponents(**base)
-    u0, v0 = u0v0
-    d1 = 1 if u0 in (1, 3) else 0
-    d2 = 1 if v0 in (1, 3) else 0
-    e1 = 1 if (u0, v0) in ((1, 0), (1, 2), (3, 0), (3, 2)) else 0
-    e2 = 1 if (u0, v0) in ((0, 1), (0, 3), (2, 1), (2, 3)) else 0
+    d1, d2, e1, e2 = _indicators(u0v0)
     return _Exponents(
         **base,
         theta1=_half_floor(m1 + m3 + m5 + m6 + d1),
@@ -181,14 +187,8 @@ def aliasing_constants(
     )
     if u0v0 is None:
         return AliasingConstants(**base)
-    m1, m2, m3, m4, m5, m6, _, _, _, _ = profile.counts
-    u0, v0 = u0v0
-    d1 = 1 if u0 in (1, 3) else 0
-    d2 = 1 if v0 in (1, 3) else 0
-    e1 = 1 if (u0, v0) in ((1, 0), (1, 2), (3, 0), (3, 2)) else 0
-    e2 = 1 if (u0, v0) in ((0, 1), (0, 3), (2, 1), (2, 3)) else 0
-    k11 = Fraction(1, 2) if m1 + m3 > 0 else Fraction(0)
-    k21 = Fraction(1) if m1 + m3 + m5 + m6 > 0 else Fraction(0)
+    d1, d2, e1, e2 = _indicators(u0v0)
+    k = {token: Fraction(w, 2) for token, w in _k_weights(profile).items()}
     return AliasingConstants(
         **base,
         theta1=_pow2inv(exps.theta1),
@@ -202,10 +202,10 @@ def aliasing_constants(
         eps1=e1,
         eps2=e2,
         eps=e1 + e2,
-        k11=k11,
-        k12=1 - k11,
-        k21=k21,
-        k22=2 - k21,
+        k11=k[_K11],
+        k12=k[_K12],
+        k21=k[_K21],
+        k22=k[_K22],
     )
 
 
@@ -319,9 +319,9 @@ def _raw_even(profile: GeneratorProfile, sixteenth: bool) -> RawSpectrum:
 #
 # Counts below are the weights N with word count N / ai^2; they are stored
 # doubled so the half-integer entries of the eighth-fraction table stay
-# integral.  Tokens K11/K12/K21/K22 depend on the profile:
-#   k11 = 1/2 if classes 1 or 3 are populated else 0,   k12 = 1 - k11,
-#   k21 = 1 if classes 1, 3, 5 or 6 are populated else 0, k22 = 2 - k21.
+# integral.  Tokens K11/K12/K21/K22 depend on the profile (``_k_weights``):
+#   k11 = 1/2 if classes 1, 3, 5 or 6 are populated else 0, k12 = 1 - k11,
+#   k21 = 1 if classes 1, 3, 5 or 6 are populated else 0,   k22 = 2 - k21.
 # The omega0 rows apply only when classes 5 and 6 are empty and the omega
 # rows only when they are not, except in the 11/13/31/33 columns where both
 # row groups always apply (their omega0 entries are zero there).
@@ -329,6 +329,21 @@ def _raw_even(profile: GeneratorProfile, sixteenth: bool) -> RawSpectrum:
 
 _H, _K11, _K12, _K21, _K22 = "h", "k11", "k12", "k21", "k22"
 _T1, _T2, _ONE, _W0, _W = "theta1", "theta2", "one", "omega0", "omega"
+
+
+def _k_weights(profile: GeneratorProfile) -> dict[str, int]:
+    """Doubled values of the tokens k11, k12, k21, k22 of the eighth-fraction
+    count table.
+
+    They gate on classes 1, 3, 5 and 6 together: brute force shows the
+    one-u-check words split evenly across the branch bit whenever any of
+    those classes is populated, not only classes 1 and 3.
+    """
+    m1, _, m3, _, m5, m6, _, _, _, _ = profile.counts
+    if m1 + m3 + m5 + m6 > 0:
+        return {_K11: 1, _K12: 1, _K21: 2, _K22: 2}
+    return {_K11: 0, _K12: 2, _K21: 0, _K22: 4}
+
 
 _SIXTEENTH_COLS = ("00", "01", "02", "10", "11", "12", "13", "20", "21", "22")
 _SIXTEENTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
@@ -425,21 +440,9 @@ def _raw_branched(
     """Spectrum of a branched family from its count table."""
     off = length_offsets(profile).values
     exps = _exponents(profile, u0v0)
-    m1, m3 = profile.counts[0], profile.counts[2]
     diag = profile.counts[4] + profile.counts[5]
     # Doubled count weights per token (weights may be half-integers).
-    # k11 gates on classes 1, 3, 5, 6 together: brute force shows the
-    # one-u-check words split evenly across the branch bit whenever any of
-    # those classes is populated, not only classes 1 and 3.
-    u_side = m1 + m3 + diag
-    doubled = {
-        0: 0, 1: 2, 2: 4, 4: 8,
-        _H: 1,
-        _K11: 1 if u_side > 0 else 0,
-        _K12: 1 if u_side > 0 else 2,
-        _K21: 2 if u_side > 0 else 0,
-        _K22: 2 if u_side > 0 else 4,
-    }
+    doubled = {0: 0, 1: 2, 2: 4, 4: 8, _H: 1, **_k_weights(profile)}
     evals = {
         _T1: exps.theta1,
         _T2: exps.theta2,

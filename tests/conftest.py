@@ -3,14 +3,18 @@
 ``reference_rows`` re-derives a design run by run with plain Python loops
 and the Gray-map substitution table; it shares no code with the vectorized
 builder it checks.  ``compositions_count`` counts integer compositions
-recursively as an independent enumeration oracle.
+recursively as an independent enumeration oracle.  ``scan_level_full`` and
+``scan_projectivity`` answer projectivity questions with the sort-based
+projection scan, an algorithm independent of the J-table path that the
+library's ``projectivity`` takes.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from qcdesign import Family, GeneratorSpec
+from qcdesign import DesignMatrix, Family, GeneratorSpec
+from qcdesign.oracle import _distinct_patterns, _first_deficient
 
 GRAY_PAIRS = {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
 
@@ -42,3 +46,21 @@ def compositions_count(n: int, parts: int) -> int:
     if parts == 1:
         return 1
     return sum(compositions_count(n - first, parts - 1) for first in range(n + 1))
+
+
+#: The scan sorts every projection of every p-subset; beyond this q it is slow.
+SCAN_MAX_FACTORS = 14
+
+
+def scan_level_full(design: DesignMatrix, p: int) -> bool:
+    """Every p-column projection holds all 2^p level combos, by sorting."""
+    q = design.n_factors
+    if q > SCAN_MAX_FACTORS:
+        raise ValueError(f"the projection scan is limited to q <= {SCAN_MAX_FACTORS}")
+    patterns = _distinct_patterns(design)
+    return _first_deficient(patterns, q, p, chunk_elems=1 << 18) is None
+
+
+def scan_projectivity(design: DesignMatrix) -> int:
+    q = design.n_factors
+    return next((p - 1 for p in range(1, q + 1) if not scan_level_full(design, p)), q)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qcdesign import Family, GeneratorSpec, build_design
+from qcdesign import Family, GeneratorSpec, build_design, cli
 from qcdesign.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -18,7 +18,6 @@ from qcdesign.cli import (
     document_from_json,
     document_to_json,
     main,
-    worker_count,
 )
 from qcdesign.spectrum import parse_fraction
 
@@ -266,17 +265,30 @@ def test_bound_command(capsys):
     assert "none" in stdout
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("QCDESIGN_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("QCDESIGN_THREADS", "")
-    assert worker_count() >= 1
+def test_verify_reports_every_failure(capsys, monkeypatch):
+    def fail_odd_profiles(family, profile, u0v0):
+        if profile.counts.index(max(profile.counts)) % 2:
+            return f"{family.value} {profile.digits}: planted failure"
+        return None
 
-
-def test_verify_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("QCDESIGN_THREADS", "2")
-    code, stdout, _ = run(
-        capsys, "verify", "--n-max", "1", "--families", "eighth-odd",
+    monkeypatch.setattr(cli, "_verify_one", fail_odd_profiles)
+    code, stdout, stderr = run(
+        capsys, "verify", "--n-max", "2", "--families", "sixteenth-even",
+        "eighth-even",
     )
-    assert code == EXIT_OK
-    assert "all checks passed" in stdout
+    assert code == EXIT_MISMATCH
+    assert "verified 130 designs" in stdout
+    assert "all checks passed" not in stdout
+    lines = stderr.splitlines()
+    # Each family has 5 failing profiles at n = 1 and 25 at n = 2.
+    assert lines[:5] == [
+        "FAILURES: 60",
+        "  eighth-even n=1: 5",
+        "  eighth-even n=2: 25",
+        "  sixteenth-even n=1: 5",
+        "  sixteenth-even n=2: 25",
+    ]
+    shown = lines[5:]
+    assert len(shown) == cli.VERIFY_SHOWN
+    assert all(line.endswith("planted failure") for line in shown)
+    assert shown[0].startswith("  sixteenth-even ")

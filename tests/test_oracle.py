@@ -9,10 +9,13 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import SCAN_MAX_FACTORS, scan_level_full, scan_projectivity
 from qcdesign import (
     DesignMatrix,
     Family,
+    GeneratorProfile,
     GeneratorSpec,
     UNBOUNDED,
     build_design,
@@ -24,12 +27,15 @@ from qcdesign import (
     metrics,
     projection_level_full,
     projectivity,
+    spec_for,
     spectrum_bruteforce,
     spectrum_metrics,
 )
+from qcdesign.search import enumerate_profiles, u0v0_classes
 
 EXAMPLE_EVEN = GeneratorSpec(Family.SIXTEENTH_EVEN, 3, (2, 1, 1), (1, 1, 3))
 EXAMPLE_ODD = GeneratorSpec(Family.SIXTEENTH_ODD, 2, (1, 2), (2, 1), 1, 1)
+EXAMPLE_ODD_N3 = GeneratorSpec(Family.SIXTEENTH_ODD, 3, (1, 2, 0), (3, 1, 2), 2, 1)
 
 
 def full_factorial(k: int) -> DesignMatrix:
@@ -130,6 +136,18 @@ def test_factor_cap_guard():
         j_characteristics(design, max_factors=8)
     with pytest.raises(ValueError):
         projectivity(design, max_factors=8)
+
+
+def test_factor_cap_refuses_before_the_projection_tables():
+    design = build_design(EXAMPLE_ODD_N3)
+    assert design.n_factors == 11
+    for check in (
+        lambda: projectivity(design, max_factors=8),
+        lambda: projection_level_full(design, 4, max_factors=8),
+        lambda: metrics(design, max_factors=8),
+    ):
+        with pytest.raises(ValueError, match="above the cap of 8"):
+            check()
 
 
 def test_classify_subset_reference_cases():
@@ -275,3 +293,54 @@ def test_replicated_rows_are_tolerated():
     spectrum = spectrum_bruteforce(design)
     assert spectrum.word_count > 0
     assert projectivity(design) == 1
+
+
+def _levels(design: DesignMatrix) -> list[bool]:
+    return [projection_level_full(design, p) for p in range(1, design.n_factors + 1)]
+
+
+@st.composite
+def scannable_designs(draw):
+    """Designs at n = 4, 5 with q small enough for the projection scan."""
+    family = draw(st.sampled_from(list(Family)))
+    sizes = [n for n in (4, 5) if family.factor_count(n) <= SCAN_MAX_FACTORS]
+    n = draw(st.sampled_from(sizes))
+    classes = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    profile = GeneratorProfile(tuple(classes.count(c) for c in range(10)))
+    pair = draw(st.sampled_from(u0v0_classes(family))) if family.branched else None
+    return build_design(spec_for(family, profile, pair))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scannable_designs())
+def test_projectivity_matches_projection_scan(design):
+    assert projectivity(design) == scan_projectivity(design)
+    assert _levels(design) == [
+        scan_level_full(design, level) for level in range(1, design.n_factors + 1)
+    ]
+
+
+def test_projectivity_matches_projection_scan_on_small_designs():
+    tasks = [
+        (family, profile, pair)
+        for family in Family
+        for n in (1, 2, 3)
+        for profile in enumerate_profiles(n)
+        for pair in (u0v0_classes(family) if family.branched else (None,))
+    ]
+    for family, profile, pair in random.Random(11).sample(tasks, 300):
+        design = build_design(spec_for(family, profile, pair))
+        assert projectivity(design) == scan_projectivity(design), (
+            family, profile.digits, pair,
+        )
+
+
+def test_shared_table_gives_the_same_answers():
+    design = build_design(EXAMPLE_ODD_N3)
+    table = j_characteristics(design)
+    assert spectrum_bruteforce(design, table=table) == spectrum_bruteforce(design)
+    assert projectivity(design, table=table) == projectivity(design)
+    assert [
+        projection_level_full(design, p, table=table)
+        for p in range(1, design.n_factors + 1)
+    ] == _levels(design)

@@ -79,6 +79,16 @@ def test_k_constants():
     assert c.k11 == 0 and c.k12 == 1
 
 
+def test_k_constants_gate_on_diagonal_classes():
+    # Only class 5 is populated: k11 must be 1/2, as in the eighth-odd
+    # spectrum, which equals brute force here (an older rule gave 0).
+    diagonal_only = GeneratorProfile.from_digits("0000100000")
+    c = aliasing_constants(diagonal_only, (1, 0))
+    assert (c.k11, c.k12, c.k21, c.k22) == (Fraction(1, 2), Fraction(1, 2), 1, 1)
+    design = build_design(spec_for(Family.EIGHTH_ODD, diagonal_only, (1, 0)))
+    assert eighth_odd_spectrum(diagonal_only, "10") == spectrum_bruteforce(design)
+
+
 def test_words_by_type_reference_cases():
     report = words_by_type(EXAMPLE_PROFILE, "0000")
     assert report.words == ()
