@@ -37,24 +37,25 @@ from .qc_core import (
     spec_for,
 )
 from .search import (
+    DEFAULT_MAX_N,
     Criterion,
     ReportRow,
     SearchResult,
-    enumerate_profiles,
     optimize,
     orthogonal_array_ceiling,
+    profile_array,
     reproduce_table,
     u0v0_classes,
 )
 from .spectrum import (
     UNBOUNDED,
     WordSpectrum,
-    format_fraction,
     parse_fraction,
     spectrum_metrics,
 )
 from .theory import (
     NoClosedFormBound,
+    family_spectra,
     family_spectrum,
     normalize_u0v0,
     projectivity_bound,
@@ -198,7 +199,7 @@ def _spectrum_payload(spectrum: WordSpectrum) -> list[dict]:
     return [
         {
             "length": e.length,
-            "ai": format_fraction(e.ai),
+            "ai": str(e.ai),
             "ai_decimal": float(e.ai),
             "count": e.count,
         }
@@ -212,9 +213,9 @@ def _metrics_payload(
     resolution, wlp = spectrum_metrics(spectrum, q)
     unbounded = resolution is UNBOUNDED
     payload = {
-        "resolution": "unbounded" if unbounded else format_fraction(resolution),
+        "resolution": "unbounded" if unbounded else str(resolution),
         "resolution_decimal": None if unbounded else float(resolution),
-        "wlp": [format_fraction(a) for a in wlp],
+        "wlp": [str(a) for a in wlp],
         "wlp_decimal": [float(a) for a in wlp],
         "spectrum": _spectrum_payload(spectrum),
         "word_count": spectrum.word_count,
@@ -364,10 +365,10 @@ def _result_payload(result: SearchResult) -> dict:
         "criterion": result.criterion.value,
         "profile": result.profile.digits,
         "u0v0": None if result.u0v0 is None else f"{result.u0v0[0]}{result.u0v0[1]}",
-        "resolution": "unbounded" if unbounded else format_fraction(result.resolution),
+        "resolution": "unbounded" if unbounded else str(result.resolution),
         "resolution_decimal": None if unbounded else float(result.resolution),
-        "wlp": [format_fraction(a) for a in result.wlp],
-        "wlp_from_4": [format_fraction(a) for a in result.wlp_from_4],
+        "wlp": [str(a) for a in result.wlp],
+        "wlp_from_4": [str(a) for a in result.wlp_from_4],
         "projectivity": result.projectivity,
         "criteria_coincide": result.criteria_coincide,
         "ties": [
@@ -380,7 +381,7 @@ def _result_payload(result: SearchResult) -> dict:
         "regular_reference": None
         if result.regular_reference is None
         else {
-            "resolution": format_fraction(result.regular_reference.resolution),
+            "resolution": str(result.regular_reference.resolution),
             "wlp_comparison": result.regular_reference.wlp_comparison,
         },
     }
@@ -455,11 +456,11 @@ def _table_row_payload(row: ReportRow, which: int) -> dict:
     }
     if which in (3, 4):
         out.update(
-            R=format_fraction(res.resolution),
+            R=str(res.resolution),
             R_decimal=float(res.resolution),
-            A4=("(" + ", ".join(format_fraction(a) for a in res.wlp_from_4) + ")"),
+            A4=("(" + ", ".join(str(a) for a in res.wlp_from_4) + ")"),
             projectivity=res.projectivity,
-            regular_R=format_fraction(row.expected.regular.resolution),
+            regular_R=str(row.expected.regular.resolution),
             regular_A=row.expected.regular.wlp_comparison,
         )
     else:
@@ -517,11 +518,11 @@ def _verify_one(
     family: Family,
     profile: GeneratorProfile,
     u0v0: tuple[int, int] | None,
+    theory_spec: WordSpectrum,
 ) -> str | None:
     spec = spec_for(family, profile, u0v0)
     design = build_design(spec)
     tag = f"{family.value} profile={profile.digits} u0v0={u0v0}"
-    theory_spec = family_spectrum(family, profile, u0v0)
     table = j_characteristics(design)
     oracle_spec = spectrum_bruteforce(design, table=table)
     if theory_spec != oracle_spec:
@@ -541,16 +542,16 @@ def _verify_one(
     return None
 
 
-def _verify_tasks(
+def _verify_blocks(
     families: list[Family], n_max: int, sample: int, seed: int
-) -> list[tuple[Family, GeneratorProfile, tuple[int, int] | None]]:
-    tasks = []
+) -> list[tuple[Family, list[list[int]], tuple]]:
+    """(family, profile counts, u0v0 values) blocks; each block's designs
+    are all its profiles times all its u0v0 values."""
+    blocks = []
     for family in families:
+        pairs = u0v0_classes(family) if family.branched else (None,)
         for n in range(1, n_max + 1):
-            for profile in enumerate_profiles(n):
-                pairs = u0v0_classes(family) if family.branched else (None,)
-                for pair in pairs:
-                    tasks.append((family, profile, pair))
+            blocks.append((family, profile_array(n).tolist(), pairs))
     rng = random.Random(seed)
     for _ in range(sample):
         family = rng.choice(families)
@@ -558,24 +559,30 @@ def _verify_tasks(
         counts = [0] * 10
         for _ in range(n):
             counts[rng.randrange(10)] += 1
-        profile = GeneratorProfile(tuple(counts))
         pair = None
         if family.branched:
             pair = rng.choice(u0v0_classes(family))
-        tasks.append((family, profile, pair))
-    return tasks
+        blocks.append((family, [counts], (pair,)))
+    return blocks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     families = [Family.from_label(f) for f in args.families]
-    tasks = _verify_tasks(families, args.n_max, args.sample, args.seed)
-    failures = [
-        (family, profile.n, msg)
-        for family, profile, pair in tasks
-        if (msg := _verify_one(family, profile, pair)) is not None
-    ]
+    failures = []
+    verified = 0
+    for family, profiles, pairs in _verify_blocks(
+        families, args.n_max, args.sample, args.seed
+    ):
+        spectra = family_spectra(family, profiles, pairs)
+        for counts in profiles:
+            profile = GeneratorProfile(tuple(counts))
+            for pair in pairs:
+                verified += 1
+                msg = _verify_one(family, profile, pair, next(spectra))
+                if msg is not None:
+                    failures.append((family, profile.n, msg))
     print(
-        f"verified {len(tasks)} designs "
+        f"verified {verified} designs "
         f"(families: {', '.join(f.value for f in families)}, n <= {args.n_max}, "
         f"{args.sample} sampled larger cases)"
     )
@@ -648,7 +655,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--criterion", default="aberration",
                    choices=[c.value for c in Criterion])
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--all-pairs", action="store_true",
                    help="slow verification mode: enumerate all 16 u0v0 pairs "
                    "and assert merged classes tie exactly")

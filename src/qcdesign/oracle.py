@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +23,7 @@ from .spectrum import DesignMetrics, WordSpectrum, spectrum_metrics
 #: Default cap on the number of factors.  The J-table and the subset sums
 #: that projectivity adds are 2^q int64 arrays each; with the smaller
 #: per-subset arrays the oracle peaks near 18 * 2^q bytes (tracemalloc:
-#: 17.7 MiB for ``metrics`` on a 65536-run design at q = 20).
+#: 17.7 to 18.1 MiB for ``metrics`` on 65536-run designs at q = 20).
 DEFAULT_MAX_FACTORS = 20
 
 # First/second Gray coordinate of k in Z4 (equivalently, the exact values
@@ -44,9 +45,11 @@ def sign_patterns(design: DesignMatrix) -> np.ndarray:
 
     Bit i corresponds to column i in label order.
     """
-    bits = (design.rows < 0).astype(np.int64)
-    weights = np.int64(1) << np.arange(design.n_factors, dtype=np.int64)
-    return bits @ weights
+    negative = design.rows < 0
+    patterns = np.zeros(design.n_runs, dtype=np.int64)
+    for i in range(design.n_factors):
+        patterns |= negative[:, i].astype(np.int64) << i
+    return patterns
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
@@ -118,6 +121,11 @@ class JTable:
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(c for i, c in enumerate(self.columns) if mask >> i & 1)
+
+    @cached_property
+    def projections(self) -> "_Projections":
+        """The projection filter of this table, built on first use."""
+        return _Projections(self)
 
 
 def j_characteristics(
@@ -281,7 +289,9 @@ def projection_level_full(
 ) -> bool:
     """True when every p-column projection contains all 2^p level combos.
 
-    ``table`` is the design's J-table when the caller already has it.
+    ``table`` is the design's J-table when the caller already has it; the
+    table keeps the projection filter built from it, so later calls on the
+    same table reuse the filter.
     """
     q = design.n_factors
     if not 1 <= p <= q:
@@ -289,7 +299,7 @@ def projection_level_full(
     _check_cap(q, max_factors)
     if table is None:
         table = j_characteristics(design, max_factors)
-    return not _Projections(table).deficient(p)
+    return not table.projections.deficient(p)
 
 
 def projectivity(
@@ -309,9 +319,8 @@ def projectivity(
     _check_cap(q, max_factors)
     if table is None:
         table = j_characteristics(design, max_factors)
-    projections = _Projections(table)
     for p in range(1, q + 1):
-        if projections.deficient(p):
+        if table.projections.deficient(p):
             return p - 1
     return q
 

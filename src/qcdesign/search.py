@@ -18,7 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
+
+import numpy as np
 
 from .oracle import projectivity as oracle_projectivity
 from .qc_core import DesignMatrix, Family, GeneratorProfile, build_design, spec_for
@@ -26,13 +29,17 @@ from .spectrum import Resolution, WordSpectrum, spectrum_metrics
 from .theory import (
     U0V0_CLASSES_EIGHTH,
     U0V0_CLASSES_SIXTEENTH,
-    _raw_family,
+    ClosedForms,
+    closed_forms,
     family_spectrum,
     projectivity_bound,
     u0v0_class,
 )
 
-DEFAULT_MAX_N = 8
+#: Largest n ``optimize`` accepts unless told otherwise.  At n = 10 the
+#: whole-space theory scan of every family runs in about 0.5 s and peaks
+#: below 100 MiB; at n = 11 the eighth-odd scan peaks near 155 MiB.
+DEFAULT_MAX_N = 10
 
 U0V0 = tuple[int, int]
 Candidate = tuple[GeneratorProfile, U0V0 | None]
@@ -51,20 +58,24 @@ class Criterion(Enum):
         raise ValueError(f"unknown criterion {label!r}")
 
 
-def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
-    """All C(n+9, 9) compositions of n into ten counts, lexicographically."""
+def profile_array(n: int) -> np.ndarray:
+    """All C(n+9, 9) compositions of n into ten counts, one per row, in
+    lexicographic order.
+
+    Row i places nine bars among n + 9 slots (the i-th 9-subset in
+    lexicographic order); the counts are the gaps between the bars.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    bars = np.array(list(combinations(range(n + 9), 9)), dtype=np.int16)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + 9))
+    return np.diff(edges, axis=1) - 1
 
-    def rec(prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == 9:
-            yield prefix + (remaining,)
-            return
-        for x in range(remaining + 1):
-            yield from rec(prefix + (x,), remaining - x)
 
-    for counts in rec((), n):
-        yield GeneratorProfile(counts)
+def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
+    """All C(n+9, 9) compositions of n into ten counts, lexicographically."""
+    for counts in profile_array(n).tolist():
+        yield GeneratorProfile(tuple(counts))
 
 
 def u0v0_classes(family: Family) -> tuple[U0V0, ...]:
@@ -77,25 +88,49 @@ def all_u0v0_pairs() -> tuple[U0V0, ...]:
     return tuple((a, b) for a in range(4) for b in range(4))
 
 
-def _resolution_key(raw) -> tuple[int, int]:
-    """Key increasing with resolution: (min length, exponent at min length)."""
-    if not raw:
-        return (1 << 30, 1 << 30)
-    r = raw[0][0]
-    return (r, min(e for length, e, _ in raw if length == r))
+def _wlp_keys(forms: ClosedForms, q: int) -> np.ndarray:
+    """Doubled wordlength patterns, (profiles, q, pairs) int8.
+
+    Entry [p, k - 1, c] is 2 A_k of candidate (p, c), the sum of the
+    doubled table weights of its rows of length k; no exponent enters,
+    because (2 * count) >> 2e is the doubled weight.  The table's weights
+    sum to at most 127 per candidate, so int8 holds every entry.
+    """
+    n_profiles, n_pairs = forms.tokens.shape[:2]
+    wlp = np.zeros((n_profiles, q + 1, n_pairs), dtype=np.int8)
+    profiles = np.arange(n_profiles)
+    for r in range(forms.lengths.shape[1]):
+        lengths, _, weights = forms.row(r)
+        wlp[profiles, lengths] += weights
+    return wlp[:, 1:, :]
 
 
-def _wlp_key(raw, q: int) -> tuple[int, ...]:
-    """Doubled-integer wordlength pattern (A_k sums the table weights)."""
-    acc = [0] * q
-    for length, e, count in raw:
-        acc[length - 1] += (2 * count) >> (2 * e)
-    return tuple(acc)
+def _resolution_keys(forms: ClosedForms) -> np.ndarray:
+    """Keys increasing with resolution, (profiles, pairs) int32.
+
+    A key packs (minimum word length r, minimum exponent at length r) as
+    r << 8 | e; a larger e is a smaller aliasing index at r.
+    """
+    n_rows = forms.lengths.shape[1]
+    shortest = np.full(forms.tokens.shape[:2], np.iinfo(np.int16).max, dtype=np.int16)
+    for r in range(n_rows):
+        lengths, _, weights = forms.row(r)
+        np.minimum(shortest, np.where(weights != 0, lengths[:, None], shortest), out=shortest)
+    top = np.full(shortest.shape, np.iinfo(np.int8).max, dtype=np.int8)
+    for r in range(n_rows):
+        lengths, exps, weights = forms.row(r)
+        at_shortest = (weights != 0) & (lengths[:, None] == shortest)
+        np.minimum(top, np.where(at_shortest, exps, top), out=top)
+    return (shortest.astype(np.int32) << 8) | top
 
 
-def _candidate_order(cand: Candidate) -> tuple:
-    profile, u0v0 = cand
-    return (profile.counts, u0v0 if u0v0 is not None else (-1, -1))
+def _min_wlp(wlp_keys: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The candidates of ``alive`` whose wordlength pattern is the
+    lexicographically smallest among them, filtered one length at a time."""
+    for k in range(wlp_keys.shape[1]):
+        column = wlp_keys[:, k, :]
+        alive = alive & (column == column[alive].min())
+    return alive
 
 
 @dataclass(frozen=True)
@@ -126,32 +161,30 @@ class SearchResult:
         return self.wlp[3:]
 
 
-def _candidates(family: Family, n: int, all_pairs: bool) -> list[Candidate]:
-    if family.branched:
-        pairs = all_u0v0_pairs() if all_pairs else u0v0_classes(family)
-        return [
-            (profile, pair)
-            for profile in enumerate_profiles(n)
-            for pair in pairs
-        ]
-    return [(profile, None) for profile in enumerate_profiles(n)]
+def _check_class_ties(
+    family: Family, profiles: np.ndarray, pairs: tuple[U0V0, ...], forms: ClosedForms
+) -> None:
+    """Assert that u0v0 values in one merged column give identical spectra.
 
-
-def _check_class_ties(family: Family, n: int) -> None:
-    """Assert that u0v0 values in one merged column give identical spectra."""
-    for profile in enumerate_profiles(n):
-        by_class: dict[U0V0, tuple] = {}
-        for pair in all_u0v0_pairs():
-            raw = tuple(_raw_family(family, profile, pair))
-            rep = u0v0_class(family, pair)
-            if rep in by_class:
-                if by_class[rep] != raw:
-                    raise AssertionError(
-                        f"u0v0 {pair} differs from its class representative "
-                        f"{rep} on profile {profile.digits}"
-                    )
-            else:
-                by_class[rep] = raw
+    Two candidates of one profile share their row lengths, so equal weights
+    on every row, and equal exponents on every row of nonzero weight, give
+    equal spectra.
+    """
+    token = forms.table.token
+    for j, pair in enumerate(pairs):
+        rep = u0v0_class(family, pair)
+        i = pairs.index(rep)
+        weights = forms.table.weights[forms.gates, j]
+        rep_weights = forms.table.weights[forms.gates, i]
+        exps, rep_exps = forms.tokens[:, j, token], forms.tokens[:, i, token]
+        same = (weights == rep_weights) & ((weights == 0) | (exps == rep_exps))
+        bad = np.flatnonzero(~same.all(axis=1))
+        if bad.size:
+            profile = GeneratorProfile(tuple(profiles[bad[0]].tolist()))
+            raise AssertionError(
+                f"u0v0 {pair} differs from its class representative "
+                f"{rep} on profile {profile.digits}"
+            )
 
 
 def _design_for(family: Family, candidate: Candidate) -> DesignMatrix:
@@ -176,45 +209,44 @@ def optimize(
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"n must lie in 1..{max_n}")
+    profiles = profile_array(n)
+    if family.branched:
+        pairs = all_u0v0_pairs() if all_pairs else u0v0_classes(family)
+    else:
+        pairs = (None,)
+    forms = closed_forms(family, profiles, pairs)
     if all_pairs and family.branched:
-        _check_class_ties(family, n)
+        _check_class_ties(family, profiles, pairs, forms)
     q = family.factor_count(n)
+    wlp_keys = _wlp_keys(forms, q)
+    res = _resolution_keys(forms)
 
-    scored: list[tuple[tuple[int, ...], tuple[int, int], Candidate]] = []
-    for cand in _candidates(family, n, all_pairs):
-        raw = _raw_family(family, cand[0], cand[1])
-        scored.append((_wlp_key(raw, q), _resolution_key(raw), cand))
+    def candidate(p: int, c: int) -> Candidate:
+        return (GeneratorProfile(tuple(profiles[p].tolist())), pairs[c])
 
-    min_wlp = min(s[0] for s in scored)
-    max_res = max(s[1] for s in scored)
-    ma_set = [s for s in scored if s[0] == min_wlp]
-    criteria_coincide = any(s[1] == max_res for s in ma_set)
+    ma_set = _min_wlp(wlp_keys, np.ones(res.shape, dtype=bool))
+    max_res = res.max()
+    criteria_coincide = bool((res[ma_set] == max_res).any())
 
     if criterion is Criterion.ABERRATION:
-        pool = ma_set
-        best_res = max(s[1] for s in pool)
-        pool = [s for s in pool if s[1] == best_res]
+        pool = ma_set & (res == res[ma_set].max())
     elif criterion is Criterion.RESOLUTION:
-        pool = [s for s in scored if s[1] == max_res]
-        best_wlp = min(s[0] for s in pool)
-        pool = [s for s in pool if s[0] == best_wlp]
+        pool = _min_wlp(wlp_keys, res == max_res)
     elif criterion is Criterion.PROJECTIVITY:
-        projs = [
-            (oracle_projectivity(_design_for(family, s[2])), s) for s in scored
-        ]
-        top = max(p for p, _ in projs)
-        pool = [s for p, s in projs if p == top]
-        best_wlp = min(s[0] for s in pool)
-        pool = [s for s in pool if s[0] == best_wlp]
-        best_res = max(s[1] for s in pool)
-        pool = [s for s in pool if s[1] == best_res]
+        projs = np.zeros(res.shape, dtype=np.int64)
+        for p, c in np.ndindex(*res.shape):
+            projs[p, c] = oracle_projectivity(_design_for(family, candidate(p, c)))
+        pool = _min_wlp(wlp_keys, projs == projs.max())
+        pool &= res == res[pool].max()
     else:  # pragma: no cover
         raise ValueError(criterion)
 
-    ties = sorted((s[2] for s in pool), key=_candidate_order)
+    # Profiles are lexicographic and pairs sorted, so the (profile, pair)
+    # order of the ties is their index order.
+    ties = [candidate(p, c) for p, c in zip(*np.nonzero(pool))]
     best_projectivity: int | None = None
     if criterion is Criterion.PROJECTIVITY:
-        best_projectivity = max(p for p, _ in projs)
+        best_projectivity = int(projs.max())
     elif with_projectivity:
         by_proj = [
             (oracle_projectivity(_design_for(family, cand)), cand)
@@ -223,7 +255,7 @@ def optimize(
         best_projectivity = max(p for p, _ in by_proj)
         ties = [cand for p, cand in by_proj if p == best_projectivity]
 
-    winner = min(ties, key=_candidate_order)
+    winner = ties[0]
     spectrum = family_spectrum(family, winner[0], winner[1])
     resolution, wlp = spectrum_metrics(spectrum, q)
     if with_projectivity and best_projectivity is None:

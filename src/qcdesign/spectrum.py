@@ -125,11 +125,6 @@ class DesignMetrics:
             raise ValueError("wordlength pattern entries must be nonnegative")
 
 
-def format_fraction(x: Fraction) -> str:
-    """Lowest-terms p/q string; integers render without a denominator."""
-    return str(x)
-
-
 def parse_fraction(text: str) -> Fraction:
     """Parse a p or p/q string, rejecting floats and other noise."""
     text = text.strip()

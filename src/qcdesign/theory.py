@@ -6,16 +6,26 @@ families).  This module evaluates those closed forms exactly; the oracle
 module recomputes the same spectra by brute force, and the two must agree
 entry for entry.
 
-Aliasing indices are powers of 1/2 throughout, so spectra are handled
-internally as (length, exponent, count) triples with integer arithmetic;
-the public functions return :class:`~qcdesign.spectrum.WordSpectrum` values
-with exact ``Fraction`` indices.
+The closed forms run as one integer array program over a batch of
+candidates, profiles times u0v0 values (``closed_forms``): the length
+offsets are a fixed linear map of the class counts, the exponents are
+halved sums of the counts, and each row of the family's count table adds
+words of one length and one aliasing index 2^-e.  The one-design functions
+below are one-row calls into the same program.  Aliasing indices are
+powers of 1/2 throughout, so raw spectra are (length, exponent, count)
+triples with integer arithmetic; the public functions return
+:class:`~qcdesign.spectrum.WordSpectrum` values with exact ``Fraction``
+indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .qc_core import Family, GeneratorProfile
 from .spectrum import WordSpectrum, spectrum_metrics
@@ -24,6 +34,9 @@ __all__ = [
     "LengthOffsets",
     "AliasingConstants",
     "WordClassReport",
+    "ClosedForms",
+    "closed_forms",
+    "family_spectra",
     "length_offsets",
     "aliasing_constants",
     "words_by_type",
@@ -43,6 +56,50 @@ __all__ = [
 
 # Raw spectra are lists of (length, e, count) with aliasing index 2^-e.
 RawSpectrum = list[tuple[int, int, int]]
+U0V0 = tuple[int, int]
+
+#: l1..l10 = counts @ _L; column j holds the coefficients of l(j+1) in the
+#: class counts m1..m10 (rows).
+_L = np.array(
+    [
+        # l1 l2 l3 l4 l5 l6 l7 l8 l9 l10
+        [1, 0, 1, 2, 2, 0, 2, 1, 1, 1],  # m1
+        [0, 1, 2, 1, 0, 2, 2, 1, 1, 1],  # m2
+        [1, 2, 1, 0, 2, 0, 2, 1, 1, 1],  # m3
+        [2, 1, 0, 1, 0, 2, 2, 1, 1, 1],  # m4
+        [1, 1, 1, 1, 2, 2, 0, 0, 2, 0],  # m5
+        [1, 1, 1, 1, 2, 2, 0, 0, 0, 2],  # m6
+        [0, 2, 0, 2, 0, 0, 0, 2, 2, 2],  # m7
+        [2, 0, 2, 0, 0, 0, 0, 2, 2, 2],  # m8
+        [2, 2, 2, 2, 0, 0, 0, 0, 0, 0],  # m9
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # m10
+    ],
+    dtype=np.int16,
+)
+
+#: The five exponent groups are halved sums: (counts @ _X + shift) // 2,
+#: where the shift of a branching pair is (delta1, delta2, eps1, eps2,
+#: eps1 + eps2 + 1) and zero indicators give rho1, rho2, xi1, xi2, xi.
+_X = np.array(
+    [
+        # theta1 theta2 omega1 omega2 omega
+        [1, 0, 1, 0, 1],  # m1
+        [0, 1, 0, 1, 1],  # m2
+        [1, 0, 1, 0, 1],  # m3
+        [0, 1, 0, 1, 1],  # m4
+        [1, 1, 0, 0, 0],  # m5
+        [1, 1, 0, 0, 0],  # m6
+        [0, 0, 0, 0, 0],  # m7
+        [0, 0, 0, 0, 0],  # m8
+        [0, 0, 0, 0, 0],  # m9
+        [0, 0, 0, 0, 0],  # m10
+    ],
+    dtype=np.int16,
+)
+
+#: Exponents and table weights are stored as int8; an exponent is at most
+#: n + 1, so profiles must stay below this size.
+_MAX_PROFILE_N = 126
 
 
 @dataclass(frozen=True)
@@ -56,58 +113,24 @@ class LengthOffsets:
             raise ValueError("length offsets must be 10 nonnegative integers")
 
 
+def _counts(profile: GeneratorProfile) -> np.ndarray:
+    return np.array([profile.counts], dtype=np.int16)
+
+
 def length_offsets(profile: GeneratorProfile) -> LengthOffsets:
     """Evaluate l1..l10 as fixed linear forms in the class counts."""
-    m1, m2, m3, m4, m5, m6, m7, m8, m9, _ = profile.counts
-    return LengthOffsets(
-        (
-            2 * (m4 + m8 + m9) + m1 + m3 + m5 + m6,
-            2 * (m3 + m7 + m9) + m2 + m4 + m5 + m6,
-            2 * (m2 + m8 + m9) + m1 + m3 + m5 + m6,
-            2 * (m1 + m7 + m9) + m2 + m4 + m5 + m6,
-            2 * (m1 + m3 + m5 + m6),
-            2 * (m2 + m4 + m5 + m6),
-            2 * (m1 + m2 + m3 + m4),
-            2 * (m7 + m8) + m1 + m2 + m3 + m4,
-            2 * (m5 + m7 + m8) + m1 + m2 + m3 + m4,
-            2 * (m6 + m7 + m8) + m1 + m2 + m3 + m4,
-        )
-    )
-
-
-def _half_floor(total: int) -> int:
-    # floor(total / 2) on nonnegative integers; kept exact on purpose.
-    return total // 2
+    return LengthOffsets(tuple((_counts(profile) @ _L)[0].tolist()))
 
 
 def _pow2inv(e: int) -> Fraction:
     return Fraction(1, 1 << e)
 
 
-@dataclass(frozen=True)
-class _Exponents:
-    """Exponents e with aliasing index 2^-e for each word group."""
-
-    rho1: int
-    rho2: int
-    xi1: int
-    xi2: int
-    xi: int
-    theta1: int | None = None
-    theta2: int | None = None
-    omega1: int | None = None
-    omega2: int | None = None
-    omega: int | None = None
-
-    @property
-    def omega0(self) -> int | None:
-        if self.omega1 is None:
-            return None
-        return self.omega1 + self.omega2
-
-
-def _indicators(u0v0: tuple[int, int]) -> tuple[int, int, int, int]:
-    """delta1, delta2, eps1, eps2 of a branching pair (u0, v0)."""
+def _indicators(u0v0: U0V0 | None) -> tuple[int, int, int, int]:
+    """delta1, delta2, eps1, eps2 of a branching pair (u0, v0); all zero
+    without one."""
+    if u0v0 is None:
+        return 0, 0, 0, 0
     u0, v0 = u0v0
     d1 = 1 if u0 in (1, 3) else 0
     d2 = 1 if v0 in (1, 3) else 0
@@ -116,28 +139,23 @@ def _indicators(u0v0: tuple[int, int]) -> tuple[int, int, int, int]:
     return d1, d2, e1, e2
 
 
-def _exponents(
-    profile: GeneratorProfile, u0v0: tuple[int, int] | None = None
-) -> _Exponents:
-    m1, m2, m3, m4, m5, m6, _, _, _, _ = profile.counts
-    base = dict(
-        rho1=_half_floor(m1 + m3 + m5 + m6),
-        rho2=_half_floor(m2 + m4 + m5 + m6),
-        xi1=_half_floor(m1 + m3),
-        xi2=_half_floor(m2 + m4),
-        xi=_half_floor(m1 + m2 + m3 + m4 + 1),
-    )
-    if u0v0 is None:
-        return _Exponents(**base)
-    d1, d2, e1, e2 = _indicators(u0v0)
-    return _Exponents(
-        **base,
-        theta1=_half_floor(m1 + m3 + m5 + m6 + d1),
-        theta2=_half_floor(m2 + m4 + m5 + m6 + d2),
-        omega1=_half_floor(m1 + m3 + e1),
-        omega2=_half_floor(m2 + m4 + e2),
-        omega=_half_floor(m1 + m2 + m3 + m4 + e1 + e2 + 1),
-    )
+def _exponent_groups(counts: np.ndarray, pairs: Sequence[U0V0 | None]) -> np.ndarray:
+    """(profiles, pairs, 5) int8 exponents theta1, theta2, omega1, omega2,
+    omega (rho1, rho2, xi1, xi2, xi for a pair of None)."""
+    shifts = []
+    for pair in pairs:
+        d1, d2, e1, e2 = _indicators(pair)
+        shifts.append((d1, d2, e1, e2, e1 + e2 + 1))
+    sums = (counts @ _X)[:, None, :] + np.array(shifts, dtype=np.int16)
+    return (sums // 2).astype(np.int8)
+
+
+def _gates(counts: np.ndarray) -> np.ndarray:
+    """Weight-table gate of each profile: 2 * (classes 1, 3, 5 or 6
+    populated) + (classes 5 and 6 empty)."""
+    populated = counts[:, [0, 2, 4, 5]].sum(axis=1) > 0
+    diagonal_empty = counts[:, [4, 5]].sum(axis=1) == 0
+    return 2 * populated.astype(np.intp) + diagonal_empty
 
 
 @dataclass(frozen=True)
@@ -174,152 +192,49 @@ class AliasingConstants:
 
 
 def aliasing_constants(
-    profile: GeneratorProfile, u0v0: tuple[int, int] | None = None
+    profile: GeneratorProfile, u0v0: U0V0 | str | None = None
 ) -> AliasingConstants:
     """Evaluate the aliasing-index constants for a profile."""
-    exps = _exponents(profile, u0v0)
-    base = dict(
-        rho1=_pow2inv(exps.rho1),
-        rho2=_pow2inv(exps.rho2),
-        xi1=_pow2inv(exps.xi1),
-        xi2=_pow2inv(exps.xi2),
-        xi=_pow2inv(exps.xi),
-    )
-    if u0v0 is None:
-        return AliasingConstants(**base)
-    d1, d2, e1, e2 = _indicators(u0v0)
-    k = {token: Fraction(w, 2) for token, w in _k_weights(profile).items()}
+    counts = _counts(profile)
+    pair = None if u0v0 is None else normalize_u0v0(u0v0)
+    groups = _exponent_groups(counts, (None, pair))[0].tolist()
+    rho1, rho2, xi1, xi2, xi = (_pow2inv(e) for e in groups[0])
+    base = AliasingConstants(rho1, rho2, xi1, xi2, xi)
+    if pair is None:
+        return base
+    theta1, theta2, omega1, omega2, omega = groups[1]
+    d1, d2, e1, e2 = _indicators(pair)
+    k = _k_weights(bool(_gates(counts)[0] >> 1))
     return AliasingConstants(
-        **base,
-        theta1=_pow2inv(exps.theta1),
-        theta2=_pow2inv(exps.theta2),
-        omega1=_pow2inv(exps.omega1),
-        omega2=_pow2inv(exps.omega2),
-        omega0=_pow2inv(exps.omega0),
-        omega=_pow2inv(exps.omega),
+        rho1, rho2, xi1, xi2, xi,
+        theta1=_pow2inv(theta1),
+        theta2=_pow2inv(theta2),
+        omega1=_pow2inv(omega1),
+        omega2=_pow2inv(omega2),
+        omega0=_pow2inv(omega1 + omega2),
+        omega=_pow2inv(omega),
         delta1=d1,
         delta2=d2,
         eps1=e1,
         eps2=e2,
         eps=e1 + e2,
-        k11=k[_K11],
-        k12=k[_K12],
-        k21=k[_K21],
-        k22=k[_K22],
+        k11=Fraction(k[_K11], 2),
+        k12=Fraction(k[_K12], 2),
+        k21=Fraction(k[_K21], 2),
+        k22=Fraction(k[_K22], 2),
     )
 
 
-@dataclass(frozen=True)
-class WordClassReport:
-    """Words contributed by one subset type: (count, ai, length) triples."""
-
-    checks: str
-    words: tuple[tuple[int, Fraction, int], ...]
-
-
-def words_by_type(profile: GeneratorProfile, checks: str) -> WordClassReport:
-    """Exact word accounting for one even-run subset type.
-
-    ``checks`` is the 4-bit membership string of the check columns F1..F4.
-    The mixed types (one check from each pair) split three ways on whether
-    the diagonal classes (counts 5 and 6) and the off-diagonal classes
-    (counts 1..4) are populated.
-    """
-    if len(checks) != 4 or set(checks) - {"0", "1"}:
-        raise ValueError("checks must be a 4-bit string")
-    off = length_offsets(profile).values
-    exps = _exponents(profile)
-    diag = profile.counts[4] + profile.counts[5]
-    cross = sum(profile.counts[:4])
-
-    def group(e: int, length: int, count: int | None = None):
-        c = count if count is not None else 1 << (2 * e)
-        return (c, _pow2inv(e), length)
-
-    words: list[tuple[int, Fraction, int]] = []
-    if checks in ("0100", "1000"):
-        words.append(group(exps.rho1, off[0] + 1))
-    elif checks in ("0001", "0010"):
-        words.append(group(exps.rho2, off[1] + 1))
-    elif checks in ("0111", "1011"):
-        words.append(group(exps.rho1, off[2] + 3))
-    elif checks in ("1101", "1110"):
-        words.append(group(exps.rho2, off[3] + 3))
-    elif checks == "1100":
-        words.append(group(0, off[4] + 2))
-    elif checks == "0011":
-        words.append(group(0, off[5] + 2))
-    elif checks == "1111":
-        words.append(group(0, off[6] + 4))
-    elif checks in ("0101", "1010", "0110", "1001"):
-        matching = checks in ("0101", "1010")
-        if diag == 0:
-            e = exps.xi1 + exps.xi2
-            words.append(group(e, off[7] + 2))
-        elif cross == 0:
-            length = off[9] + 2 if matching else off[8] + 2
-            words.append(group(0, length))
-        else:
-            half = 1 << (2 * exps.xi - 1)
-            words.append(group(exps.xi, off[8] + 2, half))
-            words.append(group(exps.xi, off[9] + 2, half))
-    return WordClassReport(checks, tuple(words))
-
-
-def _merge(raw: RawSpectrum) -> RawSpectrum:
-    acc: dict[tuple[int, int], int] = {}
-    for length, e, count in raw:
-        if count:
-            key = (length, e)
-            acc[key] = acc.get(key, 0) + count
-    return [(length, e, count) for (length, e), count in sorted(acc.items())]
-
-
-def _raw_even(profile: GeneratorProfile, sixteenth: bool) -> RawSpectrum:
-    """Aggregate spectrum of the even-run families.
-
-    The sixteenth fraction carries the full set of check-column types; the
-    eighth fraction keeps only the types avoiding F1, which halves the
-    rho1/rho2/mixed group sizes and drops two of the three full words.
-    """
-    off = length_offsets(profile).values
-    exps = _exponents(profile)
-    diag = profile.counts[4] + profile.counts[5]
-    raw: RawSpectrum = []
-    if sixteenth:
-        raw.append((off[0] + 1, exps.rho1, 2 << (2 * exps.rho1)))
-        raw.append((off[2] + 3, exps.rho1, 2 << (2 * exps.rho1)))
-        raw.append((off[1] + 1, exps.rho2, 2 << (2 * exps.rho2)))
-        raw.append((off[3] + 3, exps.rho2, 2 << (2 * exps.rho2)))
-        raw.append((off[4] + 2, 0, 1))
-        raw.append((off[5] + 2, 0, 1))
-        raw.append((off[6] + 4, 0, 1))
-        if diag == 0:
-            e = exps.xi1 + exps.xi2
-            raw.append((off[7] + 2, e, 4 << (2 * e)))
-        else:
-            raw.append((off[8] + 2, exps.xi, 2 << (2 * exps.xi)))
-            raw.append((off[9] + 2, exps.xi, 2 << (2 * exps.xi)))
-    else:
-        raw.append((off[0] + 1, exps.rho1, 1 << (2 * exps.rho1)))
-        raw.append((off[2] + 3, exps.rho1, 1 << (2 * exps.rho1)))
-        raw.append((off[1] + 1, exps.rho2, 2 << (2 * exps.rho2)))
-        raw.append((off[5] + 2, 0, 1))
-        if diag == 0:
-            e = exps.xi1 + exps.xi2
-            raw.append((off[7] + 2, e, 2 << (2 * e)))
-        else:
-            raw.append((off[8] + 2, exps.xi, 1 << (2 * exps.xi)))
-            raw.append((off[9] + 2, exps.xi, 1 << (2 * exps.xi)))
-    return _merge(raw)
-
-
 # ---------------------------------------------------------------------------
-# Branched families: per-(u0 v0) count tables.
+# Count tables, one per family.
 #
-# Counts below are the weights N with word count N / ai^2; they are stored
-# doubled so the half-integer entries of the eighth-fraction table stay
-# integral.  Tokens K11/K12/K21/K22 depend on the profile (``_k_weights``):
+# Each row (l index i, offset o, exponent token, weights per column) holds
+# words of length l_i + o with aliasing index 2^-e, e the token's exponent,
+# and word count weight / ai^2.  The columns are the merged u0v0 classes of
+# the branched families; the even-run families have one column and zero
+# indicators, where theta1, theta2, omega0, omega reduce to rho1, rho2,
+# xi1 + xi2, xi.  Weights may be half-integers and are resolved doubled.
+# Tokens K11/K12/K21/K22 depend on the profile (``_k_weights``):
 #   k11 = 1/2 if classes 1, 3, 5 or 6 are populated else 0, k12 = 1 - k11,
 #   k21 = 1 if classes 1, 3, 5 or 6 are populated else 0,   k22 = 2 - k21.
 # The omega0 rows apply only when classes 5 and 6 are empty and the omega
@@ -330,20 +245,47 @@ def _raw_even(profile: GeneratorProfile, sixteenth: bool) -> RawSpectrum:
 _H, _K11, _K12, _K21, _K22 = "h", "k11", "k12", "k21", "k22"
 _T1, _T2, _ONE, _W0, _W = "theta1", "theta2", "one", "omega0", "omega"
 
+#: Exponent tokens in the order of ``closed_forms``' token axis.
+_TOKENS = (_T1, _T2, _ONE, _W0, _W)
 
-def _k_weights(profile: GeneratorProfile) -> dict[str, int]:
+
+def _k_weights(populated: bool) -> dict[str, int]:
     """Doubled values of the tokens k11, k12, k21, k22 of the eighth-fraction
-    count table.
+    count table, given whether classes 1, 3, 5 or 6 are populated.
 
     They gate on classes 1, 3, 5 and 6 together: brute force shows the
     one-u-check words split evenly across the branch bit whenever any of
     those classes is populated, not only classes 1 and 3.
     """
-    m1, _, m3, _, m5, m6, _, _, _, _ = profile.counts
-    if m1 + m3 + m5 + m6 > 0:
+    if populated:
         return {_K11: 1, _K12: 1, _K21: 2, _K22: 2}
     return {_K11: 0, _K12: 2, _K21: 0, _K22: 4}
 
+
+_SIXTEENTH_EVEN_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
+    (1, 1, _T1, (2,)),
+    (2, 1, _T2, (2,)),
+    (3, 3, _T1, (2,)),
+    (4, 3, _T2, (2,)),
+    (5, 2, _ONE, (1,)),
+    (6, 2, _ONE, (1,)),
+    (7, 4, _ONE, (1,)),
+    (8, 2, _W0, (4,)),
+    (9, 2, _W, (2,)),
+    (10, 2, _W, (2,)),
+)
+
+# The eighth fraction keeps only the check types avoiding F1, which halves
+# the rho1 and mixed group sizes and drops two of the three full words.
+_EIGHTH_EVEN_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
+    (1, 1, _T1, (1,)),
+    (2, 1, _T2, (2,)),
+    (3, 3, _T1, (1,)),
+    (6, 2, _ONE, (1,)),
+    (8, 2, _W0, (2,)),
+    (9, 2, _W, (1,)),
+    (10, 2, _W, (1,)),
+)
 
 _SIXTEENTH_COLS = ("00", "01", "02", "10", "11", "12", "13", "20", "21", "22")
 _SIXTEENTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
@@ -406,15 +348,15 @@ _EIGHTH_CLASS = {f"{a}{b}": f"{a}{b}" for a in range(4) for b in range(4)}
 _EIGHTH_CLASS["03"] = "01"
 _EIGHTH_CLASS["23"] = "21"
 
-U0V0_CLASSES_SIXTEENTH: tuple[tuple[int, int], ...] = tuple(
+U0V0_CLASSES_SIXTEENTH: tuple[U0V0, ...] = tuple(
     (int(c[0]), int(c[1])) for c in _SIXTEENTH_COLS
 )
-U0V0_CLASSES_EIGHTH: tuple[tuple[int, int], ...] = tuple(
+U0V0_CLASSES_EIGHTH: tuple[U0V0, ...] = tuple(
     (int(c[0]), int(c[1])) for c in _EIGHTH_COLS
 )
 
 
-def normalize_u0v0(u0v0: tuple[int, int] | str) -> tuple[int, int]:
+def normalize_u0v0(u0v0: U0V0 | str) -> U0V0:
     if isinstance(u0v0, str):
         text = u0v0.strip()
         if len(text) != 2 or not text.isdigit():
@@ -426,7 +368,7 @@ def normalize_u0v0(u0v0: tuple[int, int] | str) -> tuple[int, int]:
     return (u0, v0)
 
 
-def u0v0_class(family: Family, u0v0: tuple[int, int] | str) -> tuple[int, int]:
+def u0v0_class(family: Family, u0v0: U0V0 | str) -> U0V0:
     """Representative of the merged count-table column containing u0v0."""
     u0, v0 = normalize_u0v0(u0v0)
     mapping = _SIXTEENTH_CLASS if family.sixteenth else _EIGHTH_CLASS
@@ -434,59 +376,197 @@ def u0v0_class(family: Family, u0v0: tuple[int, int] | str) -> tuple[int, int]:
     return (int(rep[0]), int(rep[1]))
 
 
-def _raw_branched(
-    profile: GeneratorProfile, u0v0: tuple[int, int], sixteenth: bool
-) -> RawSpectrum:
-    """Spectrum of a branched family from its count table."""
-    off = length_offsets(profile).values
-    exps = _exponents(profile, u0v0)
-    diag = profile.counts[4] + profile.counts[5]
-    # Doubled count weights per token (weights may be half-integers).
-    doubled = {0: 0, 1: 2, 2: 4, 4: 8, _H: 1, **_k_weights(profile)}
-    evals = {
-        _T1: exps.theta1,
-        _T2: exps.theta2,
-        _ONE: 0,
-        _W0: exps.omega0,
-        _W: exps.omega,
-    }
-    if sixteenth:
-        cols, rows, cls = _SIXTEENTH_COLS, _SIXTEENTH_ROWS, _SIXTEENTH_CLASS
-    else:
-        cols, rows, cls = _EIGHTH_COLS, _EIGHTH_ROWS, _EIGHTH_CLASS
-    col = cols.index(cls[f"{u0v0[0]}{u0v0[1]}"])
-    ungated = u0v0 in _UNGATED
+@dataclass(frozen=True)
+class _Table:
+    """A family's count table resolved for one tuple of u0v0 values."""
 
-    raw: RawSpectrum = []
-    for l_index, offset, key, counts in rows:
-        if not ungated:
-            if key == _W0 and diag > 0:
-                continue
-            if key == _W and diag == 0:
-                continue
-        weight2 = doubled[counts[col]]
-        if weight2 == 0:
-            continue
-        e = evals[key]
-        count2 = weight2 << (2 * e)
-        if count2 % 2:
+    l_index: np.ndarray  # (rows,) which of l1..l10, zero-based
+    offset: np.ndarray  # (rows,) added to the length offset
+    token: np.ndarray  # (rows,) position of the exponent token in _TOKENS
+    weights: np.ndarray  # (4 gates, pairs, rows) int8 doubled weights
+
+
+@lru_cache(maxsize=None)
+def _table(family: Family, pairs: tuple[U0V0 | None, ...]) -> _Table:
+    """Resolve a family's count table for the given u0v0 values: tokens
+    and row gates become doubled weights indexed [gate, pair, row], the
+    gate numbered as in ``_gates``."""
+    if family.branched:
+        if family.sixteenth:
+            cols, rows = _SIXTEENTH_COLS, _SIXTEENTH_ROWS
+        else:
+            cols, rows = _EIGHTH_COLS, _EIGHTH_ROWS
+    else:
+        cols, rows = ("",), _SIXTEENTH_EVEN_ROWS if family.sixteenth else _EIGHTH_EVEN_ROWS
+    weights = np.zeros((4, len(pairs), len(rows)), dtype=np.int8)
+    for gate in range(4):
+        populated, diagonal_empty = bool(gate >> 1), bool(gate & 1)
+        doubled = {0: 0, 1: 2, 2: 4, 4: 8, _H: 1, **_k_weights(populated)}
+        for j, pair in enumerate(pairs):
+            col = 0 if pair is None else cols.index("%d%d" % u0v0_class(family, pair))
+            for r, (_, _, key, entries) in enumerate(rows):
+                if pair not in _UNGATED and (
+                    (key == _W0 and not diagonal_empty)
+                    or (key == _W and diagonal_empty)
+                ):
+                    continue
+                weights[gate, j, r] = doubled[entries[col]]
+    # A doubled wordlength-pattern entry sums weights of one candidate.
+    assert int(weights.astype(np.int64).sum(axis=2).max()) <= np.iinfo(np.int8).max
+    weights.flags.writeable = False
+    return _Table(
+        l_index=np.array([row[0] - 1 for row in rows]),
+        offset=np.array([row[1] for row in rows], dtype=np.int16),
+        token=np.array([_TOKENS.index(row[2]) for row in rows]),
+        weights=weights,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedForms:
+    """The count-table rows of a batch of candidates, profiles x pairs.
+
+    Row r of candidate (p, c) holds words of length ``lengths[p, r]`` and
+    aliasing index 2^-e, with doubled weight w: their count is
+    w * 4^e / 2, and their share of the wordlength-pattern entry A_length
+    is w / 2.  The exponent e is ``tokens[p, c, table.token[r]]`` and w is
+    ``table.weights[gates[p], c, r]``, so nothing of size profiles x pairs
+    x rows is stored; ``row`` and ``candidate_rows`` gather them.
+    """
+
+    lengths: np.ndarray  # (profiles, rows) int16
+    tokens: np.ndarray  # (profiles, pairs, tokens) int8 exponents
+    gates: np.ndarray  # (profiles,) index into table.weights
+    table: _Table
+
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lengths (profiles,), exponents and doubled weights (profiles,
+        pairs) of table row r."""
+        return (
+            self.lengths[:, r],
+            self.tokens[:, :, self.table.token[r]],
+            self.table.weights[self.gates, :, r],
+        )
+
+    def candidate_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents and doubled weights of every row, (profiles, pairs,
+        rows) each."""
+        return self.tokens[:, :, self.table.token], self.table.weights[self.gates]
+
+
+def _check_pairs(family: Family, pairs: Sequence[U0V0 | str | None]) -> tuple:
+    if family.branched:
+        if any(pair is None for pair in pairs):
+            raise ValueError(f"{family.value} requires u0v0")
+        return tuple(normalize_u0v0(pair) for pair in pairs)
+    if any(pair is not None for pair in pairs):
+        raise ValueError(f"{family.value} does not take u0v0")
+    return tuple(pairs)
+
+
+def closed_forms(
+    family: Family, counts: np.ndarray, pairs: Sequence[U0V0 | str | None]
+) -> ClosedForms:
+    """Evaluate the family's count table for every (profile, pair) candidate.
+
+    ``counts`` is a (profiles, 10) array of class counts; ``pairs`` are the
+    u0v0 values (``(None,)`` for the even-run families).
+    """
+    pairs = _check_pairs(family, pairs)
+    counts = np.asarray(counts, dtype=np.int16).reshape(-1, 10)
+    if counts.size and int(counts.sum(axis=1).max()) > _MAX_PROFILE_N:
+        raise ValueError(f"closed forms are evaluated for n <= {_MAX_PROFILE_N}")
+    table = _table(family, pairs)
+    groups = _exponent_groups(counts, pairs)
+    forms = ClosedForms(
+        lengths=(counts @ _L)[:, table.l_index] + table.offset,
+        tokens=np.concatenate(
+            [
+                groups[..., :2],
+                np.zeros_like(groups[..., :1]),
+                groups[..., 2:3] + groups[..., 3:4],
+                groups[..., 4:],
+            ],
+            axis=-1,
+        ),
+        gates=_gates(counts),
+        table=table,
+    )
+    for r in range(table.offset.size):
+        _, exps, weights = forms.row(r)
+        if np.any((weights & 1).astype(bool) & (exps == 0)):
             raise AssertionError("half-integer weight with unit aliasing index")
-        raw.append((off[l_index - 1] + offset, e, count2 // 2))
-    return _merge(raw)
+    return forms
+
+
+def _raw_spectra(forms: ClosedForms) -> Iterator[RawSpectrum]:
+    """Merged (length, e, count) spectrum of each candidate, profile-major."""
+    exponents, weights = forms.candidate_rows()
+    for lengths, exps_p, weights_p in zip(forms.lengths.tolist(), exponents, weights):
+        for exps, row_weights in zip(exps_p.tolist(), weights_p.tolist()):
+            acc: dict[tuple[int, int], int] = {}
+            for length, e, w in zip(lengths, exps, row_weights):
+                if w:
+                    key = (length, e)
+                    acc[key] = acc.get(key, 0) + ((w << (2 * e)) >> 1)
+            yield [(length, e, count) for (length, e), count in sorted(acc.items())]
+
+
+@dataclass(frozen=True)
+class WordClassReport:
+    """Words contributed by one subset type: (count, ai, length) triples."""
+
+    checks: str
+    words: tuple[tuple[int, Fraction, int], ...]
+
+
+#: Row of the sixteenth-even table holding each non-mixed check type's words.
+_CHECK_ROWS = {
+    "1000": 0, "0100": 0, "0001": 1, "0010": 1, "0111": 2, "1011": 2,
+    "1101": 3, "1110": 3, "1100": 4, "0011": 5, "1111": 6,
+}
+
+
+def words_by_type(profile: GeneratorProfile, checks: str) -> WordClassReport:
+    """Exact word accounting for one even-run subset type.
+
+    ``checks`` is the 4-bit membership string of the check columns F1..F4.
+    Each type takes an equal share of its rows of the sixteenth-even count
+    table.  The mixed types (one check from each pair) split three ways on
+    whether the diagonal classes (counts 5 and 6) and the off-diagonal
+    classes (counts 1..4) are populated.
+    """
+    if len(checks) != 4 or set(checks) - {"0", "1"}:
+        raise ValueError("checks must be a 4-bit string")
+    forms = closed_forms(Family.SIXTEENTH_EVEN, _counts(profile), (None,))
+    exponents, row_weights = forms.candidate_rows()
+    lengths = forms.lengths[0].tolist()
+    exps = exponents[0, 0].tolist()
+    weights = row_weights[0, 0].tolist()
+    shares: list[tuple[int, int]] = []  # (row, types sharing it)
+    if checks in _CHECK_ROWS:
+        row = _CHECK_ROWS[checks]
+        shares.append((row, 2 if row < 4 else 1))
+    elif checks in ("0101", "1010", "0110", "1001"):
+        if weights[7]:  # the omega0 row: classes 5 and 6 are empty
+            shares.append((7, 4))
+        elif sum(profile.counts[:4]) == 0:  # the omega rows split by matching
+            shares.append((9 if checks in ("0101", "1010") else 8, 2))
+        else:
+            shares.extend([(8, 4), (9, 4)])
+    words = tuple(
+        ((weights[r] << (2 * exps[r])) // (2 * share), _pow2inv(exps[r]), lengths[r])
+        for r, share in shares
+    )
+    return WordClassReport(checks, words)
 
 
 def _raw_family(
     family: Family,
     profile: GeneratorProfile,
-    u0v0: tuple[int, int] | None = None,
+    u0v0: U0V0 | None = None,
 ) -> RawSpectrum:
-    if family.branched:
-        if u0v0 is None:
-            raise ValueError(f"{family.value} requires u0v0")
-        return _raw_branched(profile, normalize_u0v0(u0v0), family.sixteenth)
-    if u0v0 is not None:
-        raise ValueError(f"{family.value} does not take u0v0")
-    return _raw_even(profile, family.sixteenth)
+    return next(_raw_spectra(closed_forms(family, _counts(profile), (u0v0,))))
 
 
 def _to_spectrum(raw: RawSpectrum) -> WordSpectrum:
@@ -495,34 +575,44 @@ def _to_spectrum(raw: RawSpectrum) -> WordSpectrum:
     )
 
 
+def family_spectra(
+    family: Family, counts: np.ndarray, pairs: Sequence[U0V0 | str | None]
+) -> Iterator[WordSpectrum]:
+    """Closed-form spectra of every (profile, pair) candidate, profile-major.
+
+    The batch is evaluated at once; each spectrum is built as it is read.
+    """
+    return map(_to_spectrum, _raw_spectra(closed_forms(family, counts, pairs)))
+
+
 def sixteenth_even_spectrum(profile: GeneratorProfile) -> WordSpectrum:
     """Closed-form spectrum of the 2^(2n) run, 2n+4 factor design."""
-    return _to_spectrum(_raw_even(profile, sixteenth=True))
+    return family_spectrum(Family.SIXTEENTH_EVEN, profile)
 
 
 def eighth_even_spectrum(profile: GeneratorProfile) -> WordSpectrum:
     """Closed-form spectrum of the 2^(2n) run, 2n+3 factor design."""
-    return _to_spectrum(_raw_even(profile, sixteenth=False))
+    return family_spectrum(Family.EIGHTH_EVEN, profile)
 
 
 def sixteenth_odd_spectrum(
-    profile: GeneratorProfile, u0v0: tuple[int, int] | str
+    profile: GeneratorProfile, u0v0: U0V0 | str
 ) -> WordSpectrum:
     """Closed-form spectrum of the 2^(2n+1) run, 2n+5 factor design."""
-    return _to_spectrum(_raw_branched(profile, normalize_u0v0(u0v0), True))
+    return family_spectrum(Family.SIXTEENTH_ODD, profile, u0v0)
 
 
 def eighth_odd_spectrum(
-    profile: GeneratorProfile, u0v0: tuple[int, int] | str
+    profile: GeneratorProfile, u0v0: U0V0 | str
 ) -> WordSpectrum:
     """Closed-form spectrum of the 2^(2n+1) run, 2n+4 factor design."""
-    return _to_spectrum(_raw_branched(profile, normalize_u0v0(u0v0), False))
+    return family_spectrum(Family.EIGHTH_ODD, profile, u0v0)
 
 
 def family_spectrum(
     family: Family,
     profile: GeneratorProfile,
-    u0v0: tuple[int, int] | str | None = None,
+    u0v0: U0V0 | str | None = None,
 ) -> WordSpectrum:
     """Dispatch to the closed-form spectrum for any family."""
     if u0v0 is not None:

@@ -266,7 +266,7 @@ def test_bound_command(capsys):
 
 
 def test_verify_reports_every_failure(capsys, monkeypatch):
-    def fail_odd_profiles(family, profile, u0v0):
+    def fail_odd_profiles(family, profile, u0v0, theory_spec):
         if profile.counts.index(max(profile.counts)) % 2:
             return f"{family.value} {profile.digits}: planted failure"
         return None

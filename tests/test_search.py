@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,15 @@ from qcdesign import (
     orthogonal_array_ceiling,
     reproduce_table,
 )
-from qcdesign.search import EIGHTH_ROWS, SIXTEENTH_ROWS
+from qcdesign.search import (
+    DEFAULT_MAX_N,
+    EIGHTH_ROWS,
+    SIXTEENTH_ROWS,
+    _check_class_ties,
+    all_u0v0_pairs,
+    profile_array,
+)
+from qcdesign.theory import closed_forms
 
 
 def test_enumerate_profiles_counts():
@@ -69,7 +78,7 @@ def test_optimize_is_deterministic():
 
 def test_optimize_rejects_out_of_range_n():
     with pytest.raises(ValueError):
-        optimize(9, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
+        optimize(DEFAULT_MAX_N + 1, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
     with pytest.raises(ValueError):
         optimize(0, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
 
@@ -85,6 +94,22 @@ def test_all_pairs_mode_matches_class_representatives():
     full = optimize(1, Family.EIGHTH_ODD, Criterion.ABERRATION, all_pairs=True)
     assert merged.u0v0 == full.u0v0
     assert merged.wlp == full.wlp
+
+
+@pytest.mark.parametrize("family", [Family.SIXTEENTH_ODD, Family.EIGHTH_ODD])
+def test_all_sixteen_pairs_tie_with_their_class(family):
+    pairs = all_u0v0_pairs()
+    for n in (1, 2, 3):
+        profiles = profile_array(n)
+        forms = closed_forms(family, profiles, pairs)
+        _check_class_ties(family, profiles, pairs, forms)
+    # A weight planted on one pair outside its class representative's rows
+    # must be caught: (0, 3) belongs to the class of (0, 1).
+    weights = forms.table.weights.copy()
+    weights[:, pairs.index((0, 3)), 0] += 2
+    planted = replace(forms, table=replace(forms.table, weights=weights))
+    with pytest.raises(AssertionError, match="u0v0 \\(0, 3\\) differs"):
+        _check_class_ties(family, profiles, pairs, planted)
 
 
 def test_skip_projectivity_mode():

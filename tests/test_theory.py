@@ -7,7 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import scalar_theory
 from qcdesign import (
     Family,
     GeneratorProfile,
@@ -28,7 +30,20 @@ from qcdesign import (
     spectrum_metrics,
     words_by_type,
 )
-from qcdesign.theory import U0V0_CLASSES_EIGHTH, U0V0_CLASSES_SIXTEENTH
+from qcdesign.search import (
+    _resolution_keys,
+    _wlp_keys,
+    all_u0v0_pairs,
+    profile_array,
+    u0v0_classes,
+)
+from qcdesign.theory import (
+    U0V0_CLASSES_EIGHTH,
+    U0V0_CLASSES_SIXTEENTH,
+    _raw_spectra,
+    _to_spectrum,
+    closed_forms,
+)
 
 EXAMPLE_PROFILE = GeneratorProfile((0, 0, 0, 1, 1, 1, 0, 0, 0, 0))
 BRANCH_PROFILE = GeneratorProfile((0, 0, 1, 1, 0, 0, 0, 0, 0, 0))
@@ -301,3 +316,51 @@ def test_projectivity_bound_reference_cases():
         projectivity_bound(3, Family.EIGHTH_ODD)
     with pytest.raises(ValueError):
         projectivity_bound(0, Family.SIXTEENTH_EVEN)
+
+
+def _pairs(family: Family, every_pair: bool = False):
+    if not family.branched:
+        return (None,)
+    return all_u0v0_pairs() if every_pair else u0v0_classes(family)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_array_path_matches_scalar_reference(family):
+    """Every search candidate at n <= 5: spectrum, WLP key, resolution key."""
+    pairs = _pairs(family)
+    for n in range(1, 6):
+        q = family.factor_count(n)
+        profiles = profile_array(n)
+        forms = closed_forms(family, profiles, pairs)
+        wlp = _wlp_keys(forms, q).tolist()
+        res = _resolution_keys(forms).tolist()
+        spectra = _raw_spectra(forms)
+        for p, counts in enumerate(profiles.tolist()):
+            profile = GeneratorProfile(tuple(counts))
+            assert length_offsets(profile).values == (
+                scalar_theory.length_offsets(profile)
+            )
+            for c, pair in enumerate(pairs):
+                ref = scalar_theory.raw_family(family, profile, pair)
+                assert next(spectra) == ref, (family, profile.digits, pair)
+                assert tuple(row[c] for row in wlp[p]) == scalar_theory.wlp_key(ref, q)
+                key = res[p][c]
+                assert (key >> 8, key & 255) == scalar_theory.resolution_key(ref)
+
+
+@st.composite
+def larger_candidates(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(6, 8))
+    classes = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    profile = GeneratorProfile(tuple(classes.count(c) for c in range(10)))
+    pair = draw(st.sampled_from(_pairs(family, every_pair=True)))
+    return family, profile, pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_candidates())
+def test_one_row_spectrum_matches_scalar_reference(candidate):
+    family, profile, pair = candidate
+    reference = _to_spectrum(scalar_theory.raw_family(family, profile, pair))
+    assert family_spectrum(family, profile, pair) == reference
