@@ -10,20 +10,16 @@ projectivity.  All metric arithmetic is exact.
 from .qc_core import (
     DesignMatrix,
     Family,
-    FrequencyTable,
     GeneratorProfile,
     GeneratorSpec,
     build_design,
     column_labels,
-    frequencies,
-    profile_from_frequencies,
     profile_of,
     realize_profile,
     spec_for,
 )
 from .spectrum import (
     UNBOUNDED,
-    DesignMetrics,
     Unbounded,
     WordEntry,
     WordSpectrum,
@@ -31,32 +27,12 @@ from .spectrum import (
 )
 from .oracle import (
     JTable,
-    SubsetType,
-    character_sum_even,
-    character_sum_odd,
-    classify_subset,
     j_characteristics,
-    j_direct,
-    metrics,
     projection_level_full,
     projectivity,
     spectrum_bruteforce,
 )
-from .theory import (
-    AliasingConstants,
-    LengthOffsets,
-    NoClosedFormBound,
-    WordClassReport,
-    aliasing_constants,
-    eighth_even_spectrum,
-    eighth_odd_spectrum,
-    family_spectrum,
-    length_offsets,
-    projectivity_bound,
-    sixteenth_even_spectrum,
-    sixteenth_odd_spectrum,
-    words_by_type,
-)
+from .theory import NoClosedFormBound, family_spectrum, projectivity_bound
 from .search import (
     Criterion,
     SearchResult,

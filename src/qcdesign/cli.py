@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .oracle import (
+    DEFAULT_MAX_FACTORS,
     j_characteristics,
     projection_level_full,
     projectivity as oracle_projectivity,
@@ -132,6 +133,8 @@ def _validate_metrics_payload(payload: dict) -> dict:
 
 def document_from_json(text: str) -> DesignDocument:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise UsageError("a design document must be a JSON object")
     if payload.get("schema") != SCHEMA:
         raise UsageError(f"unsupported schema {payload.get('schema')!r}")
     design = DesignMatrix(tuple(payload["columns"]), payload["rows"])
@@ -164,11 +167,11 @@ def design_to_csv(design: DesignMatrix) -> str:
 
 def design_from_csv(text: str) -> DesignMatrix:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise UsageError("empty CSV design")
+    if len(lines) < 2:
+        raise UsageError("a CSV design needs a header line and at least one run")
     columns = tuple(label.strip() for label in lines[0].split(","))
     rows = []
-    for line in lines[1:]:
+    for run, line in enumerate(lines[1:], start=1):
         entries = []
         for tok in line.split(","):
             tok = tok.strip()
@@ -178,16 +181,28 @@ def design_from_csv(text: str) -> DesignMatrix:
                 entries.append(-1)
             else:
                 raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
+        if len(entries) != len(columns):
+            raise UsageError(
+                f"CSV run {run} has {len(entries)} entries for {len(columns)} columns"
+            )
         rows.append(entries)
     return DesignMatrix(columns, rows)
 
 
 def load_design(path: str, fmt: str | None = None) -> DesignDocument:
-    text = Path(path).read_text()
+    """Read a JSON or CSV design document; malformed input is a UsageError."""
     kind = fmt or ("csv" if path.lower().endswith(".csv") else "json")
-    if kind == "csv":
-        return DesignDocument(None, design_from_csv(text))
-    return document_from_json(text)
+    try:
+        text = Path(path).read_text()
+        if kind == "csv":
+            return DesignDocument(None, design_from_csv(text))
+        return document_from_json(text)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}")
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +628,7 @@ def _add_design_source(p: _Parser) -> None:
     p.add_argument("--u", help="comma-separated Z4 digits")
     p.add_argument("--v", help="comma-separated Z4 digits")
     p.add_argument("--u0v0", help="two Z4 digits, e.g. 12 means u0=1, v0=2")
-    p.add_argument("--max-factors", type=int, default=20,
+    p.add_argument("--max-factors", type=int, default=DEFAULT_MAX_FACTORS,
                    help="cap on q for the 2^q pattern table (memory guard)")
 
 

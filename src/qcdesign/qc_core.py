@@ -24,10 +24,7 @@ import numpy as np
 
 Z4 = (0, 1, 2, 3)
 
-#: Gray map on Z4, written with levels +1/-1.
-GRAY = {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
-
-# First and second Gray coordinates of k in Z4, as lookup arrays.
+# First and second Gray coordinates of k in Z4, with levels +1/-1.
 _GRAY1 = np.array([1, 1, -1, -1], dtype=np.int8)
 _GRAY2 = np.array([1, -1, -1, 1], dtype=np.int8)
 
@@ -117,14 +114,6 @@ class GeneratorSpec:
             return None
         return (self.u0, self.v0)
 
-    @property
-    def run_count(self) -> int:
-        return self.family.run_count(self.n)
-
-    @property
-    def factor_count(self) -> int:
-        return self.family.factor_count(self.n)
-
 
 def column_labels(family: Family, n: int) -> tuple[str, ...]:
     """Ordered factor labels: F1..F4 checks, F5 for branched, then pairs Fj1, Fj2."""
@@ -164,18 +153,6 @@ class DesignMatrix:
     @property
     def n_factors(self) -> int:
         return self.rows.shape[1]
-
-    def column_index(self, label: str) -> int:
-        try:
-            return self.columns.index(label)
-        except ValueError:
-            raise KeyError(f"unknown column {label!r}") from None
-
-    def drop(self, label: str) -> "DesignMatrix":
-        """Return a copy with one column removed."""
-        i = self.column_index(label)
-        cols = self.columns[:i] + self.columns[i + 1 :]
-        return DesignMatrix(cols, np.delete(self.rows, i, axis=1))
 
 
 def build_design(spec: GeneratorSpec) -> DesignMatrix:
@@ -219,38 +196,6 @@ def build_design(spec: GeneratorSpec) -> DesignMatrix:
     return DesignMatrix(column_labels(fam, n), np.column_stack(cols))
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Counts f[k][s] of positions j with u_j = k and v_j = s."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != 4 or any(len(r) != 4 for r in self.counts):
-            raise ValueError("frequency table must be 4 x 4")
-        if any(x < 0 for row in self.counts for x in row):
-            raise ValueError("frequencies must be nonnegative")
-
-    def __getitem__(self, ks: tuple[int, int]) -> int:
-        return self.counts[ks[0]][ks[1]]
-
-    @property
-    def n(self) -> int:
-        return sum(x for row in self.counts for x in row)
-
-
-def frequencies(u: Sequence[int], v: Sequence[int]) -> FrequencyTable:
-    """Tally how often each (k, s) pair occurs as (u_j, v_j)."""
-    u = _check_z4(u, "u")
-    v = _check_z4(v, "v")
-    if len(u) != len(v):
-        raise ValueError("u and v must have the same length")
-    table = [[0] * 4 for _ in range(4)]
-    for k, s in zip(u, v):
-        table[k][s] += 1
-    return FrequencyTable(tuple(tuple(row) for row in table))
-
-
 # The ten (k, s) pair classes, listed with a canonical representative each.
 # A generator position contributes to exactly one class, and the design's
 # word spectrum depends on (u, v) only through the ten class counts.
@@ -266,6 +211,9 @@ _CLASS_PAIRS: tuple[tuple[tuple[int, int], ...], ...] = (
     ((2, 2),),
     ((0, 0),),
 )
+
+#: Class index (0..9) of each of the sixteen (k, s) pairs.
+_CLASS_OF = {pair: c for c, pairs in enumerate(_CLASS_PAIRS) for pair in pairs}
 
 
 @dataclass(frozen=True)
@@ -300,15 +248,16 @@ class GeneratorProfile:
         return cls(tuple(parts))
 
 
-def profile_from_frequencies(freq: FrequencyTable) -> GeneratorProfile:
-    """Collapse a frequency table into the ten pair-class counts."""
-    return GeneratorProfile(
-        tuple(sum(freq[pair] for pair in pairs) for pairs in _CLASS_PAIRS)
-    )
-
-
 def profile_of(u: Sequence[int], v: Sequence[int]) -> GeneratorProfile:
-    return profile_from_frequencies(frequencies(u, v))
+    """Count how many positions j put (u_j, v_j) in each of the ten classes."""
+    u = _check_z4(u, "u")
+    v = _check_z4(v, "v")
+    if len(u) != len(v):
+        raise ValueError("u and v must have the same length")
+    counts = [0] * 10
+    for pair in zip(u, v):
+        counts[_CLASS_OF[pair]] += 1
+    return GeneratorProfile(tuple(counts))
 
 
 def realize_profile(profile: GeneratorProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .oracle import projectivity as oracle_projectivity
+from .oracle import DEFAULT_MAX_FACTORS, projectivity as oracle_projectivity
 from .qc_core import DesignMatrix, Family, GeneratorProfile, build_design, spec_for
 from .spectrum import Resolution, WordSpectrum, spectrum_metrics
 from .theory import (
@@ -206,9 +206,23 @@ def optimize(
     wordlength pattern, then resolution, then (optionally) oracle
     projectivity of the realized designs, and finally the lexicographically
     smallest (profile, u0v0).  The surviving tie set is reported in full.
+    When oracle projectivity is needed and the size has more than
+    ``DEFAULT_MAX_FACTORS`` factors, it refuses before the theory scan.
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"n must lie in 1..{max_n}")
+    q = family.factor_count(n)
+    if q > DEFAULT_MAX_FACTORS:
+        size = f"{family.value} designs at n = {n} have q = {q} factors"
+        if criterion is Criterion.PROJECTIVITY:
+            raise ValueError(
+                f"the projectivity criterion needs q <= {DEFAULT_MAX_FACTORS}; {size}"
+            )
+        if with_projectivity:
+            raise ValueError(
+                f"{size}, above the oracle's cap of {DEFAULT_MAX_FACTORS} for the "
+                f"projectivity refinement; use --skip-projectivity"
+            )
     profiles = profile_array(n)
     if family.branched:
         pairs = all_u0v0_pairs() if all_pairs else u0v0_classes(family)
@@ -217,7 +231,6 @@ def optimize(
     forms = closed_forms(family, profiles, pairs)
     if all_pairs and family.branched:
         _check_class_ties(family, profiles, pairs, forms)
-    q = family.factor_count(n)
     wlp_keys = _wlp_keys(forms, q)
     res = _resolution_keys(forms)
 

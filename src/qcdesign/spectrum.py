@@ -112,19 +112,6 @@ def spectrum_metrics(
     return Fraction(r + 1) - top, tuple(wlp)
 
 
-@dataclass(frozen=True)
-class DesignMetrics:
-    """Resolution, wordlength pattern, and (optionally) projectivity."""
-
-    resolution: Resolution
-    wlp: tuple[Fraction, ...]
-    projectivity: int | None = None
-
-    def __post_init__(self) -> None:
-        if any(a < 0 for a in self.wlp):
-            raise ValueError("wordlength pattern entries must be nonnegative")
-
-
 def parse_fraction(text: str) -> Fraction:
     """Parse a p or p/q string, rejecting floats and other noise."""
     text = text.strip()

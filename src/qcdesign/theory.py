@@ -28,31 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .qc_core import Family, GeneratorProfile
-from .spectrum import WordSpectrum, spectrum_metrics
-
-__all__ = [
-    "LengthOffsets",
-    "AliasingConstants",
-    "WordClassReport",
-    "ClosedForms",
-    "closed_forms",
-    "family_spectra",
-    "length_offsets",
-    "aliasing_constants",
-    "words_by_type",
-    "sixteenth_even_spectrum",
-    "eighth_even_spectrum",
-    "sixteenth_odd_spectrum",
-    "eighth_odd_spectrum",
-    "family_spectrum",
-    "spectrum_metrics",
-    "NoClosedFormBound",
-    "projectivity_bound",
-    "normalize_u0v0",
-    "u0v0_class",
-    "U0V0_CLASSES_SIXTEENTH",
-    "U0V0_CLASSES_EIGHTH",
-]
+from .spectrum import WordSpectrum
 
 # Raw spectra are lists of (length, e, count) with aliasing index 2^-e.
 RawSpectrum = list[tuple[int, int, int]]
@@ -102,30 +78,6 @@ _X = np.array(
 _MAX_PROFILE_N = 126
 
 
-@dataclass(frozen=True)
-class LengthOffsets:
-    """The ten base lengths l1..l10 from which all word lengths derive."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 10 or any(x < 0 for x in self.values):
-            raise ValueError("length offsets must be 10 nonnegative integers")
-
-
-def _counts(profile: GeneratorProfile) -> np.ndarray:
-    return np.array([profile.counts], dtype=np.int16)
-
-
-def length_offsets(profile: GeneratorProfile) -> LengthOffsets:
-    """Evaluate l1..l10 as fixed linear forms in the class counts."""
-    return LengthOffsets(tuple((_counts(profile) @ _L)[0].tolist()))
-
-
-def _pow2inv(e: int) -> Fraction:
-    return Fraction(1, 1 << e)
-
-
 def _indicators(u0v0: U0V0 | None) -> tuple[int, int, int, int]:
     """delta1, delta2, eps1, eps2 of a branching pair (u0, v0); all zero
     without one."""
@@ -156,73 +108,6 @@ def _gates(counts: np.ndarray) -> np.ndarray:
     populated = counts[:, [0, 2, 4, 5]].sum(axis=1) > 0
     diagonal_empty = counts[:, [4, 5]].sum(axis=1) == 0
     return 2 * populated.astype(np.intp) + diagonal_empty
-
-
-@dataclass(frozen=True)
-class AliasingConstants:
-    """The named aliasing-index constants, as exact dyadic rationals.
-
-    rho1/rho2 govern subsets containing an odd part of one check pair and
-    an even part of the other; xi1, xi2, xi govern the mixed types.  The
-    branched-family constants theta1, theta2, omega0, omega (and the
-    indicator integers delta1, delta2, eps1, eps2, eps plus the count
-    constants k11, k12, k21, k22) are present only when u0v0 is supplied.
-    """
-
-    rho1: Fraction
-    rho2: Fraction
-    xi1: Fraction
-    xi2: Fraction
-    xi: Fraction
-    theta1: Fraction | None = None
-    theta2: Fraction | None = None
-    omega1: Fraction | None = None
-    omega2: Fraction | None = None
-    omega0: Fraction | None = None
-    omega: Fraction | None = None
-    delta1: int | None = None
-    delta2: int | None = None
-    eps1: int | None = None
-    eps2: int | None = None
-    eps: int | None = None
-    k11: Fraction | None = None
-    k12: Fraction | None = None
-    k21: Fraction | None = None
-    k22: Fraction | None = None
-
-
-def aliasing_constants(
-    profile: GeneratorProfile, u0v0: U0V0 | str | None = None
-) -> AliasingConstants:
-    """Evaluate the aliasing-index constants for a profile."""
-    counts = _counts(profile)
-    pair = None if u0v0 is None else normalize_u0v0(u0v0)
-    groups = _exponent_groups(counts, (None, pair))[0].tolist()
-    rho1, rho2, xi1, xi2, xi = (_pow2inv(e) for e in groups[0])
-    base = AliasingConstants(rho1, rho2, xi1, xi2, xi)
-    if pair is None:
-        return base
-    theta1, theta2, omega1, omega2, omega = groups[1]
-    d1, d2, e1, e2 = _indicators(pair)
-    k = _k_weights(bool(_gates(counts)[0] >> 1))
-    return AliasingConstants(
-        rho1, rho2, xi1, xi2, xi,
-        theta1=_pow2inv(theta1),
-        theta2=_pow2inv(theta2),
-        omega1=_pow2inv(omega1),
-        omega2=_pow2inv(omega2),
-        omega0=_pow2inv(omega1 + omega2),
-        omega=_pow2inv(omega),
-        delta1=d1,
-        delta2=d2,
-        eps1=e1,
-        eps2=e2,
-        eps=e1 + e2,
-        k11=Fraction(k[_K11], 2),
-        k12=Fraction(k[_K12], 2),
-        k21=Fraction(k[_K21], 2),
-        k22=Fraction(k[_K22], 2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,66 +397,18 @@ def _raw_spectra(forms: ClosedForms) -> Iterator[RawSpectrum]:
             yield [(length, e, count) for (length, e), count in sorted(acc.items())]
 
 
-@dataclass(frozen=True)
-class WordClassReport:
-    """Words contributed by one subset type: (count, ai, length) triples."""
-
-    checks: str
-    words: tuple[tuple[int, Fraction, int], ...]
-
-
-#: Row of the sixteenth-even table holding each non-mixed check type's words.
-_CHECK_ROWS = {
-    "1000": 0, "0100": 0, "0001": 1, "0010": 1, "0111": 2, "1011": 2,
-    "1101": 3, "1110": 3, "1100": 4, "0011": 5, "1111": 6,
-}
-
-
-def words_by_type(profile: GeneratorProfile, checks: str) -> WordClassReport:
-    """Exact word accounting for one even-run subset type.
-
-    ``checks`` is the 4-bit membership string of the check columns F1..F4.
-    Each type takes an equal share of its rows of the sixteenth-even count
-    table.  The mixed types (one check from each pair) split three ways on
-    whether the diagonal classes (counts 5 and 6) and the off-diagonal
-    classes (counts 1..4) are populated.
-    """
-    if len(checks) != 4 or set(checks) - {"0", "1"}:
-        raise ValueError("checks must be a 4-bit string")
-    forms = closed_forms(Family.SIXTEENTH_EVEN, _counts(profile), (None,))
-    exponents, row_weights = forms.candidate_rows()
-    lengths = forms.lengths[0].tolist()
-    exps = exponents[0, 0].tolist()
-    weights = row_weights[0, 0].tolist()
-    shares: list[tuple[int, int]] = []  # (row, types sharing it)
-    if checks in _CHECK_ROWS:
-        row = _CHECK_ROWS[checks]
-        shares.append((row, 2 if row < 4 else 1))
-    elif checks in ("0101", "1010", "0110", "1001"):
-        if weights[7]:  # the omega0 row: classes 5 and 6 are empty
-            shares.append((7, 4))
-        elif sum(profile.counts[:4]) == 0:  # the omega rows split by matching
-            shares.append((9 if checks in ("0101", "1010") else 8, 2))
-        else:
-            shares.extend([(8, 4), (9, 4)])
-    words = tuple(
-        ((weights[r] << (2 * exps[r])) // (2 * share), _pow2inv(exps[r]), lengths[r])
-        for r, share in shares
-    )
-    return WordClassReport(checks, words)
-
-
 def _raw_family(
     family: Family,
     profile: GeneratorProfile,
     u0v0: U0V0 | None = None,
 ) -> RawSpectrum:
-    return next(_raw_spectra(closed_forms(family, _counts(profile), (u0v0,))))
+    counts = np.array([profile.counts], dtype=np.int16)
+    return next(_raw_spectra(closed_forms(family, counts, (u0v0,))))
 
 
 def _to_spectrum(raw: RawSpectrum) -> WordSpectrum:
     return WordSpectrum.from_entries(
-        (length, _pow2inv(e), count) for length, e, count in raw
+        (length, Fraction(1, 1 << e), count) for length, e, count in raw
     )
 
 
@@ -585,36 +422,12 @@ def family_spectra(
     return map(_to_spectrum, _raw_spectra(closed_forms(family, counts, pairs)))
 
 
-def sixteenth_even_spectrum(profile: GeneratorProfile) -> WordSpectrum:
-    """Closed-form spectrum of the 2^(2n) run, 2n+4 factor design."""
-    return family_spectrum(Family.SIXTEENTH_EVEN, profile)
-
-
-def eighth_even_spectrum(profile: GeneratorProfile) -> WordSpectrum:
-    """Closed-form spectrum of the 2^(2n) run, 2n+3 factor design."""
-    return family_spectrum(Family.EIGHTH_EVEN, profile)
-
-
-def sixteenth_odd_spectrum(
-    profile: GeneratorProfile, u0v0: U0V0 | str
-) -> WordSpectrum:
-    """Closed-form spectrum of the 2^(2n+1) run, 2n+5 factor design."""
-    return family_spectrum(Family.SIXTEENTH_ODD, profile, u0v0)
-
-
-def eighth_odd_spectrum(
-    profile: GeneratorProfile, u0v0: U0V0 | str
-) -> WordSpectrum:
-    """Closed-form spectrum of the 2^(2n+1) run, 2n+4 factor design."""
-    return family_spectrum(Family.EIGHTH_ODD, profile, u0v0)
-
-
 def family_spectrum(
     family: Family,
     profile: GeneratorProfile,
     u0v0: U0V0 | str | None = None,
 ) -> WordSpectrum:
-    """Dispatch to the closed-form spectrum for any family."""
+    """Closed-form spectrum of one design of any family."""
     if u0v0 is not None:
         u0v0 = normalize_u0v0(u0v0)
     return _to_spectrum(_raw_family(family, profile, u0v0))

@@ -6,12 +6,15 @@ builder it checks.  ``compositions_count`` counts integer compositions
 recursively as an independent enumeration oracle.  ``scan_level_full`` and
 ``scan_projectivity`` answer projectivity questions with the sort-based
 projection scan, an algorithm independent of the J-table path that the
-library's ``projectivity`` takes.
+library's ``projectivity`` takes.  ``drop_column`` deletes one column, which
+is how an eighth fraction is read off its parent sixteenth.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 from qcdesign import DesignMatrix, Family, GeneratorSpec
 from qcdesign.oracle import _distinct_patterns, _first_deficient
@@ -39,6 +42,13 @@ def reference_rows(spec: GeneratorSpec) -> list[list[int]]:
                 row.extend(GRAY_PAIRS[aj])
             rows.append(row)
     return rows
+
+
+def drop_column(design: DesignMatrix, label: str) -> DesignMatrix:
+    """The design without the named column."""
+    i = design.columns.index(label)
+    columns = design.columns[:i] + design.columns[i + 1 :]
+    return DesignMatrix(columns, np.delete(design.rows, i, axis=1))
 
 
 def compositions_count(n: int, parts: int) -> int:

@@ -1,0 +1,70 @@
+"""The benchmark under ``perfbench/`` reaches into the library by name.
+
+Its tracer wraps functions given as (layer, name) pairs, and its scripts
+import names from ``qcdesign``.  The benchmark's own tests do not run with
+this suite, so these checks keep a library change from breaking it: a
+missing tracer target would crash a traced run with an ``AttributeError``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import runpy
+import types
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _lookup(module: str, name: str) -> object:
+    """``module.name``, importing it when it is a submodule; None if absent."""
+    parent = importlib.import_module(module)
+    if not hasattr(parent, name):
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            return None
+    return getattr(parent, name, None)
+
+
+def test_tracer_targets_resolve():
+    targets = runpy.run_path(str(PERFBENCH / "tracing.py"))["TARGETS"]
+    assert targets
+    missing = [
+        f"{layer}.{name}"
+        for layer, name, _ in targets
+        if not callable(_lookup(f"qcdesign.{layer}", name))
+    ]
+    assert missing == []
+
+
+def test_names_the_benchmark_takes_from_qcdesign_exist():
+    """Every name imported from ``qcdesign``, and every attribute read off an
+    imported ``qcdesign`` module (``cli.main``), still exists."""
+    missing = []
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules: dict[str, types.ModuleType] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "qcdesign":
+                        modules[alias.asname or alias.name] = importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qcdesign":
+                for alias in node.names:
+                    value = _lookup(node.module, alias.name)
+                    if value is None:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                    elif isinstance(value, types.ModuleType):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                module = modules[node.value.id]
+                if _lookup(module.__name__, node.attr) is None:
+                    missing.append(f"{path.name}: {module.__name__}.{node.attr}")
+    assert missing == []

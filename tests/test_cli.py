@@ -19,6 +19,7 @@ from qcdesign.cli import (
     document_to_json,
     main,
 )
+from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.spectrum import parse_fraction
 
 
@@ -220,6 +221,36 @@ def test_search_rejects_bad_n(capsys):
         "--criterion", "aberration",
     )
     assert code == EXIT_USAGE
+
+
+def test_search_refuses_oversized_projectivity_refinement(capsys):
+    code, _, err = run(capsys, "search", "--n", "9", "--family", "eighth-even")
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and "--skip-projectivity" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("malformed.json", '{"schema": "qcdesign/1", "columns": ['),
+        ("no_rows.json", '{"schema": "qcdesign/1", "n_runs": 2, "n_factors": 1}'),
+        ("ragged.csv", "A,B\n1,-1\n1\n"),
+        ("header_only.csv", "A,B\n"),
+        ("missing.json", None),
+    ],
+)
+def test_bad_design_documents_end_in_one_error_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_max_factors_defaults_to_the_oracle_cap():
+    args = cli.build_parser().parse_args(["metrics"])
+    assert args.max_factors == DEFAULT_MAX_FACTORS
 
 
 def test_tables_commands_pass(capsys):

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SCAN_MAX_FACTORS, scan_level_full, scan_projectivity
+from conftest import SCAN_MAX_FACTORS, drop_column, scan_level_full, scan_projectivity
 from qcdesign import (
     DesignMatrix,
     Family,
@@ -19,12 +19,7 @@ from qcdesign import (
     GeneratorSpec,
     UNBOUNDED,
     build_design,
-    character_sum_even,
-    character_sum_odd,
-    classify_subset,
     j_characteristics,
-    j_direct,
-    metrics,
     projection_level_full,
     projectivity,
     spec_for,
@@ -32,10 +27,38 @@ from qcdesign import (
     spectrum_metrics,
 )
 from qcdesign.search import enumerate_profiles, u0v0_classes
+from reference_oracles import (
+    character_sum_even,
+    character_sum_odd,
+    classify_subset,
+    j_direct,
+)
 
 EXAMPLE_EVEN = GeneratorSpec(Family.SIXTEENTH_EVEN, 3, (2, 1, 1), (1, 1, 3))
 EXAMPLE_ODD = GeneratorSpec(Family.SIXTEENTH_ODD, 2, (1, 2), (2, 1), 1, 1)
 EXAMPLE_ODD_N3 = GeneratorSpec(Family.SIXTEENTH_ODD, 3, (1, 2, 0), (3, 1, 2), 2, 1)
+
+
+def mask_of(design: DesignMatrix, labels) -> int:
+    return sum(1 << design.columns.index(label) for label in labels)
+
+
+def labels_of(design: DesignMatrix, mask: int) -> tuple[str, ...]:
+    return tuple(c for i, c in enumerate(design.columns) if mask >> i & 1)
+
+
+def words(design: DesignMatrix):
+    """(labels, J) of every nonempty column subset."""
+    values = j_characteristics(design).values.tolist()
+    return [(labels_of(design, mask), values[mask]) for mask in range(1, len(values))]
+
+
+def oracle_metrics(design: DesignMatrix):
+    """Resolution, wordlength pattern and projectivity by brute force."""
+    table = j_characteristics(design)
+    spectrum = spectrum_bruteforce(design, table=table)
+    resolution, wlp = spectrum_metrics(spectrum, design.n_factors)
+    return resolution, wlp, projectivity(design, table=table)
 
 
 def full_factorial(k: int) -> DesignMatrix:
@@ -46,22 +69,19 @@ def full_factorial(k: int) -> DesignMatrix:
 def test_full_factorial_has_zero_j_characteristics():
     design = full_factorial(3)
     table = j_characteristics(design)
-    assert all(j == 0 for _, j in table.items())
+    assert not table.values[1:].any()
 
 
 def test_constant_column_j_equals_run_count():
     design = build_design(GeneratorSpec(Family.SIXTEENTH_EVEN, 1, (0,), (0,)))
     table = j_characteristics(design)
-    assert table[["F1"]] == 4
+    assert table.values[mask_of(design, ["F1"])] == 4
 
 
 def test_example_design_complete_words():
     design = build_design(EXAMPLE_EVEN)
-    table = j_characteristics(design)
     n = design.n_runs
-    sizes = sorted(
-        len(table.labels_of(mask)) for mask, j in table.items() if abs(j) == n
-    )
+    sizes = sorted(len(labels) for labels, j in words(design) if abs(j) == n)
     assert sizes == [6, 6, 8]
 
 
@@ -78,7 +98,7 @@ def test_transform_equals_direct_product_sum(design):
     table = j_characteristics(design)
     for size in range(1, design.n_factors + 1):
         for subset in combinations(design.columns, size):
-            assert table[subset] == j_direct(design, subset)
+            assert table.values[mask_of(design, subset)] == j_direct(design, subset)
 
 
 def test_spectrum_reference_cases():
@@ -95,29 +115,28 @@ def test_spectrum_reference_cases():
 
 
 def test_metrics_reference_cases():
-    result = metrics(build_design(EXAMPLE_EVEN))
-    assert result.resolution == Fraction(9, 2)
-    assert result.wlp == tuple(Fraction(a) for a in (0, 0, 0, 2, 8, 4, 0, 1, 0, 0))
-    assert result.projectivity == 5
+    resolution, wlp, proj = oracle_metrics(build_design(EXAMPLE_EVEN))
+    assert resolution == Fraction(9, 2)
+    assert wlp == tuple(Fraction(a) for a in (0, 0, 0, 2, 8, 4, 0, 1, 0, 0))
+    assert proj == 5
 
-    result = metrics(build_design(EXAMPLE_ODD))
-    assert result.resolution == Fraction(9, 2)
-    assert result.wlp == tuple(Fraction(a) for a in (0, 0, 0, 6, 8, 0, 0, 1, 0))
-    assert result.projectivity == 4
+    resolution, wlp, proj = oracle_metrics(build_design(EXAMPLE_ODD))
+    assert resolution == Fraction(9, 2)
+    assert wlp == tuple(Fraction(a) for a in (0, 0, 0, 6, 8, 0, 0, 1, 0))
+    assert proj == 4
 
     design = build_design(GeneratorSpec(Family.SIXTEENTH_EVEN, 2, (1, 2), (2, 1)))
-    result = metrics(design)
-    assert result.resolution == Fraction(4)
-    assert result.wlp == tuple(Fraction(a) for a in (0, 0, 0, 14, 0, 0, 0, 1))
-    assert result.projectivity == 3
+    resolution, wlp, proj = oracle_metrics(design)
+    assert resolution == Fraction(4)
+    assert wlp == tuple(Fraction(a) for a in (0, 0, 0, 14, 0, 0, 0, 1))
+    assert proj == 3
 
 
 def test_full_factorial_metrics_unbounded():
-    design = full_factorial(3)
-    result = metrics(design)
-    assert result.resolution is UNBOUNDED
-    assert result.projectivity == 3
-    assert all(a == 0 for a in result.wlp)
+    resolution, wlp, proj = oracle_metrics(full_factorial(3))
+    assert resolution is UNBOUNDED
+    assert proj == 3
+    assert all(a == 0 for a in wlp)
 
 
 def test_parseval_identity():
@@ -144,7 +163,7 @@ def test_factor_cap_refuses_before_the_projection_tables():
     for check in (
         lambda: projectivity(design, max_factors=8),
         lambda: projection_level_full(design, 4, max_factors=8),
-        lambda: metrics(design, max_factors=8),
+        lambda: spectrum_bruteforce(design, max_factors=8),
     ):
         with pytest.raises(ValueError, match="above the cap of 8"):
             check()
@@ -187,15 +206,14 @@ def test_character_sum_single_first_column_vanishes():
 
 def test_character_sum_finds_complete_words():
     design = build_design(EXAMPLE_EVEN)
-    table = j_characteristics(design)
     complete = {
-        classify_subset(design.columns, table.labels_of(mask)).checks: mask
-        for mask, j in table.items()
+        classify_subset(design.columns, labels).checks: labels
+        for labels, j in words(design)
         if abs(j) == design.n_runs
     }
     # One complete word per check class containing both columns of a pair.
     assert set(complete) == {"1100", "0011", "1111"}
-    all_checks = classify_subset(design.columns, table.labels_of(complete["1111"]))
+    all_checks = classify_subset(design.columns, complete["1111"])
     assert all_checks.size == 6
     assert abs(character_sum_even(EXAMPLE_EVEN, all_checks)) == 1
 
@@ -214,23 +232,21 @@ def test_character_sum_even_agrees_with_j_on_all_subsets():
         )
     for spec in specs:
         design = build_design(spec)
-        table = j_characteristics(design)
-        for mask, j in table.items():
-            stype = classify_subset(design.columns, table.labels_of(mask))
+        for labels, j in words(design):
+            stype = classify_subset(design.columns, labels)
             value = character_sum_even(spec, stype)
             assert abs(value) == Fraction(abs(j), design.n_runs)
 
 
 def test_character_sum_odd_reference_cases():
     design = build_design(EXAMPLE_ODD)
-    table = j_characteristics(design)
     length8 = [
-        mask
-        for mask, j in table.items()
-        if abs(j) == design.n_runs and len(table.labels_of(mask)) == 8
+        labels
+        for labels, j in words(design)
+        if abs(j) == design.n_runs and len(labels) == 8
     ]
     assert len(length8) == 1
-    stype = classify_subset(design.columns, table.labels_of(length8[0]))
+    stype = classify_subset(design.columns, length8[0])
     assert character_sum_odd(EXAMPLE_ODD, stype) == 1
 
     f5_only = classify_subset(design.columns, ["F5"])
@@ -253,9 +269,8 @@ def test_character_sum_odd_agrees_with_j_on_all_subsets():
         )
     for spec in specs:
         design = build_design(spec)
-        table = j_characteristics(design)
-        for mask, j in table.items():
-            stype = classify_subset(design.columns, table.labels_of(mask))
+        for labels, j in words(design):
+            stype = classify_subset(design.columns, labels)
             assert character_sum_odd(spec, stype) == Fraction(abs(j), design.n_runs)
 
 
@@ -279,12 +294,12 @@ def test_deletion_restricted_spectrum_matches_eighth_design():
     u, v = (2, 1, 1), (1, 1, 3)
     full = build_design(GeneratorSpec(Family.SIXTEENTH_EVEN, 3, u, v))
     eighth = build_design(GeneratorSpec(Family.EIGHTH_EVEN, 3, u, v))
-    restricted = spectrum_bruteforce(full, exclude=["F1"])
+    restricted = spectrum_bruteforce(drop_column(full, "F1"))
     assert restricted == spectrum_bruteforce(eighth)
 
     full_odd = build_design(EXAMPLE_ODD)
     eighth_odd = build_design(GeneratorSpec(Family.EIGHTH_ODD, 2, (1, 2), (2, 1), 1, 1))
-    assert spectrum_bruteforce(full_odd, exclude=["F1"]) == spectrum_bruteforce(eighth_odd)
+    assert spectrum_bruteforce(drop_column(full_odd, "F1")) == spectrum_bruteforce(eighth_odd)
 
 
 def test_replicated_rows_are_tolerated():
@@ -300,10 +315,11 @@ def _levels(design: DesignMatrix) -> list[bool]:
 
 
 @st.composite
-def scannable_designs(draw):
-    """Designs at n = 4, 5 with q small enough for the projection scan."""
+def designs(draw, sizes):
+    """Designs of any family at n in ``sizes``, with q small enough for the
+    projection scan."""
     family = draw(st.sampled_from(list(Family)))
-    sizes = [n for n in (4, 5) if family.factor_count(n) <= SCAN_MAX_FACTORS]
+    sizes = [n for n in sizes if family.factor_count(n) <= SCAN_MAX_FACTORS]
     n = draw(st.sampled_from(sizes))
     classes = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     profile = GeneratorProfile(tuple(classes.count(c) for c in range(10)))
@@ -312,12 +328,24 @@ def scannable_designs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scannable_designs())
+@given(designs((4, 5)))
 def test_projectivity_matches_projection_scan(design):
     assert projectivity(design) == scan_projectivity(design)
     assert _levels(design) == [
         scan_level_full(design, level) for level in range(1, design.n_factors + 1)
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs((1, 2, 3)), st.data())
+def test_spectrum_invariant_under_column_permutation_and_sign_flips(design, data):
+    # |J(S)| is unchanged when columns are reordered or any column is negated.
+    q = design.n_factors
+    order = data.draw(st.permutations(range(q)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=q, max_size=q))
+    rows = design.rows[:, order] * np.array(signs, dtype=np.int8)
+    moved = DesignMatrix(tuple(design.columns[i] for i in order), rows)
+    assert spectrum_bruteforce(moved) == spectrum_bruteforce(design)
 
 
 def test_projectivity_matches_projection_scan_on_small_designs():

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import reference_rows
+from conftest import GRAY_PAIRS, drop_column, reference_rows
 from qcdesign import (
     DesignMatrix,
     Family,
@@ -16,19 +16,17 @@ from qcdesign import (
     GeneratorSpec,
     build_design,
     column_labels,
-    frequencies,
-    profile_from_frequencies,
     profile_of,
     realize_profile,
     spec_for,
 )
-from qcdesign.qc_core import GRAY
+from qcdesign.qc_core import _GRAY1, _GRAY2
 
 ALL_FAMILIES = list(Family)
 
 
 def test_gray_map_values():
-    assert GRAY == {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
+    assert list(zip(_GRAY1.tolist(), _GRAY2.tolist())) == [GRAY_PAIRS[k] for k in range(4)]
 
 
 def test_family_shapes():
@@ -43,8 +41,7 @@ def test_family_shapes():
 def test_zero_generator_design_is_constant_on_checks():
     design = build_design(GeneratorSpec(Family.SIXTEENTH_EVEN, 1, (0,), (0,)))
     assert design.rows.shape == (4, 6)
-    for label in ("F1", "F2", "F3", "F4"):
-        assert np.all(design.rows[:, design.column_index(label)] == 1)
+    assert np.all(design.rows[:, :4] == 1)
 
 
 def test_reference_example_design_shape():
@@ -59,7 +56,7 @@ def test_branched_design_matches_independent_row_evaluation():
     spec = GeneratorSpec(Family.SIXTEENTH_ODD, 2, (1, 2), (2, 1), 1, 1)
     design = build_design(spec)
     assert design.rows.shape == (32, 9)
-    f5 = design.rows[:, design.column_index("F5")]
+    f5 = design.rows[:, design.columns.index("F5")]
     assert np.all(f5[:16] == 1) and np.all(f5[16:] == -1)
     assert design.rows.tolist() == reference_rows(spec)
 
@@ -114,22 +111,22 @@ def test_gray_consistency_per_run():
         digits = [(index >> (2 * (spec.n - 1 - j))) & 3 for j in range(spec.n)]
         for j in range(1, spec.n + 1):
             pair = (
-                design.rows[index, design.column_index(f"F{j}1")],
-                design.rows[index, design.column_index(f"F{j}2")],
+                design.rows[index, design.columns.index(f"F{j}1")],
+                design.rows[index, design.columns.index(f"F{j}2")],
             )
-            assert tuple(pair) == GRAY[digits[j - 1]]
+            assert tuple(pair) == GRAY_PAIRS[digits[j - 1]]
 
 
 def test_eighth_matrices_equal_sixteenth_minus_first_column():
     u, v = (2, 1, 1), (1, 1, 3)
     full = build_design(GeneratorSpec(Family.SIXTEENTH_EVEN, 3, u, v))
     eighth = build_design(GeneratorSpec(Family.EIGHTH_EVEN, 3, u, v))
-    assert eighth.columns == full.drop("F1").columns
-    assert np.array_equal(eighth.rows, full.drop("F1").rows)
+    assert eighth.columns == drop_column(full, "F1").columns
+    assert np.array_equal(eighth.rows, drop_column(full, "F1").rows)
 
     full_odd = build_design(GeneratorSpec(Family.SIXTEENTH_ODD, 2, (1, 2), (2, 1), 1, 1))
     eighth_odd = build_design(GeneratorSpec(Family.EIGHTH_ODD, 2, (1, 2), (2, 1), 1, 1))
-    assert np.array_equal(eighth_odd.rows, full_odd.drop("F1").rows)
+    assert np.array_equal(eighth_odd.rows, drop_column(full_odd, "F1").rows)
 
 
 def test_build_design_rejects_bad_specs():
@@ -152,27 +149,17 @@ def test_design_matrix_validates_entries():
         DesignMatrix(("A",), [[1, -1]])
 
 
-def test_frequencies_reference_cases():
-    freq = frequencies((2, 1, 1), (1, 1, 3))
-    assert freq[2, 1] == 1 and freq[1, 1] == 1 and freq[1, 3] == 1
-    assert freq.n == 3
-
-    freq = frequencies((0, 0), (0, 0))
-    assert freq[0, 0] == 2 and freq.n == 2
-
-    freq = frequencies((1, 2), (2, 1))
-    assert freq[1, 2] == 1 and freq[2, 1] == 1
-
-
-def test_frequencies_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        frequencies((1, 2), (1,))
-
-
 def test_profile_reference_cases():
     assert profile_of((2, 1, 1), (1, 1, 3)).counts == (0, 0, 0, 1, 1, 1, 0, 0, 0, 0)
     assert profile_of((0, 0), (0, 0)).counts == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2)
     assert profile_of((1, 2), (2, 1)).counts == (0, 0, 1, 1, 0, 0, 0, 0, 0, 0)
+    # Each of the sixteen (k, s) pairs falls in exactly one class.
+    pairs = [(k, s) for k in range(4) for s in range(4)]
+    assert profile_of(*zip(*pairs)).counts == (2, 2, 2, 2, 2, 2, 1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        profile_of((1, 2), (1,))
+    with pytest.raises(ValueError):
+        profile_of((4,), (0,))
 
 
 def test_realize_profile_reference_cases():
@@ -201,7 +188,7 @@ def test_realize_profile_round_trip_exhaustive_small():
         for counts in compositions(n):
             profile = GeneratorProfile(counts)
             u, v = realize_profile(profile)
-            assert profile_from_frequencies(frequencies(u, v)) == profile
+            assert profile_of(u, v) == profile
 
 
 def test_realize_profile_round_trip_random():

@@ -17,6 +17,8 @@ from qcdesign import (
     orthogonal_array_ceiling,
     reproduce_table,
 )
+from qcdesign import search
+from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.search import (
     DEFAULT_MAX_N,
     EIGHTH_ROWS,
@@ -81,6 +83,24 @@ def test_optimize_rejects_out_of_range_n():
         optimize(DEFAULT_MAX_N + 1, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
     with pytest.raises(ValueError):
         optimize(0, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
+
+
+def test_oversized_projectivity_search_is_refused_up_front(monkeypatch):
+    # At n = 9 every family has q > 20: the refusal comes before the theory
+    # scan allocates anything.
+    def scan(*args):
+        raise AssertionError("the theory scan ran")
+
+    monkeypatch.setattr(search, "closed_forms", scan)
+    for family in Family:
+        assert family.factor_count(9) > DEFAULT_MAX_FACTORS
+        for criterion in (Criterion.ABERRATION, Criterion.RESOLUTION):
+            with pytest.raises(ValueError, match="--skip-projectivity"):
+                optimize(9, family, criterion)
+        with pytest.raises(ValueError, match="needs q <= 20"):
+            optimize(9, family, Criterion.PROJECTIVITY, with_projectivity=False)
+    with pytest.raises(AssertionError, match="theory scan ran"):
+        optimize(9, Family.EIGHTH_EVEN, Criterion.ABERRATION, with_projectivity=False)
 
 
 def test_all_pairs_mode_matches_class_representatives():

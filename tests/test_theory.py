@@ -1,11 +1,12 @@
-"""Closed-form side: length offsets, constants, per-type accounting,
-family spectra, metrics, and the projectivity bounds."""
+"""Closed-form side: length offsets, exponents, family spectra, metrics,
+and the projectivity bounds."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,19 +17,12 @@ from qcdesign import (
     NoClosedFormBound,
     UNBOUNDED,
     WordSpectrum,
-    aliasing_constants,
     build_design,
-    eighth_even_spectrum,
-    eighth_odd_spectrum,
     family_spectrum,
-    length_offsets,
     projectivity_bound,
-    sixteenth_even_spectrum,
-    sixteenth_odd_spectrum,
     spec_for,
     spectrum_bruteforce,
     spectrum_metrics,
-    words_by_type,
 )
 from qcdesign.search import (
     _resolution_keys,
@@ -40,6 +34,10 @@ from qcdesign.search import (
 from qcdesign.theory import (
     U0V0_CLASSES_EIGHTH,
     U0V0_CLASSES_SIXTEENTH,
+    _L,
+    _gates,
+    _indicators,
+    _k_weights,
     _raw_spectra,
     _to_spectrum,
     closed_forms,
@@ -47,9 +45,6 @@ from qcdesign.theory import (
 
 EXAMPLE_PROFILE = GeneratorProfile((0, 0, 0, 1, 1, 1, 0, 0, 0, 0))
 BRANCH_PROFILE = GeneratorProfile((0, 0, 1, 1, 0, 0, 0, 0, 0, 0))
-
-ALL_CHECK_TYPES = [f"{a}{b}{c}{d}" for a in "01" for b in "01" for c in "01" for d in "01"]
-
 
 def compositions(n: int):
     def rec(prefix, rem):
@@ -64,114 +59,81 @@ def compositions(n: int):
 
 
 def test_length_offsets_reference_cases():
-    assert length_offsets(EXAMPLE_PROFILE).values == (4, 3, 2, 3, 4, 6, 2, 1, 3, 3)
-    assert length_offsets(BRANCH_PROFILE).values == (3, 3, 1, 1, 2, 2, 4, 2, 2, 2)
-    idle = GeneratorProfile((0,) * 9 + (4,))
-    assert length_offsets(idle).values == (0,) * 10
+    counts = np.array(
+        [EXAMPLE_PROFILE.counts, BRANCH_PROFILE.counts, (0,) * 9 + (4,)]
+    )
+    assert (counts @ _L).tolist() == [
+        [4, 3, 2, 3, 4, 6, 2, 1, 3, 3],
+        [3, 3, 1, 1, 2, 2, 4, 2, 2, 2],
+        [0] * 10,
+    ]
+
+
+def _exponents(profile: GeneratorProfile, pair=None) -> list[int]:
+    """Exponents of the tokens theta1, theta2, one, omega0, omega (rho1,
+    rho2, one, xi1 + xi2, xi without a pair): aliasing index 2^-e."""
+    family = Family.SIXTEENTH_EVEN if pair is None else Family.SIXTEENTH_ODD
+    return closed_forms(family, [profile.counts], (pair,)).tokens[0, 0].tolist()
 
 
 def test_aliasing_constants_reference_cases():
-    c = aliasing_constants(EXAMPLE_PROFILE)
-    assert (c.rho1, c.rho2, c.xi) == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    assert c.theta1 is None
+    assert _exponents(EXAMPLE_PROFILE) == [1, 1, 0, 0, 1]
+    assert _exponents(BRANCH_PROFILE, (1, 1)) == [1, 1, 0, 0, 1]
+    assert _indicators((1, 1)) == (1, 1, 0, 0)
+    assert _exponents(GeneratorProfile((0,) * 9 + (2,))) == [0, 0, 0, 0, 0]
 
-    c = aliasing_constants(BRANCH_PROFILE, (1, 1))
-    assert (c.theta1, c.theta2) == (Fraction(1, 2), Fraction(1, 2))
-    assert c.omega0 == 1 and c.omega == Fraction(1, 2)
-    assert (c.delta1, c.delta2, c.eps) == (1, 1, 0)
 
-    idle = GeneratorProfile((0,) * 9 + (2,))
-    c = aliasing_constants(idle)
-    assert (c.rho1, c.rho2, c.xi1, c.xi2, c.xi) == (1, 1, 1, 1, 1)
+def _k(profile: GeneratorProfile) -> tuple[Fraction, ...]:
+    """k11, k12, k21, k22 of a profile, from the count-table gate."""
+    k = _k_weights(bool(_gates(np.array([profile.counts]))[0] >> 1))
+    return tuple(Fraction(k[key], 2) for key in ("k11", "k12", "k21", "k22"))
 
 
 def test_k_constants():
-    c = aliasing_constants(BRANCH_PROFILE, (2, 1))
-    assert c.k11 == Fraction(1, 2) and c.k12 == Fraction(1, 2)
-    assert c.k21 == 1 and c.k22 == 1
+    assert _k(BRANCH_PROFILE) == (Fraction(1, 2), Fraction(1, 2), 1, 1)
     empty_u_side = GeneratorProfile((0, 1, 0, 1, 0, 0, 0, 0, 0, 0))
-    c = aliasing_constants(empty_u_side, (2, 1))
-    assert c.k11 == 0 and c.k12 == 1
+    assert _k(empty_u_side) == (0, 1, 0, 2)
 
 
 def test_k_constants_gate_on_diagonal_classes():
     # Only class 5 is populated: k11 must be 1/2, as in the eighth-odd
     # spectrum, which equals brute force here (an older rule gave 0).
     diagonal_only = GeneratorProfile.from_digits("0000100000")
-    c = aliasing_constants(diagonal_only, (1, 0))
-    assert (c.k11, c.k12, c.k21, c.k22) == (Fraction(1, 2), Fraction(1, 2), 1, 1)
+    assert _k(diagonal_only) == (Fraction(1, 2), Fraction(1, 2), 1, 1)
     design = build_design(spec_for(Family.EIGHTH_ODD, diagonal_only, (1, 0)))
-    assert eighth_odd_spectrum(diagonal_only, "10") == spectrum_bruteforce(design)
-
-
-def test_words_by_type_reference_cases():
-    report = words_by_type(EXAMPLE_PROFILE, "0000")
-    assert report.words == ()
-
-    report = words_by_type(EXAMPLE_PROFILE, "1100")
-    assert report.words == ((1, Fraction(1), 6),)
-
-    report = words_by_type(EXAMPLE_PROFILE, "0101")
-    assert report.words == (
-        (2, Fraction(1, 2), 5),
-        (2, Fraction(1, 2), 5),
-    )
-
-
-def test_per_type_sum_equals_aggregate_spectrum():
-    rng = random.Random(3)
-    profiles = [EXAMPLE_PROFILE, BRANCH_PROFILE]
-    for _ in range(8):
-        counts = [0] * 10
-        for _ in range(rng.randrange(1, 7)):
-            counts[rng.randrange(10)] += 1
-        profiles.append(GeneratorProfile(tuple(counts)))
-    for profile in profiles:
-        entries = []
-        for checks in ALL_CHECK_TYPES:
-            for count, ai, length in words_by_type(profile, checks).words:
-                entries.append((length, ai, count))
-        assert WordSpectrum.from_entries(entries) == sixteenth_even_spectrum(profile)
-
-
-def test_per_type_sum_restricted_to_no_f1_equals_eighth_spectrum():
-    for profile in (EXAMPLE_PROFILE, BRANCH_PROFILE):
-        entries = []
-        for checks in ALL_CHECK_TYPES:
-            if checks[0] == "1":
-                continue
-            for count, ai, length in words_by_type(profile, checks).words:
-                entries.append((length, ai, count))
-        assert WordSpectrum.from_entries(entries) == eighth_even_spectrum(profile)
+    theory = family_spectrum(Family.EIGHTH_ODD, diagonal_only, "10")
+    assert theory == spectrum_bruteforce(design)
 
 
 def test_sixteenth_even_reference_spectra():
     half = Fraction(1, 2)
-    spectrum = sixteenth_even_spectrum(EXAMPLE_PROFILE)
+    spectrum = family_spectrum(Family.SIXTEENTH_EVEN, EXAMPLE_PROFILE)
     assert [(e.length, e.ai, e.count) for e in spectrum] == [
         (4, half, 8), (5, half, 32), (6, half, 8), (6, Fraction(1), 2), (8, Fraction(1), 1),
     ]
     resolution, wlp = spectrum_metrics(
-        sixteenth_even_spectrum(BRANCH_PROFILE), 8
+        family_spectrum(Family.SIXTEENTH_EVEN, BRANCH_PROFILE), 8
     )
     assert resolution == 4
     assert wlp[3:] == tuple(Fraction(a) for a in (14, 0, 0, 0, 1))
 
 
 def test_eighth_even_reference_spectra():
-    resolution, wlp = spectrum_metrics(eighth_even_spectrum(BRANCH_PROFILE), 7)
+    resolution, wlp = spectrum_metrics(
+        family_spectrum(Family.EIGHTH_EVEN, BRANCH_PROFILE), 7
+    )
     assert resolution == 4
     assert wlp[3:] == tuple(Fraction(a) for a in (7, 0, 0, 0))
 
     tall = GeneratorProfile((0, 0, 2, 1, 1, 1, 0, 0, 0, 0))
-    resolution, wlp = spectrum_metrics(eighth_even_spectrum(tall), 13)
+    resolution, wlp = spectrum_metrics(family_spectrum(Family.EIGHTH_EVEN, tall), 13)
     assert resolution == Fraction(31, 4)
     assert wlp[3:] == tuple(Fraction(a) for a in (0, 0, 0, 4, 3, 0, 0, 0, 0, 0))
 
 
 def test_sixteenth_odd_reference_spectra():
     half = Fraction(1, 2)
-    spectrum = sixteenth_odd_spectrum(BRANCH_PROFILE, (1, 1))
+    spectrum = family_spectrum(Family.SIXTEENTH_ODD, BRANCH_PROFILE, (1, 1))
     assert [(e.length, e.ai, e.count) for e in spectrum] == [
         (4, half, 24), (5, half, 24), (5, Fraction(1), 2), (8, Fraction(1), 1),
     ]
@@ -180,19 +142,25 @@ def test_sixteenth_odd_reference_spectra():
     assert wlp[3:] == tuple(Fraction(a) for a in (6, 8, 0, 0, 1, 0))
 
     quad = GeneratorProfile((0, 0, 1, 1, 1, 1, 0, 0, 0, 0))
-    resolution, wlp = spectrum_metrics(sixteenth_odd_spectrum(quad, (2, 2)), 13)
+    resolution, wlp = spectrum_metrics(
+        family_spectrum(Family.SIXTEENTH_ODD, quad, (2, 2)), 13
+    )
     assert resolution == Fraction(13, 2)
     assert wlp[3:] == tuple(Fraction(a) for a in (0, 0, 4, 8, 3, 0, 0, 0, 0, 0))
 
 
 def test_eighth_odd_reference_spectra():
     low = GeneratorProfile((0, 0, 1, 0, 1, 1, 0, 0, 0, 0))
-    resolution, wlp = spectrum_metrics(eighth_odd_spectrum(low, (2, 1)), 10)
+    resolution, wlp = spectrum_metrics(
+        family_spectrum(Family.EIGHTH_ODD, low, (2, 1)), 10
+    )
     assert resolution == Fraction(11, 2)
     assert wlp[3:] == tuple(Fraction(a) for a in (0, 3, 3, 1, 0, 0, 0))
 
     wide = GeneratorProfile((0, 0, 2, 0, 2, 2, 0, 0, 0, 0))
-    resolution, wlp = spectrum_metrics(eighth_odd_spectrum(wide, (2, 0)), 16)
+    resolution, wlp = spectrum_metrics(
+        family_spectrum(Family.EIGHTH_ODD, wide, (2, 0)), 16
+    )
     assert resolution == Fraction(71, 8)
     assert wlp[3:] == tuple(
         Fraction(a) for a in (0, 0, 0, 0, 1, 4, 2, 0, 0, 0, 0, 0, 0)
@@ -200,23 +168,19 @@ def test_eighth_odd_reference_spectra():
 
 
 def test_u0v0_accepts_strings_and_maps_classes():
-    assert sixteenth_odd_spectrum(BRANCH_PROFILE, "11") == sixteenth_odd_spectrum(
-        BRANCH_PROFILE, (3, 3)
-    )
-    assert sixteenth_odd_spectrum(BRANCH_PROFILE, "03") == sixteenth_odd_spectrum(
-        BRANCH_PROFILE, (0, 1)
-    )
-    assert eighth_odd_spectrum(BRANCH_PROFILE, "23") == eighth_odd_spectrum(
-        BRANCH_PROFILE, (2, 1)
-    )
+    for family, text, pair in (
+        (Family.SIXTEENTH_ODD, "11", (3, 3)),
+        (Family.SIXTEENTH_ODD, "03", (0, 1)),
+        (Family.EIGHTH_ODD, "23", (2, 1)),
+    ):
+        assert family_spectrum(family, BRANCH_PROFILE, text) == (
+            family_spectrum(family, BRANCH_PROFILE, pair)
+        )
     with pytest.raises(ValueError):
-        sixteenth_odd_spectrum(BRANCH_PROFILE, "4")
+        family_spectrum(Family.SIXTEENTH_ODD, BRANCH_PROFILE, "4")
 
 
 def test_family_spectrum_dispatch_and_guards():
-    assert family_spectrum(Family.SIXTEENTH_EVEN, EXAMPLE_PROFILE) == (
-        sixteenth_even_spectrum(EXAMPLE_PROFILE)
-    )
     with pytest.raises(ValueError):
         family_spectrum(Family.SIXTEENTH_EVEN, EXAMPLE_PROFILE, (1, 1))
     with pytest.raises(ValueError):
@@ -224,7 +188,7 @@ def test_family_spectrum_dispatch_and_guards():
 
 
 def test_spectrum_metrics_reference_cases():
-    spectrum = sixteenth_even_spectrum(EXAMPLE_PROFILE)
+    spectrum = family_spectrum(Family.SIXTEENTH_EVEN, EXAMPLE_PROFILE)
     resolution, wlp = spectrum_metrics(spectrum, 10)
     assert resolution == Fraction(9, 2)
     assert wlp == tuple(Fraction(a) for a in (0, 0, 0, 2, 8, 4, 0, 1, 0, 0))
@@ -233,7 +197,9 @@ def test_spectrum_metrics_reference_cases():
     assert resolution is UNBOUNDED and wlp == (0, 0, 0)
 
     branch = GeneratorProfile((0, 0, 1, 1, 1, 1, 0, 0, 0, 0))
-    resolution, _ = spectrum_metrics(eighth_odd_spectrum(branch, (1, 2)), 12)
+    resolution, _ = spectrum_metrics(
+        family_spectrum(Family.EIGHTH_ODD, branch, (1, 2)), 12
+    )
     assert resolution == Fraction(27, 4)
 
     with pytest.raises(ValueError):
@@ -337,7 +303,7 @@ def test_array_path_matches_scalar_reference(family):
         spectra = _raw_spectra(forms)
         for p, counts in enumerate(profiles.tolist()):
             profile = GeneratorProfile(tuple(counts))
-            assert length_offsets(profile).values == (
+            assert tuple((profiles[p] @ _L).tolist()) == (
                 scalar_theory.length_offsets(profile)
             )
             for c, pair in enumerate(pairs):
