@@ -157,9 +157,13 @@ def test_profile_reference_cases():
     pairs = [(k, s) for k in range(4) for s in range(4)]
     assert profile_of(*zip(*pairs)).counts == (2, 2, 2, 2, 2, 2, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        profile_of((1, 2), (1,))
-    with pytest.raises(ValueError):
         profile_of((4,), (0,))
+
+
+def test_frequencies_rejects_length_mismatch():
+    # The class frequencies of (u, v) need one v coefficient per u coefficient.
+    with pytest.raises(ValueError):
+        profile_of((1, 2), (1,))
 
 
 def test_realize_profile_reference_cases():
