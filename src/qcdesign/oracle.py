@@ -33,15 +33,15 @@ def _check_cap(q: int, max_factors: int) -> None:
         )
 
 
-def sign_patterns(design: DesignMatrix) -> np.ndarray:
+def sign_patterns(rows: np.ndarray) -> np.ndarray:
     """Encode each run as a q-bit integer: +1 -> bit 0, -1 -> bit 1.
 
-    Bit i corresponds to column i in label order.
+    ``rows`` is (..., N, q); bit i corresponds to column i in label order.
     """
-    negative = design.rows < 0
-    patterns = np.zeros(design.n_runs, dtype=np.int64)
-    for i in range(design.n_factors):
-        patterns |= negative[:, i].astype(np.int64) << i
+    negative = rows < 0
+    patterns = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i in range(rows.shape[-1]):
+        patterns |= negative[..., i].astype(np.int64) << i
     return patterns
 
 
@@ -66,12 +66,13 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 
 
 def _subset_sums(a: np.ndarray) -> np.ndarray:
-    """Zeta transform in place: out[s] = sum over submasks t of s of in[t]."""
-    size = a.size
+    """Zeta transform in place over the last axis: out[s] = sum over
+    submasks t of s of in[t]."""
+    size = a.shape[-1]
     h = 1
     while h < size:
-        pairs = a.reshape(-1, 2, h)
-        pairs[:, 1, :] += pairs[:, 0, :]
+        pairs = a.reshape(*a.shape[:-1], -1, 2, h)
+        pairs[..., 1, :] += pairs[..., 0, :]
         h *= 2
     return a
 
@@ -87,7 +88,11 @@ def _popcounts(q: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JTable:
-    """All 2^q J-characteristics of a design, indexed by column-subset mask."""
+    """All 2^q J-characteristics of a design, indexed by column-subset mask.
+
+    ``values`` is (2^q,) for one design, or (designs, 2^q) for a stack of
+    designs that share their columns and run count.
+    """
 
     columns: tuple[str, ...]
     n_runs: int
@@ -98,21 +103,40 @@ class JTable:
         """The projection filter of this table, built on first use."""
         return _Projections(self)
 
+    def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Design index, length and |J| of every word: each nonempty column
+        set S with J(S) != 0, ordered by design, then by mask."""
+        values = self.values.reshape(-1, self.values.shape[-1])
+        design, masks = np.nonzero(values[:, 1:])
+        masks += 1
+        lengths = _popcounts(len(self.columns))[masks].astype(np.int64)
+        return design, lengths, np.abs(values[design, masks])
+
+
+def j_tables(rows: np.ndarray, max_factors: int = DEFAULT_MAX_FACTORS) -> np.ndarray:
+    """J(S) for every column subset S of each design in a (designs, N, q)
+    stack, as a (designs, 2^q) int64 array.
+
+    The sign patterns of each design's runs are tallied into its own 2^q
+    slice of one frequency table and transformed, so J(S) = sum_p freq[p] *
+    (-1)^popcount(p & S), the sum over runs of the product of the columns
+    in S.
+    """
+    designs, _, q = rows.shape
+    _check_cap(q, max_factors)
+    patterns = sign_patterns(rows)
+    patterns += (np.arange(designs, dtype=np.int64) << q)[:, None]
+    freq = np.bincount(patterns.ravel(), minlength=designs << q)
+    freq = freq.astype(np.int64, copy=False).reshape(designs, 1 << q)
+    return _walsh_hadamard(freq)
+
 
 def j_characteristics(
     design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS
 ) -> JTable:
-    """J(S) for every column subset S, via the subset-parity transform.
-
-    The sign patterns of the runs are tallied into a 2^q frequency table
-    and transformed, so J(S) = sum_p freq[p] * (-1)^popcount(p & S), the
-    sum over runs of the product of the columns in S.
-    """
-    q = design.n_factors
-    _check_cap(q, max_factors)
-    freq = np.bincount(sign_patterns(design), minlength=1 << q)
-    freq = freq.astype(np.int64, copy=False)
-    return JTable(design.columns, design.n_runs, _walsh_hadamard(freq))
+    """J(S) for every column subset S of one design (see ``j_tables``)."""
+    values = j_tables(design.rows[None], max_factors)[0]
+    return JTable(design.columns, design.n_runs, values)
 
 
 def spectrum_bruteforce(
@@ -124,16 +148,11 @@ def spectrum_bruteforce(
 
     ``table`` is the design's J-table when the caller already has it.
     """
-    q = design.n_factors
     if table is None:
         table = j_characteristics(design, max_factors)
-    values = table.values.copy()
-    values[0] = 0
-    masks = np.nonzero(values)[0]
-    if masks.size == 0:
+    _, lengths, jabs = table.words()
+    if lengths.size == 0:
         return WordSpectrum(())
-    lengths = _popcounts(q)[masks].astype(np.int64)
-    jabs = np.abs(values[masks])
     n = design.n_runs
     keys = lengths * (n + 1) + jabs
     uniq, counts = np.unique(keys, return_counts=True)
@@ -150,7 +169,7 @@ def spectrum_bruteforce(
 
 
 def _distinct_patterns(design: DesignMatrix) -> np.ndarray:
-    return np.unique(sign_patterns(design))
+    return np.unique(sign_patterns(design.rows))
 
 
 def _first_deficient(
@@ -197,44 +216,67 @@ class _Projections:
     2^-p * sum_{S subset of P} J(S) (-1)^popcount(S & x), with J(empty) = N.
     A combination is missing only if the nonempty terms sum to -N there,
     which needs sum_{nonempty S subset of P} |J(S)| >= N.  One subset-sum
-    transform of |J| gives that sum for every P at once; the sets that reach
-    N are the survivors, and only they need the exact check.
+    transform of |J| gives that sum for every P of every design at once;
+    the sets that reach N are the survivors, and only they need the exact
+    check.
     """
 
     def __init__(self, table: JTable) -> None:
-        self.values = table.values
+        self.values = table.values.reshape(-1, table.values.shape[-1])
         self.q = len(table.columns)
-        sums = np.abs(table.values)
-        sums[0] = 0
-        self.survivors = np.flatnonzero(_subset_sums(sums) >= table.n_runs)
+        sums = np.abs(self.values)
+        sums[:, 0] = 0
+        # Survivors ordered by design, then by mask.
+        self.design, self.survivors = np.nonzero(_subset_sums(sums) >= table.n_runs)
         self.sizes = _popcounts(self.q)[self.survivors]
 
-    def deficient(self, p: int) -> bool:
-        """Whether some p-column projection misses a level combination.
+    def deficient(self, levels: np.ndarray) -> np.ndarray:
+        """Whether some levels[d]-column projection of design d misses a
+        level combination, for every design d of the table.
 
-        Survivors of size p are checked exactly, in batches of 1, 2, 4, ...
-        sets (at most about _BATCH_ELEMS gathered entries), so a deficient
-        set early in the list ends the check early.  Each check gathers J
-        over the set's 2^p submasks; their transform is 2^p times the
-        projected frequencies, and the set is deficient iff one is 0.
+        Each design's survivors of its size are checked exactly in rounds
+        of 1, 2, 4, ... sets, and a design leaves the rounds at its first
+        deficient set.  A round's checks of one size run in batches of at
+        most about _BATCH_ELEMS gathered entries, skipping the designs an
+        earlier batch resolved.
         """
-        masks = self.survivors[self.sizes == p]
-        cap = max(1, _BATCH_ELEMS >> p)
+        levels = np.asarray(levels)
+        pick = self.sizes == levels[self.design]
+        design, masks = self.design[pick], self.survivors[pick]
+        rank = np.arange(design.size) - np.searchsorted(design, design)
+        found = np.zeros(levels.shape, dtype=bool)
         start, size = 0, 1
-        while start < masks.size:
-            batch = masks[start : start + size]
-            bits = (batch[:, None] >> np.arange(self.q)) & 1
-            columns = np.nonzero(bits)[1].reshape(batch.size, p)
-            submasks = np.zeros((batch.size, 1), dtype=np.int64)
-            for bit in (np.int64(1) << columns).T:
-                submasks = np.concatenate(
-                    [submasks, submasks + bit[:, None]], axis=1
-                )
-            if not _walsh_hadamard(self.values[submasks]).all():
-                return True
+        while True:
+            todo = np.flatnonzero((rank >= start) & (rank < start + size))
+            todo = todo[~found[design[todo]]]
+            if todo.size == 0:
+                return found
+            sizes = levels[design[todo]]
+            for p in np.flatnonzero(np.bincount(sizes)).tolist():
+                group = todo[sizes == p]
+                cap = max(1, _BATCH_ELEMS >> p)
+                for lo in range(0, group.size, cap):
+                    batch = group[lo : lo + cap]
+                    batch = batch[~found[design[batch]]]
+                    if batch.size:
+                        hit = self._has_empty_cell(design[batch], masks[batch], p)
+                        found[design[batch][hit]] = True
             start += size
-            size = min(2 * size, cap)
-        return False
+            size *= 2
+
+    def _has_empty_cell(
+        self, design: np.ndarray, masks: np.ndarray, p: int
+    ) -> np.ndarray:
+        """Exact check of p-sets: gather J over each set's 2^p submasks;
+        their transform is 2^p times the projected frequencies, and the set
+        misses a level combination iff one is 0."""
+        bits = (masks[:, None] >> np.arange(self.q)) & 1
+        columns = np.nonzero(bits)[1].reshape(masks.size, p)
+        submasks = np.zeros((masks.size, 1), dtype=np.int64)
+        for bit in (np.int64(1) << columns).T:
+            submasks = np.concatenate([submasks, submasks + bit[:, None]], axis=1)
+        cells = _walsh_hadamard(self.values[design[:, None], submasks])
+        return ~cells.all(axis=1)
 
 
 def projection_level_full(
@@ -255,7 +297,7 @@ def projection_level_full(
     _check_cap(q, max_factors)
     if table is None:
         table = j_characteristics(design, max_factors)
-    return not table.projections.deficient(p)
+    return not table.projections.deficient([p])[0]
 
 
 def projectivity(
@@ -276,6 +318,6 @@ def projectivity(
     if table is None:
         table = j_characteristics(design, max_factors)
     for p in range(1, q + 1):
-        if table.projections.deficient(p):
+        if table.projections.deficient([p])[0]:
             return p - 1
     return q

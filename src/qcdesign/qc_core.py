@@ -155,45 +155,57 @@ class DesignMatrix:
         return self.rows.shape[1]
 
 
-def build_design(spec: GeneratorSpec) -> DesignMatrix:
-    """Materialise the design matrix for a generator spec.
+def design_stack(
+    family: Family,
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    u0v0: np.ndarray | None = None,
+) -> np.ndarray:
+    """The +1/-1 matrices of many designs of one family and size at once.
+
+    ``u`` and ``v`` are (designs, n) arrays of Z4 entries, and ``u0v0`` is
+    a (designs, 2) array for the branched families.  Returns an int8 array
+    of shape (designs, N, q) with columns in ``column_labels`` order.
 
     Rows enumerate a = (a1, ..., an) over Z4^n (even-run families), preceded
     by a0 in {0, 1} for branched families; the row index is
     a0*4^n + sum_j aj*4^(n-j), so an varies fastest.  Check columns carry the
     Gray pairs of (u0*a0 +) a'u and (v0*a0 +) a'v mod 4, the branch column F5
-    is +1 exactly when a0 = 0, and each pair (Fj1, Fj2) is the Gray pair of aj.
+    is +1 exactly when a0 = 0, and each pair (Fj1, Fj2) is the Gray pair of
+    aj.  Only the check columns differ between the designs.
     """
-    fam, n = spec.family, spec.n
     base = 4**n
     idx = np.arange(base, dtype=np.int64)
-    digits = np.empty((base, n), dtype=np.int64)
-    for j in range(n):
-        digits[:, j] = (idx >> (2 * (n - 1 - j))) & 3
-
-    u = np.array(spec.u, dtype=np.int64)
-    v = np.array(spec.v, dtype=np.int64)
-    if fam.branched:
+    digits = (idx[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+    tu = digits @ np.asarray(u, dtype=np.int64).T
+    tv = digits @ np.asarray(v, dtype=np.int64).T
+    shared: list[np.ndarray] = []
+    if family.branched:
+        pairs = np.asarray(u0v0, dtype=np.int64)
         digits = np.vstack([digits, digits])
-        a0 = np.repeat(np.array([0, 1], dtype=np.int64), base)
-        tu = (digits @ u + spec.u0 * a0) % 4
-        tv = (digits @ v + spec.v0 * a0) % 4
-    else:
-        a0 = None
-        tu = (digits @ u) % 4
-        tv = (digits @ v) % 4
-
-    cols: list[np.ndarray] = [_GRAY1[tu], _GRAY2[tu], _GRAY1[tv], _GRAY2[tv]]
-    if fam.drops_first_check:
-        cols = cols[1:]
-    if fam.branched:
-        cols.append((1 - 2 * a0).astype(np.int8))
+        tu = np.vstack([tu, tu + pairs[:, 0]])
+        tv = np.vstack([tv, tv + pairs[:, 1]])
+        shared.append(np.repeat(np.array([1, -1], dtype=np.int8), base))
+    tu %= 4
+    tv %= 4
+    checks = [_GRAY1[tu], _GRAY2[tu], _GRAY1[tv], _GRAY2[tv]]
+    if family.drops_first_check:
+        checks = checks[1:]
     for j in range(n):
-        aj = digits[:, j]
-        cols.append(_GRAY1[aj])
-        cols.append(_GRAY2[aj])
+        shared += [_GRAY1[digits[:, j]], _GRAY2[digits[:, j]]]
+    stack = np.empty((tu.shape[1], tu.shape[0], len(checks) + len(shared)), np.int8)
+    for i, col in enumerate(checks + shared):
+        stack[:, :, i] = col.T
+    return stack
 
-    return DesignMatrix(column_labels(fam, n), np.column_stack(cols))
+
+def build_design(spec: GeneratorSpec) -> DesignMatrix:
+    """Materialise the design matrix for a generator spec (see
+    ``design_stack``)."""
+    u0v0 = None if spec.u0v0 is None else [spec.u0v0]
+    rows = design_stack(spec.family, spec.n, [spec.u], [spec.v], u0v0)[0]
+    return DesignMatrix(column_labels(spec.family, spec.n), rows)
 
 
 # The ten (k, s) pair classes, listed with a canonical representative each.
@@ -260,22 +272,30 @@ def profile_of(u: Sequence[int], v: Sequence[int]) -> GeneratorProfile:
     return GeneratorProfile(tuple(counts))
 
 
-def realize_profile(profile: GeneratorProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return a canonical (u, v) whose profile is the given one.
+#: Canonical (k, s) representative of each class, as (k, ...) and (s, ...).
+_REPRESENTATIVES = np.array([pairs[0] for pairs in _CLASS_PAIRS], dtype=np.int64).T
+
+
+def realize_profiles(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (u, v) rows of a (profiles, 10) array of equal-n profiles.
 
     Uses the first-listed representative of each class, emitting class 1
     positions first.  Any member of a class gives a spectrum-equivalent
     design, so this choice is a convention, not a restriction.
     """
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 10)
+    ends = np.cumsum(counts, axis=1)
+    classes = (ends[:, :, None] <= np.arange(ends[0, -1])).sum(axis=1)
+    return _REPRESENTATIVES[0][classes], _REPRESENTATIVES[1][classes]
+
+
+def realize_profile(profile: GeneratorProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Return a canonical (u, v) whose profile is the given one (see
+    ``realize_profiles``)."""
     if profile.n == 0:
         raise ValueError("cannot realize the all-zero profile")
-    u: list[int] = []
-    v: list[int] = []
-    for count, pairs in zip(profile.counts, _CLASS_PAIRS):
-        k, s = pairs[0]
-        u.extend([k] * count)
-        v.extend([s] * count)
-    return tuple(u), tuple(v)
+    u, v = realize_profiles([profile.counts])
+    return tuple(u[0].tolist()), tuple(v[0].tolist())
 
 
 def spec_for(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .oracle import DEFAULT_MAX_FACTORS, projectivity as oracle_projectivity
 from .qc_core import DesignMatrix, Family, GeneratorProfile, build_design, spec_for
-from .spectrum import Resolution, WordSpectrum, spectrum_metrics
+from .spectrum import Resolution, spectrum_metrics
 from .theory import (
     U0V0_CLASSES_EIGHTH,
     U0V0_CLASSES_SIXTEENTH,
@@ -150,7 +150,6 @@ class SearchResult:
     u0v0: U0V0 | None
     resolution: Resolution
     wlp: tuple[Fraction, ...]
-    spectrum: WordSpectrum
     projectivity: int | None
     criteria_coincide: bool
     ties: tuple[Candidate, ...]
@@ -281,7 +280,6 @@ def optimize(
         u0v0=winner[1],
         resolution=resolution,
         wlp=wlp,
-        spectrum=spectrum,
         projectivity=best_projectivity,
         criteria_coincide=criteria_coincide,
         ties=tuple(ties),

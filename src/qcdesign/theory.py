@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -316,7 +316,7 @@ class ClosedForms:
     w * 4^e / 2, and their share of the wordlength-pattern entry A_length
     is w / 2.  The exponent e is ``tokens[p, c, table.token[r]]`` and w is
     ``table.weights[gates[p], c, r]``, so nothing of size profiles x pairs
-    x rows is stored; ``row`` and ``candidate_rows`` gather them.
+    x rows is stored; ``row`` and ``words`` gather them.
     """
 
     lengths: np.ndarray  # (profiles, rows) int16
@@ -333,10 +333,14 @@ class ClosedForms:
             self.table.weights[self.gates, :, r],
         )
 
-    def candidate_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponents and doubled weights of every row, (profiles, pairs,
-        rows) each."""
-        return self.tokens[:, :, self.table.token], self.table.weights[self.gates]
+    def words(
+        self, p: np.ndarray, c: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lengths, exponents e and word counts w * 4^e / 2 of every row of
+        the candidates (p[i], c[i]), as (candidates, rows) int64 arrays."""
+        exps = self.tokens[p, c][:, self.table.token].astype(np.int64)
+        weights = self.table.weights[self.gates[p], c].astype(np.int64)
+        return self.lengths[p].astype(np.int64), exps, (weights << 2 * exps) >> 1
 
 
 def _check_pairs(family: Family, pairs: Sequence[U0V0 | str | None]) -> tuple:
@@ -384,17 +388,14 @@ def closed_forms(
     return forms
 
 
-def _raw_spectra(forms: ClosedForms) -> Iterator[RawSpectrum]:
-    """Merged (length, e, count) spectrum of each candidate, profile-major."""
-    exponents, weights = forms.candidate_rows()
-    for lengths, exps_p, weights_p in zip(forms.lengths.tolist(), exponents, weights):
-        for exps, row_weights in zip(exps_p.tolist(), weights_p.tolist()):
-            acc: dict[tuple[int, int], int] = {}
-            for length, e, w in zip(lengths, exps, row_weights):
-                if w:
-                    key = (length, e)
-                    acc[key] = acc.get(key, 0) + ((w << (2 * e)) >> 1)
-            yield [(length, e, count) for (length, e), count in sorted(acc.items())]
+def _raw_spectrum(forms: ClosedForms, p: int, c: int) -> RawSpectrum:
+    """Merged (length, e, count) spectrum of candidate (p, c)."""
+    rows = forms.words(np.array([p]), np.array([c]))
+    acc: dict[tuple[int, int], int] = {}
+    for length, e, count in zip(*(a[0].tolist() for a in rows)):
+        if count:
+            acc[(length, e)] = acc.get((length, e), 0) + count
+    return [(length, e, count) for (length, e), count in sorted(acc.items())]
 
 
 def _raw_family(
@@ -403,23 +404,13 @@ def _raw_family(
     u0v0: U0V0 | None = None,
 ) -> RawSpectrum:
     counts = np.array([profile.counts], dtype=np.int16)
-    return next(_raw_spectra(closed_forms(family, counts, (u0v0,))))
+    return _raw_spectrum(closed_forms(family, counts, (u0v0,)), 0, 0)
 
 
 def _to_spectrum(raw: RawSpectrum) -> WordSpectrum:
     return WordSpectrum.from_entries(
         (length, Fraction(1, 1 << e), count) for length, e, count in raw
     )
-
-
-def family_spectra(
-    family: Family, counts: np.ndarray, pairs: Sequence[U0V0 | str | None]
-) -> Iterator[WordSpectrum]:
-    """Closed-form spectra of every (profile, pair) candidate, profile-major.
-
-    The batch is evaluated at once; each spectrum is built as it is read.
-    """
-    return map(_to_spectrum, _raw_spectra(closed_forms(family, counts, pairs)))
 
 
 def family_spectrum(

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcdesign import Family, GeneratorSpec, build_design, cli
+from qcdesign import (
+    Family,
+    GeneratorProfile,
+    GeneratorSpec,
+    build_design,
+    cli,
+    j_characteristics,
+    oracle,
+    projection_level_full,
+    spec_for,
+)
 from qcdesign.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -20,6 +32,7 @@ from qcdesign.cli import (
     main,
 )
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
+from qcdesign.search import profile_array, u0v0_classes
 from qcdesign.spectrum import parse_fraction
 
 
@@ -234,6 +247,11 @@ def test_search_refuses_oversized_projectivity_refinement(capsys):
     [
         ("malformed.json", '{"schema": "qcdesign/1", "columns": ['),
         ("no_rows.json", '{"schema": "qcdesign/1", "n_runs": 2, "n_factors": 1}'),
+        (
+            "ragged.json",
+            '{"schema": "qcdesign/1", "columns": ["A", "B"], "rows": [[1, -1], [1]],'
+            ' "n_runs": 2, "n_factors": 2}',
+        ),
         ("ragged.csv", "A,B\n1,-1\n1\n"),
         ("header_only.csv", "A,B\n"),
         ("missing.json", None),
@@ -297,21 +315,31 @@ def test_bound_command(capsys):
 
 
 def test_verify_reports_every_failure(capsys, monkeypatch):
-    def fail_odd_profiles(family, profile, u0v0, theory_spec):
-        if profile.counts.index(max(profile.counts)) % 2:
-            return f"{family.value} {profile.digits}: planted failure"
-        return None
+    # Faults are planted upstream of the checks, one per failure message.
+    real_forms, real_tables = cli.closed_forms, cli.j_tables
+    real_bound = cli.projectivity_bound
 
-    monkeypatch.setattr(cli, "_verify_one", fail_odd_profiles)
+    def odd_profiles_lengthened(family, counts, pairs):
+        forms = real_forms(family, counts, pairs)
+        shift = (np.argmax(counts, axis=1) % 2)[:, None]
+        return dataclasses.replace(forms, lengths=forms.lengths + shift)
+
+    def empty_set_miscounted(rows):
+        values = real_tables(rows)
+        values[:, 0] += 1
+        return values
+
+    monkeypatch.setattr(cli, "closed_forms", odd_profiles_lengthened)
     code, stdout, stderr = run(
         capsys, "verify", "--n-max", "2", "--families", "sixteenth-even",
         "eighth-even",
     )
+    monkeypatch.undo()
     assert code == EXIT_MISMATCH
     assert "verified 130 designs" in stdout
     assert "all checks passed" not in stdout
     lines = stderr.splitlines()
-    # Each family has 5 failing profiles at n = 1 and 25 at n = 2.
+    # Each family has 5 lengthened profiles at n = 1 and 25 at n = 2.
     assert lines[:5] == [
         "FAILURES: 60",
         "  eighth-even n=1: 5",
@@ -321,5 +349,93 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
     ]
     shown = lines[5:]
     assert len(shown) == cli.VERIFY_SHOWN
-    assert all(line.endswith("planted failure") for line in shown)
-    assert shown[0].startswith("  sixteenth-even ")
+    assert all(line.endswith(": theory and oracle spectra differ") for line in shown)
+    assert shown[0] == (
+        "  sixteenth-even profile=0000000001 u0v0=None: "
+        "theory and oracle spectra differ"
+    )
+
+    monkeypatch.setattr(cli, "j_tables", empty_set_miscounted)
+    code, _, stderr = run(capsys, "verify", "--n-max", "1")
+    monkeypatch.undo()
+    assert code == EXIT_MISMATCH
+    assert stderr.startswith("FAILURES: 260\n")
+    assert stderr.endswith(": Parseval identity fails\n")
+
+    monkeypatch.setattr(
+        oracle._Projections, "deficient",
+        lambda self, levels: np.ones(len(levels), dtype=bool),
+    )
+    code, _, stderr = run(capsys, "verify", "--n-max", "1", "--families", "eighth-odd")
+    monkeypatch.undo()
+    assert code == EXIT_MISMATCH
+    # 94 of the 130 designs have ceil(R) - 1 >= 1, so a level to check.
+    assert stderr.splitlines()[0] == "FAILURES: 94"
+    assert stderr.endswith(": projectivity below ceil(R) - 1\n")
+
+    monkeypatch.setattr(
+        cli, "projectivity_bound", lambda n, family: real_bound(n, family) - 1
+    )
+    code, _, stderr = run(capsys, "verify", "--n-max", "2")
+    assert code == EXIT_MISMATCH
+    assert stderr.splitlines()[:3] == [
+        "FAILURES: 18",
+        "  sixteenth-even n=2: 6",
+        "  sixteenth-odd n=2: 12",
+    ]
+    assert stderr.endswith(": projectivity exceeds the closed-form bound\n")
+
+
+@pytest.mark.parametrize("entries", [1, cli.VERIFY_CHUNK_ENTRIES])
+def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
+    # A chunk of 1 entry holds one design; the default chunks hold many and
+    # their borders fall inside a profile's u0v0 values.
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_ENTRIES", entries)
+    for family in Family:
+        pairs = u0v0_classes(family) if family.branched else (None,)
+        for n in (1, 2):
+            counts = profile_array(n)
+            seen = 0
+            for p, c, table in cli._verify_chunks(family, counts, pairs):
+                levels = range(1, len(table.columns) + 1)
+                verdicts = [
+                    table.projections.deficient(np.full(p.size, level)).tolist()
+                    for level in levels
+                ]
+                for d, (i, j) in enumerate(zip(p.tolist(), c.tolist())):
+                    assert i * len(pairs) + j == seen
+                    seen += 1
+                    profile = GeneratorProfile(tuple(counts[i].tolist()))
+                    design = build_design(spec_for(family, profile, pairs[j]))
+                    one = j_characteristics(design)
+                    assert table.columns == design.columns
+                    assert table.n_runs == design.n_runs
+                    assert np.array_equal(table.values[d], one.values)
+                    assert [not v[d] for v in verdicts] == [
+                        projection_level_full(design, level, table=one)
+                        for level in levels
+                    ]
+            assert seen == len(counts) * len(pairs)
+
+
+@st.composite
+def larger_blocks(draw):
+    """A verify block of random n = 4, 5 profiles and u0v0 values (q <= 15)."""
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.sampled_from((4, 5)))
+    profiles = draw(st.lists(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=1, max_size=2
+    ))
+    counts = np.array([[classes.count(k) for k in range(10)] for classes in profiles])
+    pairs = (None,)
+    if family.branched:
+        pairs = tuple(draw(st.lists(
+            st.sampled_from(u0v0_classes(family)), min_size=1, max_size=3, unique=True
+        )))
+    return family, counts, pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(larger_blocks())
+def test_batched_verify_passes_at_n_4_and_5(block):
+    assert list(cli._verify_block(*block)) == []
