@@ -25,7 +25,7 @@ from .oracle import (
     DEFAULT_MAX_FACTORS,
     JTable,
     j_characteristics,
-    j_tables,
+    j_table_chunks,
     projectivity as oracle_projectivity,
     spectrum_bruteforce,
 )
@@ -35,10 +35,7 @@ from .qc_core import (
     GeneratorProfile,
     GeneratorSpec,
     build_design,
-    column_labels,
-    design_stack,
     profile_of,
-    realize_profiles,
 )
 from .search import (
     DEFAULT_MAX_N,
@@ -98,12 +95,6 @@ class DesignDocument:
     metrics: dict | None = None
 
 
-def _u0v0_str(spec: GeneratorSpec) -> str | None:
-    if spec.u0 is None:
-        return None
-    return f"{spec.u0}{spec.v0}"
-
-
 def document_to_json(doc: DesignDocument) -> str:
     spec = doc.spec
     payload = {
@@ -112,7 +103,7 @@ def document_to_json(doc: DesignDocument) -> str:
         "n": spec.n if spec else None,
         "u": list(spec.u) if spec else None,
         "v": list(spec.v) if spec else None,
-        "u0v0": _u0v0_str(spec) if spec else None,
+        "u0v0": f"{spec.u0}{spec.v0}" if spec and spec.u0 is not None else None,
         "n_runs": doc.design.n_runs,
         "n_factors": doc.design.n_factors,
         "columns": list(doc.design.columns),
@@ -272,12 +263,12 @@ def _spec_from_flags(args: argparse.Namespace) -> GeneratorSpec:
         v = tuple(int(tok) for tok in args.v.split(","))
     except (AttributeError, ValueError):
         raise UsageError("--u and --v must be comma-separated Z4 digits")
-    pair = normalize_u0v0(args.u0v0) if args.u0v0 else None
-    if family.branched and pair is None:
-        raise UsageError(f"--u0v0 is required for {family.value}")
-    if not family.branched and pair is not None:
-        raise UsageError(f"--u0v0 is not accepted for {family.value}")
     try:
+        pair = normalize_u0v0(args.u0v0) if args.u0v0 else None
+        if family.branched and pair is None:
+            raise UsageError(f"--u0v0 is required for {family.value}")
+        if not family.branched and pair is not None:
+            raise UsageError(f"--u0v0 is not accepted for {family.value}")
         return GeneratorSpec(
             family, args.n, u, v,
             pair[0] if pair else None, pair[1] if pair else None,
@@ -517,6 +508,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise UsageError("--n must be positive")
     family = Family.from_label(args.family)
     q = family.factor_count(args.n)
     fraction = "sixteenth" if family.sixteenth else "eighth"
@@ -537,14 +530,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 #: Failure messages ``verify`` prints in full; the rest are only counted.
 VERIFY_SHOWN = 5
-
-#: J-table entries per ``verify`` chunk: a (family, n) block is checked in
-#: chunks of max(1, VERIFY_CHUNK_ENTRIES >> q) designs.  Larger chunks run
-#: faster and peak higher: ``verify --n-max 3`` takes 1.26 / 1.09 / 0.98 s
-#: and peaks at 32.8 / 33.1 / 34.2 MiB RSS with 2^14 / 2^15 / 2^16
-#: (in-process, 2 cores).
-VERIFY_CHUNK_ENTRIES = 1 << 15
-
 
 def _verify_blocks(
     families: list[Family], n_max: int, sample: int, seed: int
@@ -568,25 +553,6 @@ def _verify_blocks(
             pair = rng.choice(u0v0_classes(family))
         blocks.append((family, np.array([counts]), (pair,)))
     return blocks
-
-
-def _verify_chunks(
-    family: Family, counts: np.ndarray, pairs: tuple
-) -> Iterator[tuple[np.ndarray, np.ndarray, JTable]]:
-    """Profile and pair indices and the stacked J-table of each chunk of a
-    block's designs, in profile-major order."""
-    n = int(counts[0].sum())
-    step = max(1, VERIFY_CHUNK_ENTRIES >> family.factor_count(n))
-    u, v = realize_profiles(counts)
-    pair_rows = np.array(pairs) if family.branched else None
-    columns = column_labels(family, n)
-    total = len(counts) * len(pairs)
-    for start in range(0, total, step):
-        p, c = np.divmod(np.arange(start, min(start + step, total)), len(pairs))
-        rows = design_stack(
-            family, n, u[p], v[p], None if pair_rows is None else pair_rows[c]
-        )
-        yield p, c, JTable(columns, family.run_count(n), j_tables(rows))
 
 
 def _chunk_failures(
@@ -652,7 +618,8 @@ def _verify_block(family: Family, counts: np.ndarray, pairs: tuple) -> Iterator[
     forms = closed_forms(family, counts, pairs)
     n = int(counts[0].sum())
     bound = projectivity_bound(n, family) if family.sixteenth else None
-    for p, c, table in _verify_chunks(family, counts, pairs):
+    every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+    for p, c, table in j_table_chunks(family, counts, pairs, *every):
         messages = _chunk_failures(forms, p, c, table, bound)
         for i, j, msg in zip(p.tolist(), c.tolist(), messages):
             if msg is not None:
@@ -661,6 +628,10 @@ def _verify_block(family: Family, counts: np.ndarray, pairs: tuple) -> Iterator[
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not args.families:
+        raise UsageError("--families needs at least one family")
+    if args.n_max < 1 or args.sample < 0:
+        raise UsageError("--n-max must be positive and --sample nonnegative")
     families = [Family.from_label(f) for f in args.families]
     failures = []
     verified = 0

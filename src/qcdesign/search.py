@@ -23,8 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .oracle import DEFAULT_MAX_FACTORS, projectivity as oracle_projectivity
-from .qc_core import DesignMatrix, Family, GeneratorProfile, build_design, spec_for
+from .oracle import DEFAULT_MAX_FACTORS, j_table_chunks
+from .qc_core import Family, GeneratorProfile
 from .spectrum import Resolution, spectrum_metrics
 from .theory import (
     U0V0_CLASSES_EIGHTH,
@@ -186,9 +186,15 @@ def _check_class_ties(
             )
 
 
-def _design_for(family: Family, candidate: Candidate) -> DesignMatrix:
-    profile, u0v0 = candidate
-    return build_design(spec_for(family, profile, u0v0))
+def _projectivities(
+    family: Family, profiles: np.ndarray, pairs: tuple, pool: np.ndarray
+) -> np.ndarray:
+    """Oracle projectivity of every candidate in the (profiles, pairs) mask
+    ``pool``, scored as stacked J-tables; -1 outside the pool."""
+    projs = np.full(pool.shape, -1)
+    for p, c, table in j_table_chunks(family, profiles, pairs, *np.nonzero(pool)):
+        projs[p, c] = table.projections.projectivity()
+    return projs
 
 
 def optimize(
@@ -233,45 +239,35 @@ def optimize(
     wlp_keys = _wlp_keys(forms, q)
     res = _resolution_keys(forms)
 
-    def candidate(p: int, c: int) -> Candidate:
-        return (GeneratorProfile(tuple(profiles[p].tolist())), pairs[c])
-
     ma_set = _min_wlp(wlp_keys, np.ones(res.shape, dtype=bool))
     max_res = res.max()
     criteria_coincide = bool((res[ma_set] == max_res).any())
 
+    projs = None
     if criterion is Criterion.ABERRATION:
         pool = ma_set & (res == res[ma_set].max())
     elif criterion is Criterion.RESOLUTION:
         pool = _min_wlp(wlp_keys, res == max_res)
-    elif criterion is Criterion.PROJECTIVITY:
-        projs = np.zeros(res.shape, dtype=np.int64)
-        for p, c in np.ndindex(*res.shape):
-            projs[p, c] = oracle_projectivity(_design_for(family, candidate(p, c)))
+    else:  # Criterion.PROJECTIVITY scores every candidate
+        projs = _projectivities(family, profiles, pairs, np.ones(res.shape, dtype=bool))
         pool = _min_wlp(wlp_keys, projs == projs.max())
         pool &= res == res[pool].max()
-    else:  # pragma: no cover
-        raise ValueError(criterion)
+
+    # The projectivity refinement scores only the ties.
+    if with_projectivity and projs is None:
+        projs = _projectivities(family, profiles, pairs, pool)
+        pool &= projs == projs.max()
+    best_projectivity = None if projs is None else int(projs.max())
 
     # Profiles are lexicographic and pairs sorted, so the (profile, pair)
     # order of the ties is their index order.
-    ties = [candidate(p, c) for p, c in zip(*np.nonzero(pool))]
-    best_projectivity: int | None = None
-    if criterion is Criterion.PROJECTIVITY:
-        best_projectivity = int(projs.max())
-    elif with_projectivity:
-        by_proj = [
-            (oracle_projectivity(_design_for(family, cand)), cand)
-            for cand in ties
-        ]
-        best_projectivity = max(p for p, _ in by_proj)
-        ties = [cand for p, cand in by_proj if p == best_projectivity]
-
+    ties = [
+        (GeneratorProfile(tuple(profiles[p].tolist())), pairs[c])
+        for p, c in zip(*np.nonzero(pool))
+    ]
     winner = ties[0]
     spectrum = family_spectrum(family, winner[0], winner[1])
     resolution, wlp = spectrum_metrics(spectrum, q)
-    if with_projectivity and best_projectivity is None:
-        best_projectivity = oracle_projectivity(_design_for(family, winner))
     return SearchResult(
         family=family,
         n=n,

@@ -127,6 +127,15 @@ def test_build_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "build", "--family", "nonsense", "--n", "1", "--u", "0", "--v", "0")
     assert code == EXIT_USAGE
+    # A malformed --u0v0 is one error line for every command that builds.
+    for command in ("build", "metrics", "spectrum"):
+        for u0v0 in ("7", "1", "45"):
+            code, stdout, err = run(
+                capsys, command, "--family", "sixteenth-odd", "--n", "1",
+                "--u", "1", "--v", "1", "--u0v0", u0v0,
+            )
+            assert code == EXIT_USAGE and stdout == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_metrics_both_agree(capsys):
@@ -312,11 +321,29 @@ def test_bound_command(capsys):
     code, stdout, _ = run(capsys, "bound", "--family", "eighth-even", "--n", "3")
     assert code == EXIT_OK
     assert "none" in stdout
+    for n in ("0", "-2"):
+        code, stdout, err = run(capsys, "bound", "--family", "sixteenth-odd", "--n", n)
+        assert code == EXIT_USAGE and stdout == ""
+        assert err == "error: --n must be positive\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--families",),
+    ("--families", "--sample", "1"),
+    ("--n-max", "0"),
+    ("--n-max", "-1", "--sample", "1", "--seed", "1"),
+    ("--n-max", "-1", "--sample", "1", "--seed", "2"),
+    ("--sample", "-1"),
+])
+def test_verify_usage_errors(capsys, argv):
+    code, stdout, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_reports_every_failure(capsys, monkeypatch):
     # Faults are planted upstream of the checks, one per failure message.
-    real_forms, real_tables = cli.closed_forms, cli.j_tables
+    real_forms, real_tables = cli.closed_forms, oracle.j_tables
     real_bound = cli.projectivity_bound
 
     def odd_profiles_lengthened(family, counts, pairs):
@@ -355,7 +382,7 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
         "theory and oracle spectra differ"
     )
 
-    monkeypatch.setattr(cli, "j_tables", empty_set_miscounted)
+    monkeypatch.setattr(oracle, "j_tables", empty_set_miscounted)
     code, _, stderr = run(capsys, "verify", "--n-max", "1")
     monkeypatch.undo()
     assert code == EXIT_MISMATCH
@@ -386,22 +413,24 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
     assert stderr.endswith(": projectivity exceeds the closed-form bound\n")
 
 
-@pytest.mark.parametrize("entries", [1, cli.VERIFY_CHUNK_ENTRIES])
+@pytest.mark.parametrize("entries", [1, oracle.CHUNK_ENTRIES])
 def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
     # A chunk of 1 entry holds one design; the default chunks hold many and
     # their borders fall inside a profile's u0v0 values.
-    monkeypatch.setattr(cli, "VERIFY_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
     for family in Family:
         pairs = u0v0_classes(family) if family.branched else (None,)
         for n in (1, 2):
             counts = profile_array(n)
+            every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
             seen = 0
-            for p, c, table in cli._verify_chunks(family, counts, pairs):
+            for p, c, table in oracle.j_table_chunks(family, counts, pairs, *every):
                 levels = range(1, len(table.columns) + 1)
                 verdicts = [
                     table.projections.deficient(np.full(p.size, level)).tolist()
                     for level in levels
                 ]
+                projs = table.projections.projectivity()
                 for d, (i, j) in enumerate(zip(p.tolist(), c.tolist())):
                     assert i * len(pairs) + j == seen
                     seen += 1
@@ -415,6 +444,11 @@ def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
                         projection_level_full(design, level, table=one)
                         for level in levels
                     ]
+                    first_deficient = next(
+                        (level for level in levels if verdicts[level - 1][d]),
+                        len(levels) + 1,
+                    )
+                    assert projs[d] == first_deficient - 1
             assert seen == len(counts) * len(pairs)
 
 

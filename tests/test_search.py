@@ -7,17 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compositions_count
+from conftest import compositions_count, scan_projectivity
 from qcdesign import (
     Criterion,
     Family,
     GeneratorProfile,
+    build_design,
     enumerate_profiles,
     optimize,
     orthogonal_array_ceiling,
     reproduce_table,
+    spec_for,
 )
-from qcdesign import search
+from qcdesign import oracle, search
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.search import (
     DEFAULT_MAX_N,
@@ -26,6 +28,7 @@ from qcdesign.search import (
     _check_class_ties,
     all_u0v0_pairs,
     profile_array,
+    u0v0_classes,
 )
 from qcdesign.theory import closed_forms
 
@@ -66,10 +69,25 @@ def test_optimize_max_resolution_branched():
     assert result.resolution == Fraction(11, 2)
 
 
-def test_optimize_max_projectivity_small():
-    result = optimize(2, Family.SIXTEENTH_EVEN, Criterion.PROJECTIVITY)
-    assert result.projectivity == 3
-    assert result.profile.digits == "0011000000"
+@pytest.mark.parametrize("entries", [1, oracle.CHUNK_ENTRIES])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("family", list(Family))
+def test_optimize_max_projectivity_small(monkeypatch, family, n, entries):
+    # Chunks of 1 entry score one candidate at a time; the default chunks
+    # score many at once.
+    monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
+    result = optimize(n, family, Criterion.PROJECTIVITY)
+    pairs = u0v0_classes(family) if family.branched else (None,)
+    scanned = {
+        (profile, pair): scan_projectivity(build_design(spec_for(family, profile, pair)))
+        for profile in enumerate_profiles(n)
+        for pair in pairs
+    }
+    assert result.projectivity == max(scanned.values())
+    assert result.ties and all(scanned[t] == result.projectivity for t in result.ties)
+    if (family, n) == (Family.SIXTEENTH_EVEN, 2):
+        assert result.projectivity == 3
+        assert result.profile.digits == "0011000000"
 
 
 def test_optimize_is_deterministic():
