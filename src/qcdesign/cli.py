@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -71,7 +73,11 @@ EXIT_MISMATCH = 2
 
 
 class UsageError(Exception):
-    pass
+    exit_code = EXIT_USAGE
+
+
+class MismatchError(UsageError):  # well-formed input that contradicts itself
+    exit_code = EXIT_MISMATCH
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +101,24 @@ class DesignDocument:
     metrics: dict | None = None
 
 
+def _pair_text(pair: tuple[int, int] | None, missing: str | None = None) -> str | None:
+    return missing if pair is None else f"{pair[0]}{pair[1]}"
+
+
+def _encode_runs(rows: np.ndarray, head: bytes, tail: bytes) -> str:
+    """Each run as ``head``, its entries as ``1``/``-1`` joined by commas,
+    then ``tail``.  Each entry is a three-byte cell (0 or ``-``, ``1``,
+    ``,``) of one uint8 buffer; a run's last comma and the zeros are cut."""
+    n, q = rows.shape
+    cells = np.empty((n, q, 3), np.uint8)
+    cells[:, :, 0] = (rows < 0).view(np.uint8) * ord("-")
+    cells[:, :, 1] = ord("1")
+    cells[:, :, 2] = ord(",")
+    edge = [np.broadcast_to(np.frombuffer(b, np.uint8), (n, len(b))) for b in (head, tail)]
+    lines = np.concatenate([edge[0], cells.reshape(n, 3 * q)[:, :-1], edge[1]], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def document_to_json(doc: DesignDocument) -> str:
     spec = doc.spec
     payload = {
@@ -103,14 +127,18 @@ def document_to_json(doc: DesignDocument) -> str:
         "n": spec.n if spec else None,
         "u": list(spec.u) if spec else None,
         "v": list(spec.v) if spec else None,
-        "u0v0": f"{spec.u0}{spec.v0}" if spec and spec.u0 is not None else None,
+        "u0v0": _pair_text(spec.u0v0) if spec else None,
         "n_runs": doc.design.n_runs,
         "n_factors": doc.design.n_factors,
         "columns": list(doc.design.columns),
-        "rows": doc.design.rows.tolist(),
+        "rows": [],
         "metrics": doc.metrics,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2)
+    if doc.design.n_runs:  # one run per line; quotes in earlier values are escaped
+        runs = _encode_runs(doc.design.rows, b"    [", b"],\n")
+        text = text.replace('"rows": []', f'"rows": [\n{runs[:-2]}\n  ]', 1)
+    return text + "\n"
 
 
 def _validate_metrics_payload(payload: dict) -> dict:
@@ -126,33 +154,45 @@ def _validate_metrics_payload(payload: dict) -> dict:
     return out
 
 
+def _json_runs(rows, q: int) -> np.ndarray:
+    """JSON ``rows``: a list per run of q entries, each the integer 1 or -1."""
+    if type(rows) is not list or set(map(type, rows)) - {list}:
+        raise UsageError("JSON rows must be a list of runs, each a list of entries")
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    if np.any(widths != q):
+        run = np.argmax(widths != q)
+        raise UsageError(f"JSON run {run + 1} has {widths[run]} entries for {q} columns")
+    try:  # type() tells true from 1; np.array alone would also take 1.5 and "1"
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            values = np.array(rows, dtype=np.int8)
+            if np.all(np.abs(values) == 1):
+                return values
+    except OverflowError:  # an integer beyond int8
+        pass
+    bad = next(x for x in chain.from_iterable(rows) if type(x) is not int or abs(x) != 1)
+    raise UsageError(f"JSON entries must be the integers 1 and -1, got {json.dumps(bad)}")
+
+
 def document_from_json(text: str) -> DesignDocument:
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise UsageError("a design document must be a JSON object")
     if payload.get("schema") != SCHEMA:
         raise UsageError(f"unsupported schema {payload.get('schema')!r}")
-    columns, rows = tuple(payload["columns"]), payload["rows"]
-    for run, row in enumerate(rows, start=1):
-        if len(row) != len(columns):
-            raise UsageError(
-                f"JSON run {run} has {len(row)} entries for {len(columns)} columns"
-            )
-    design = DesignMatrix(columns, rows)
+    columns = tuple(payload["columns"])
+    design = DesignMatrix(columns, _json_runs(payload["rows"], len(columns)))
     if design.n_runs != payload["n_runs"] or design.n_factors != payload["n_factors"]:
         raise UsageError("document run/factor counts disagree with the rows")
     spec = None
     if payload.get("family"):
-        u0v0 = payload.get("u0v0")
-        pair = normalize_u0v0(u0v0) if u0v0 else None
-        spec = GeneratorSpec(
-            Family.from_label(payload["family"]),
-            int(payload["n"]),
-            tuple(payload["u"]),
-            tuple(payload["v"]),
-            pair[0] if pair else None,
-            pair[1] if pair else None,
-        )
+        if set(map(type, [payload["n"], *payload["u"], *payload["v"]])) - {int}:
+            raise UsageError("the generator fields n, u and v must be JSON integers")
+        pair = normalize_u0v0(payload["u0v0"]) if payload.get("u0v0") else (None, None)
+        spec = GeneratorSpec(Family.from_label(payload["family"]), payload["n"],
+                             tuple(payload["u"]), tuple(payload["v"]), *pair)
+        rebuilt = design.n_runs == spec.family.run_count(spec.n) and build_design(spec)
+        if not (rebuilt and np.array_equal(rebuilt.rows, design.rows)):
+            raise MismatchError("the rows differ from a rebuild of the generator fields")
     metrics = payload.get("metrics")
     if metrics is not None:
         metrics = _validate_metrics_payload(metrics)
@@ -160,34 +200,61 @@ def document_from_json(text: str) -> DesignDocument:
 
 
 def design_to_csv(design: DesignMatrix) -> str:
-    lines = [",".join(design.columns)]
-    for row in design.rows:
-        lines.append(",".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    return ",".join(design.columns) + "\n" + _encode_runs(design.rows, b"", b"\n")
+
+
+# Byte classes of a CSV body, as a bytes.translate table: _SPACE is the
+# whitespace str.strip() removes in a line, _BREAK a str.splitlines() break.
+_SPACE, _BREAK, _COMMA, _ONE, _OTHER, _PLUS, _MINUS = range(7)
+_CLASS = np.full(256, _OTHER, np.uint8)
+_CLASS[list(b"\t \x1f")] = _SPACE
+_CLASS[list(b"\n\r\v\f\x1c\x1d\x1e")] = _BREAK
+_CLASS[list(b",1+-")] = _COMMA, _ONE, _PLUS, _MINUS
+# _FAULT[a << 3 | b] is 0 where class b may follow class a once whitespace is
+# removed: a run is `[sign]1` fields joined by commas, a blank line has none.
+_FAULT = np.ones(256, np.uint8)
+_FAULT[[a << 3 | b for a, follow in {
+    _BREAK: (_BREAK, _ONE, _PLUS, _MINUS), _COMMA: (_ONE, _PLUS, _MINUS),
+    _ONE: (_COMMA, _BREAK), _PLUS: (_ONE,), _MINUS: (_ONE,),
+}.items() for b in follow]] = 0
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# Non-ASCII whitespace as " ", and its line breaks as "\n" (str.translate table).
+_WIDE_SPACE = str.maketrans("\x85\u2028\u2029", "\n\n\n") | dict.fromkeys(
+    (0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000), " ")
 
 
 def design_from_csv(text: str) -> DesignMatrix:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
+    """A header of column labels, then one run per non-blank line; each
+    entry is ``1``, ``+1`` or ``-1`` after stripping whitespace."""
+    first = re.search(r"\S", text)
+    header = first and _LINE_BREAK.search(text, first.start())
+    body = text[header.start() :] if header else ""  # starts with a line break
+    ascii_body = body if body.isascii() else body.translate(_WIDE_SPACE)
+    cls = np.frombuffer((ascii_body + "\n").encode().translate(_CLASS), np.uint8)
+    keep = cls != _SPACE
+    keep[1:] |= cls[:-1] >= _PLUS  # keep the space of "- 1", which no sign may precede
+    s = cls[keep]
+    starts = np.flatnonzero((s[:-1] == _BREAK) & (s[1:] != _BREAK)) + 1
+    if not starts.size:
         raise UsageError("a CSV design needs a header line and at least one run")
-    columns = tuple(label.strip() for label in lines[0].split(","))
-    rows = []
-    for run, line in enumerate(lines[1:], start=1):
-        entries = []
-        for tok in line.split(","):
-            tok = tok.strip()
-            if tok in ("1", "+1"):
-                entries.append(1)
-            elif tok == "-1":
-                entries.append(-1)
-            else:
-                raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
-        if len(entries) != len(columns):
-            raise UsageError(
-                f"CSV run {run} has {len(entries)} entries for {len(columns)} columns"
-            )
-        rows.append(entries)
-    return DesignMatrix(columns, rows)
+    columns = tuple(map(str.strip, text[first.start() : header.start()].split(",")))
+    ones = np.flatnonzero(s == _ONE)
+    counts = np.diff(np.searchsorted(ones, starts), append=ones.size)
+    ragged = np.flatnonzero(counts != len(columns))
+    fault = (s[:-1] << 3 | s[1:]).tobytes().translate(_FAULT).find(1)
+    if fault >= 0:  # the pair lies on the line of its first non-break byte
+        run = np.searchsorted(starts, fault + (s[fault] == _BREAK), "right") - 1
+        if not ragged.size or run <= ragged[0]:
+            line = [line for line in body.splitlines() if line.strip()][run]
+            tok = next(t for t in map(str.strip, line.split(",")) if t not in ("1", "+1", "-1"))
+            raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
+    if ragged.size:
+        run = ragged[0]
+        raise UsageError(
+            f"CSV run {run + 1} has {counts[run]} entries for {len(columns)} columns"
+        )
+    negative = (s[ones - 1] == _MINUS).view(np.int8)
+    return DesignMatrix(columns, (1 - 2 * negative).reshape(-1, len(columns)))
 
 
 def load_design(path: str, fmt: str | None = None) -> DesignDocument:
@@ -202,7 +269,7 @@ def load_design(path: str, fmt: str | None = None) -> DesignDocument:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"{path}: {exc}")
 
 
@@ -242,10 +309,9 @@ def _metrics_payload(
 
 
 def _print_metrics(tag: str, payload: dict) -> None:
-    res = payload["resolution"]
     dec = payload["resolution_decimal"]
     dec_text = "" if dec is None else f" ({dec})"
-    print(f"[{tag}] resolution: {res}{dec_text}")
+    print(f"[{tag}] resolution: {payload['resolution']}{dec_text}")
     print(f"[{tag}] wlp: ({', '.join(payload['wlp'])})")
     if "projectivity" in payload:
         print(f"[{tag}] projectivity: {payload['projectivity']}")
@@ -264,15 +330,12 @@ def _spec_from_flags(args: argparse.Namespace) -> GeneratorSpec:
     except (AttributeError, ValueError):
         raise UsageError("--u and --v must be comma-separated Z4 digits")
     try:
-        pair = normalize_u0v0(args.u0v0) if args.u0v0 else None
-        if family.branched and pair is None:
+        pair = normalize_u0v0(args.u0v0) if args.u0v0 else (None, None)
+        if family.branched and pair[0] is None:
             raise UsageError(f"--u0v0 is required for {family.value}")
-        if not family.branched and pair is not None:
+        if not family.branched and pair[0] is not None:
             raise UsageError(f"--u0v0 is not accepted for {family.value}")
-        return GeneratorSpec(
-            family, args.n, u, v,
-            pair[0] if pair else None, pair[1] if pair else None,
-        )
+        return GeneratorSpec(family, args.n, u, v, *pair)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -294,12 +357,10 @@ def _resolve_design(args: argparse.Namespace) -> DesignDocument:
 def cmd_build(args: argparse.Namespace) -> int:
     spec = _spec_from_flags(args)
     design = build_design(spec)
-    metrics = None
+    doc = DesignDocument(spec, design)
     if args.with_metrics:
-        profile = profile_of(spec.u, spec.v)
-        spectrum = family_spectrum(spec.family, profile, spec.u0v0)
-        metrics = _metrics_payload(spectrum, design.n_factors)
-    doc = DesignDocument(spec, design, metrics)
+        metrics = _metrics_payload(_theory_spectrum_for(doc), design.n_factors)
+        doc = DesignDocument(spec, design, metrics)
     text = design_to_csv(design) if args.format == "csv" else document_to_json(doc)
     if args.out:
         try:
@@ -314,9 +375,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def _theory_spectrum_for(doc: DesignDocument) -> WordSpectrum:
     if doc.spec is None:
-        raise UsageError(
-            "theory metrics need generator data; this design has none"
-        )
+        raise UsageError("theory metrics need generator data; this design has none")
     profile = profile_of(doc.spec.u, doc.spec.v)
     return family_spectrum(doc.spec.family, profile, doc.spec.u0v0)
 
@@ -339,9 +398,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     agree = True
     if method == "both":
         keys = ("resolution", "wlp", "spectrum")
-        agree = all(
-            payloads["theory"][k] == payloads["oracle"][k] for k in keys
-        )
+        agree = all(payloads["theory"][k] == payloads["oracle"][k] for k in keys)
     if args.report == "json":
         out = {"method": method, "n_runs": doc.design.n_runs, "n_factors": q}
         out.update(payloads)
@@ -380,20 +437,14 @@ def _result_payload(result: SearchResult) -> dict:
         "n": result.n,
         "criterion": result.criterion.value,
         "profile": result.profile.digits,
-        "u0v0": None if result.u0v0 is None else f"{result.u0v0[0]}{result.u0v0[1]}",
+        "u0v0": _pair_text(result.u0v0),
         "resolution": "unbounded" if unbounded else str(result.resolution),
         "resolution_decimal": None if unbounded else float(result.resolution),
         "wlp": [str(a) for a in result.wlp],
         "wlp_from_4": [str(a) for a in result.wlp_from_4],
         "projectivity": result.projectivity,
         "criteria_coincide": result.criteria_coincide,
-        "ties": [
-            {
-                "profile": prof.digits,
-                "u0v0": None if pair is None else f"{pair[0]}{pair[1]}",
-            }
-            for prof, pair in result.ties
-        ],
+        "ties": [{"profile": p.digits, "u0v0": _pair_text(c)} for p, c in result.ties],
         "regular_reference": None
         if result.regular_reference is None
         else {
@@ -406,20 +457,12 @@ def _result_payload(result: SearchResult) -> dict:
 def _render_rows(rows: list[dict], fmt: str, columns: Sequence[str]) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2)
+    lines = [list(columns)] + [[str(row.get(c, "")) for c in columns] for row in rows]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(str(row.get(c, "")) for c in columns))
-        return "\n".join(lines)
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in columns}
-    header = "| " + " | ".join(c.ljust(widths[c]) for c in columns) + " |"
-    rule = "|-" + "-|-".join("-" * widths[c] for c in columns) + "-|"
-    lines = [header, rule]
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns) + " |"
-        )
-    return "\n".join(lines)
+        return "\n".join(",".join(line) for line in lines)
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    md = ["| " + " | ".join(t.ljust(w) for t, w in zip(line, widths)) + " |" for line in lines]
+    return "\n".join([md[0], "|-" + "-|-".join("-" * w for w in widths) + "-|", *md[1:]])
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -427,11 +470,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     criterion = Criterion.from_label(args.criterion)
     try:
         result = optimize(
-            args.n,
-            family,
-            criterion,
-            max_n=args.max_n,
-            all_pairs=args.all_pairs,
+            args.n, family, criterion, max_n=args.max_n, all_pairs=args.all_pairs,
             with_projectivity=not args.skip_projectivity,
         )
     except ValueError as exc:
@@ -465,10 +504,9 @@ def _table_row_payload(row: ReportRow, which: int) -> dict:
     out = {
         "design": row.label,
         "profile": res.profile.digits,
-        "u0v0": "-" if res.u0v0 is None else f"{res.u0v0[0]}{res.u0v0[1]}",
+        "u0v0": _pair_text(res.u0v0, "-"),
         "listed_profile": row.expected.profile,
-        "listed_u0v0": "-" if row.expected.u0v0 is None
-        else f"{row.expected.u0v0[0]}{row.expected.u0v0[1]}",
+        "listed_u0v0": _pair_text(row.expected.u0v0, "-"),
     }
     if which in (3, 4):
         out.update(
@@ -754,7 +792,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
     except SystemExit as exc:
         return int(exc.code or 0)
     except BrokenPipeError:

@@ -136,13 +136,14 @@ class DesignMatrix:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int8)
+        rows = np.asarray(self.rows)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-d array")
         if rows.shape[1] != len(self.columns):
             raise ValueError("row width must match the number of column labels")
-        if not np.all(np.abs(rows) == 1):
+        if not np.all(np.abs(rows) == 1):  # before the cast, which would wrap
             raise ValueError("design entries must be +1 or -1")
+        rows = rows.astype(np.int8, copy=False)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

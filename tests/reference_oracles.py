@@ -1,4 +1,4 @@
-"""Independent reference oracles for the J-characteristics.
+"""Independent reference oracles for the J-characteristics and the CSV reader.
 
 ``j_direct`` multiplies the columns of one subset run by run.  The
 character sums evaluate the paper's trigonometric sums term by term from the
@@ -6,6 +6,9 @@ generator data, with the Gray coordinates of k in Z4 taken from
 ``conftest.GRAY_PAIRS`` (the exact values of sqrt(2)*sin(pi/4 + pi*k/2) and
 sqrt(2)*cos(pi/4 + pi*k/2)).  Neither shares code with the subset-parity
 transform of ``qcdesign.oracle.j_characteristics`` that they check.
+``csv_rows`` is the line-by-line CSV parser that ``qcdesign.cli`` used
+before it read CSV as arrays; its acceptance and its messages are the
+reference for ``design_from_csv``.
 """
 
 from __future__ import annotations
@@ -148,3 +151,29 @@ def character_sum_odd(spec: GeneratorSpec, stype: SubsetType) -> Fraction:
     g = g_total * half
     h = h_total * half
     return abs(g + (-1) ** stype.f5 * h)
+
+
+def csv_rows(text: str) -> tuple[tuple[str, ...], list[list[int]]]:
+    """Column labels and +1/-1 runs of a CSV design, line by line; a
+    malformed document raises ValueError."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if len(lines) < 2:
+        raise ValueError("a CSV design needs a header line and at least one run")
+    columns = tuple(label.strip() for label in lines[0].split(","))
+    rows = []
+    for run, line in enumerate(lines[1:], start=1):
+        entries = []
+        for tok in line.split(","):
+            tok = tok.strip()
+            if tok in ("1", "+1"):
+                entries.append(1)
+            elif tok == "-1":
+                entries.append(-1)
+            else:
+                raise ValueError(f"CSV entries must be +1 or -1, got {tok!r}")
+        if len(entries) != len(columns):
+            raise ValueError(
+                f"CSV run {run} has {len(entries)} entries for {len(columns)} columns"
+            )
+        rows.append(entries)
+    return columns, rows

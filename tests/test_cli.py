@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from reference_oracles import csv_rows
 
 from qcdesign import (
     Family,
@@ -17,6 +19,7 @@ from qcdesign import (
     cli,
     j_characteristics,
     oracle,
+    profile_of,
     projection_level_full,
     spec_for,
 )
@@ -34,6 +37,7 @@ from qcdesign.cli import (
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.search import profile_array, u0v0_classes
 from qcdesign.spectrum import parse_fraction
+from qcdesign.theory import family_spectrum
 
 
 def run(capsys, *argv):
@@ -473,3 +477,260 @@ def larger_blocks(draw):
 @given(larger_blocks())
 def test_batched_verify_passes_at_n_4_and_5(block):
     assert list(cli._verify_block(*block)) == []
+
+
+# ---------------------------------------------------------------------------
+# Design documents: the array reader and writers against the line-by-line
+# reference parser, fuzzed, and against output taken from the writers they
+# replaced.
+# ---------------------------------------------------------------------------
+
+#: Whitespace that str.strip() removes inside a line, and line breaks of
+#: str.splitlines(), ASCII and not.
+INLINE_SPACE = " \t\x1f\xa0\u2003\u3000"
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028")
+#: Tokens the reference parser rejects; none holds a comma or a line break,
+#: and only the first is empty.
+BAD_TOKENS = (
+    "", "2", "0", "11", "1 1", "- 1", "+ 1", "-\t1", "+\xa01", "--1", "+-1",
+    "1-", "-", "+", "x", "1.0", "\u0661", "1\x00",
+)
+fuzzed = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def csv_documents(draw, bad_token=False, ragged=False):
+    """CSV text with random padding, signs, blank lines and line breaks;
+    optionally one token replaced by a bad one, or one run made ragged."""
+    q = draw(st.integers(1, 4))
+    space = st.text(INLINE_SPACE, max_size=2)
+    labels = draw(st.lists(st.sampled_from(("A", "F1", "x y", "1")), min_size=q, max_size=q))
+    runs = draw(st.lists(
+        st.lists(st.sampled_from(("1", "+1", "-1")), min_size=q, max_size=q),
+        min_size=1, max_size=5,
+    ))
+    run = draw(st.integers(0, len(runs) - 1))
+    if bad_token:
+        # An empty token alone on its line would make a blank line.
+        bad = draw(st.sampled_from(BAD_TOKENS[q == 1 :]))
+        runs[run][draw(st.integers(0, q - 1))] = bad
+    if ragged:
+        runs[run] = runs[run][:-1] if draw(st.booleans()) else runs[run] + ["1"]
+        if not runs[run]:
+            runs[run] = ["-1"] * (q + 1)
+    text = draw(space)
+    for line in [labels] + runs:
+        text += ",".join(draw(space) + tok + draw(space) for tok in line)
+        for _ in range(draw(st.integers(1, 2))):  # the second makes a blank line
+            text += draw(space) + draw(st.sampled_from(LINE_BREAKS))
+    if not draw(st.booleans()):
+        text = text.rstrip("".join(LINE_BREAKS))
+    return text
+
+
+@fuzzed
+@given(csv_documents())
+def test_csv_reader_matches_reference_parser(text):
+    columns, rows = csv_rows(text)
+    design = design_from_csv(text)
+    assert design.columns == columns
+    assert design.rows.tolist() == rows
+
+
+@fuzzed
+@given(st.one_of(
+    csv_documents(bad_token=True),
+    csv_documents(ragged=True),
+    csv_documents(bad_token=True, ragged=True),
+    st.sampled_from(("", " \n\t", "A,B", "A,B\n\n", "\n1,1\n", "A\n,\n", "A,B\n1,-1,\n")),
+))
+def test_malformed_csv_ends_in_one_error_line(tmp_path, capsys, text):
+    with pytest.raises(ValueError) as reference:
+        csv_rows(text)
+    with pytest.raises(cli.UsageError) as error:
+        design_from_csv(text)
+    assert str(error.value) == str(reference.value)
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text, newline="")
+    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@st.composite
+def specs(draw, max_n=3):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(1, max_n))
+    u, v = (tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))) for _ in "uv")
+    pair = (draw(st.integers(0, 3)), draw(st.integers(0, 3))) if family.branched else (None, None)
+    return GeneratorSpec(family, n, u, v, *pair)
+
+
+def _payload(spec: GeneratorSpec) -> dict:
+    return json.loads(document_to_json(DesignDocument(spec, build_design(spec))))
+
+
+def _break_json(payload: dict, data) -> None:
+    """Make one part of a design document malformed, in place."""
+    rows = payload["rows"]
+    kind = data.draw(st.sampled_from(
+        ("entry", "rows", "ragged", "n_runs", "missing", "schema", "generator")
+    ))
+    if kind == "entry":
+        run = data.draw(st.integers(0, len(rows) - 1))
+        entry = data.draw(st.integers(0, len(rows[run]) - 1))
+        rows[run][entry] = data.draw(st.sampled_from(
+            (257, -128, 0, 2, 10**30, 1.5, -1.9, 1.0, True, False, "1", None, [1], {})
+        ))
+    elif kind == "rows":
+        payload["rows"] = data.draw(st.sampled_from((5, "1,-1", {"a": 1}, None, [1, -1], [[1], 1])))
+    elif kind == "ragged":
+        rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+    elif kind == "n_runs":
+        payload["n_runs"] += 1
+    elif kind == "missing":
+        del payload[data.draw(st.sampled_from(("columns", "rows", "n_runs", "n_factors")))]
+    elif kind == "schema":
+        payload["schema"] = data.draw(st.sampled_from(("qcdesign/2", None, 1)))
+    else:
+        key, value = data.draw(st.sampled_from((
+            ("u", [7] * payload["n"]), ("u", [1.0] * payload["n"]), ("v", None),
+            ("n", str(payload["n"])), ("n", 1e400), ("family", "tenth-even"),
+            ("u0v0", "9"), ("u0v0", [1e400, 0]), ("u", [0] * (payload["n"] + 1)),
+        )))
+        payload[key] = value
+
+
+@fuzzed
+@given(specs(max_n=2), st.data())
+def test_malformed_json_ends_in_one_error_line(tmp_path, capsys, spec, data):
+    payload = _payload(spec)
+    _break_json(payload, data)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs(), st.booleans())
+def test_documents_round_trip(spec, with_metrics):
+    design = build_design(spec)
+    metrics = None
+    if with_metrics:
+        spectrum = family_spectrum(spec.family, profile_of(spec.u, spec.v), spec.u0v0)
+        metrics = cli._metrics_payload(spectrum, design.n_factors)
+    again = design_from_csv(design_to_csv(design))
+    assert again.columns == design.columns
+    assert np.array_equal(again.rows, design.rows)
+    loaded = document_from_json(document_to_json(DesignDocument(spec, design, metrics)))
+    assert loaded.spec == spec and loaded.metrics == metrics
+    assert loaded.design.columns == design.columns
+    assert np.array_equal(loaded.design.rows, design.rows)
+
+
+def test_unicode_whitespace_table_is_complete():
+    # Every non-ASCII character that str.strip() removes is translated, to
+    # a line break exactly where str.splitlines() breaks.
+    for c in range(0x80, sys.maxunicode + 1):
+        if chr(c).isspace():
+            want = "\n" if len(f"a{chr(c)}a".splitlines()) == 2 else " "
+            assert chr(c).translate(cli._WIDE_SPACE) == want
+        else:
+            assert c not in cli._WIDE_SPACE
+
+
+#: `build --format csv` and `build --with-metrics` output of the
+#: line-by-line writers that the array encoder replaced.
+GOLDEN_CSV = (
+    "F1,F2,F3,F4,F5,F11,F12\n1,1,1,1,1,1,1\n1,-1,-1,-1,1,1,-1\n-1,-1,1,1,1,-1,-1\n"
+    "-1,1,-1,-1,1,-1,1\n1,-1,-1,1,-1,1,1\n-1,-1,1,-1,-1,1,-1\n-1,1,-1,1,-1,-1,-1\n"
+    "1,1,1,-1,-1,-1,1\n"
+)
+GOLDEN_JSON = (
+    '{"schema":"qcdesign/1","family":"eighth-odd","n":1,"u":[3],"v":[1],"u0v0":"12",'
+    '"n_runs":8,"n_factors":6,"columns":["F2","F3","F4","F5","F11","F12"],'
+    '"rows":[[1,1,1,1,1,1],[1,1,-1,1,1,-1],[-1,-1,-1,1,-1,-1],[-1,-1,1,1,-1,1],'
+    '[-1,-1,-1,-1,1,1],[1,-1,1,-1,1,-1],[1,1,1,-1,-1,-1],[-1,1,-1,-1,-1,1]],'
+    '"metrics":{"resolution":"5/2","resolution_decimal":2.5,"wlp":["0","1","3","2","1","0"],'
+    '"wlp_decimal":[0.0,1.0,3.0,2.0,1.0,0.0],"spectrum":['
+    '{"length":2,"ai":"1/2","ai_decimal":0.5,"count":4},'
+    '{"length":3,"ai":"1/2","ai_decimal":0.5,"count":4},'
+    '{"length":3,"ai":"1","ai_decimal":1.0,"count":2},'
+    '{"length":4,"ai":"1/2","ai_decimal":0.5,"count":4},'
+    '{"length":4,"ai":"1","ai_decimal":1.0,"count":1},'
+    '{"length":5,"ai":"1/2","ai_decimal":0.5,"count":4}],"word_count":19}}'
+)
+
+
+def test_build_csv_matches_golden_bytes(capsys):
+    code, stdout, _ = run(
+        capsys, "build", "--family", "sixteenth-odd", "--n", "1", "--u", "1",
+        "--v", "2", "--u0v0", "13", "--format", "csv",
+    )
+    assert code == EXIT_OK and stdout == GOLDEN_CSV
+
+
+def test_build_json_matches_golden_object(capsys):
+    code, stdout, _ = run(
+        capsys, "build", "--family", "eighth-odd", "--n", "1", "--u", "3",
+        "--v", "1", "--u0v0", "12", "--with-metrics",
+    )
+    assert code == EXIT_OK and json.loads(stdout) == json.loads(GOLDEN_JSON)
+    # One run per line; everything else keeps the indent=2 layout.
+    assert "    [1,1,-1,1,1,-1],\n" in stdout
+    assert stdout.replace("\n", "").replace(" ", "") == GOLDEN_JSON
+
+
+def test_indent_2_layout_gives_the_same_metrics(tmp_path, capsys):
+    out = tmp_path / "design.json"
+    run(capsys, "build", "--family", "sixteenth-odd", "--n", "2", "--u", "1,2",
+        "--v", "2,1", "--u0v0", "11", "--out", str(out))
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(json.loads(out.read_text()), indent=2) + "\n")
+    outputs = [
+        run(capsys, "metrics", "--design", str(path), "--method", "both", "--report", "json")
+        for path in (out, old)
+    ]
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize("entry", ["257", "1.5", "-1.9", "true", '"1"', "1e400", "-128"])
+def test_json_entries_must_be_the_integers_plus_minus_one(tmp_path, capsys, entry):
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"schema":"qcdesign/1","columns":["A","B"],'
+        f'"rows":[[{entry},-1],[1,1],[1,-1],[-1,1]],"n_runs":4,"n_factors":2}}'
+    )
+    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: JSON entries must be the integers 1 and -1, got ")
+    assert err.count("\n") == 1
+
+
+def test_rows_must_match_the_generator_rebuild(tmp_path, capsys):
+    path = tmp_path / "claims.json"
+    payload = {
+        "schema": "qcdesign/1", "family": "sixteenth-even", "n": 1, "u": [0], "v": [0],
+        "columns": ["A", "B"], "rows": [[1, -1], [1, 1], [1, -1], [-1, 1]],
+        "n_runs": 4, "n_factors": 2,
+    }
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # The right shape with one run changed is a mismatch too.
+    payload = _payload(GeneratorSpec(Family.SIXTEENTH_EVEN, 1, (1,), (2,)))
+    payload["rows"][1], payload["rows"][2] = payload["rows"][2], payload["rows"][1]
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    assert code == EXIT_MISMATCH and err.count("\n") == 1
+    # A spec that GeneratorSpec refuses is a usage error.
+    payload["u"] = [4]
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    assert code == EXIT_USAGE and err.startswith("error: ") and err.count("\n") == 1
