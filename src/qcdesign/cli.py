@@ -622,7 +622,7 @@ def _chunk_failures(
     differ[keys[starts][bad] // ((q + 2) * (n_runs + 1))] = True
 
     values = table.values
-    parseval = np.einsum("dj,dj->d", values, values) != n_runs << q
+    parseval = np.einsum("dj,dj->d", values, values, dtype=np.int64) != n_runs << q
 
     # With r the minimum word length and top its largest |J|, R = r + 1 -
     # top / N, so ceil(R) - 1 = r - [top == N]; a design without words has

@@ -18,19 +18,18 @@ import numpy as np
 from .qc_core import DesignMatrix, Family, column_labels, design_stack, realize_profiles
 from .spectrum import WordSpectrum
 
-#: Default cap on the number of factors.  The J-table and the subset sums
-#: that projectivity adds are 2^q int64 arrays each; with the smaller
-#: per-subset arrays the oracle peaks near 18 * 2^q bytes (tracemalloc:
-#: 17.7 to 18.1 MiB for the ``metrics`` command on 65536-run designs at
-#: q = 20).
-DEFAULT_MAX_FACTORS = 20
+#: Default cap on q.  The oracle needs about PEAK_BYTES_PER_ENTRY * 2^q
+#: bytes: tracemalloc measures 10.5 to 14.1 MiB for ``metrics --method
+#: oracle`` on the q = 20 designs of perfbench/reference/oracle_docs.json
+#: (8.1 MiB with --skip-projectivity).
+DEFAULT_MAX_FACTORS, PEAK_BYTES_PER_ENTRY = 20, 14
 
 
 def _check_cap(q: int, max_factors: int) -> None:
     if q > max_factors:
         raise ValueError(
             f"design has {q} factors, above the cap of {max_factors}; "
-            f"the oracle needs about 18 * 2^q bytes"
+            f"the oracle needs about {PEAK_BYTES_PER_ENTRY} * 2^q bytes"
         )
 
 
@@ -46,35 +45,52 @@ def sign_patterns(rows: np.ndarray) -> np.ndarray:
     return patterns
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Sylvester-ordered transform over the last axis, in place.
+#: Butterfly stages with h below the width run on transposed blocks of at
+#: most _BLOCK_ENTRIES entries.  A (64, 512) int32 stack, as ``verify``
+#: transforms, takes 1.10 ms in place and 0.47 / 0.37 / 0.34 ms with width
+#: 8 / 16 / 32; (1, 2^20) 40.3 ms and 20.4 / 17.0 / 16.5 ms (best of 9).
+_BUTTERFLY_WIDTH, _BLOCK_ENTRIES = 32, 1 << 16
 
-    out[s] = sum_p (-1)^popcount(s & p) in[p]; ``a`` must be a C-contiguous
-    int64 array whose last axis has power-of-two length.  Returns ``a``.
-    """
-    size = a.shape[-1]
-    if size & (size - 1):
-        raise ValueError("transform length must be a power of two")
-    h = 1
-    while h < size:
-        pairs = a.reshape(*a.shape[:-1], -1, 2, h)
-        low, high = pairs[..., 0, :], pairs[..., 1, :]
+
+def _butterflies(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield (low, high, k) for each stage k over the power-of-two last axis
+    of the C-contiguous ``a``: views pairing the entries without bit 2^k with
+    those that have it, for the caller to update in place.  Stages below the
+    width, whose inner runs are too short for numpy's strided loops, run on
+    a transposed (width, M) copy of each block, every operand a whole row."""
+    width = min(_BUTTERFLY_WIDTH, a.shape[-1])
+    blocks = a.reshape(-1, width)
+    for start in range(0, blocks.shape[0], _BLOCK_ENTRIES // width):
+        rows = blocks[start : start + _BLOCK_ENTRIES // width].T.copy()
+        for k in range(width.bit_length() - 1):
+            pairs = rows.reshape(-1, 2, 1 << k, rows.shape[1])
+            yield pairs[:, 0], pairs[:, 1], k
+        blocks[start : start + rows.shape[1]] = rows.T
+    for k in range(width.bit_length() - 1, a.shape[-1].bit_length() - 1):
+        pairs = a.reshape(*a.shape[:-1], -1, 2, 1 << k)
+        yield pairs[..., 0, :], pairs[..., 1, :], k
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Sylvester transform in place over the last axis, out[s] = sum_p
+    (-1)^popcount(s & p) in[p], in a dtype that holds it (see ``j_tables``)."""
+    for low, high, _ in _butterflies(a):
         low += high
         high *= -2
         high += low
-        h *= 2
     return a
 
 
-def _subset_sums(a: np.ndarray) -> np.ndarray:
-    """Zeta transform in place over the last axis: out[s] = sum over
-    submasks t of s of in[t]."""
-    size = a.shape[-1]
-    h = 1
-    while h < size:
-        pairs = a.reshape(*a.shape[:-1], -1, 2, h)
-        pairs[..., 1, :] += pairs[..., 0, :]
-        h *= 2
+def _subset_sums(a: np.ndarray, cap: int) -> np.ndarray:
+    """In-place zeta transform of entries in 0..cap (out[s] = sum of in[t]
+    over submasks t of s), exact as far as ``out >= cap``: sums never
+    decrease, so clipping at cap before a stage that could overflow keeps it."""
+    period = (np.iinfo(a.dtype).max // max(cap, 1)).bit_length() - 1
+    for low, high, stage in _butterflies(a):
+        if stage and stage % period == 0:
+            np.minimum(low, cap, out=low)
+            np.minimum(high, cap, out=high)
+        high += low
     return a
 
 
@@ -91,8 +107,8 @@ def _popcounts(q: int) -> np.ndarray:
 class JTable:
     """All 2^q J-characteristics of a design, indexed by column-subset mask.
 
-    ``values`` is (2^q,) for one design, or (designs, 2^q) for a stack of
-    designs that share their columns and run count.
+    ``values`` (int32, see ``j_tables``) is (2^q,) for one design, or
+    (designs, 2^q) for a stack of designs sharing columns and run count.
     """
 
     columns: tuple[str, ...]
@@ -107,34 +123,36 @@ class JTable:
     def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Design index, length and |J| of every word: each nonempty column
         set S with J(S) != 0, ordered by design, then by mask."""
-        values = self.values.reshape(-1, self.values.shape[-1])
-        design, masks = np.nonzero(values[:, 1:])
-        masks += 1
-        lengths = _popcounts(len(self.columns))[masks].astype(np.int64)
-        return design, lengths, np.abs(values[design, masks])
+        q = len(self.columns)
+        flat = np.flatnonzero(self.values)  # several times faster than a 2-D nonzero
+        flat = flat[(flat & ((1 << q) - 1)) != 0]  # J(empty) = N is no word
+        lengths = _popcounts(q)[flat & ((1 << q) - 1)].astype(np.int64)
+        return flat >> q, lengths, np.abs(self.values.ravel()[flat])
 
 
 def j_tables(rows: np.ndarray, max_factors: int = DEFAULT_MAX_FACTORS) -> np.ndarray:
     """J(S) for every column subset S of each design in a (designs, N, q)
-    stack, as a (designs, 2^q) int64 array.
+    stack, as a (designs, 2^q) int32 array.
 
     The sign patterns of each design's runs are tallied into its own 2^q
-    slice of one frequency table and transformed, so J(S) = sum_p freq[p] *
-    (-1)^popcount(p & S), the sum over runs of the product of the columns
-    in S.
+    slice of one int32 table (bincount's int64 one would double the peak)
+    and transformed, so J(S) = sum_p freq[p] (-1)^popcount(p & S), the sum
+    over runs of the product of the columns in S.  int32 is exact: each
+    partial sum is the J-value of a sub-table, at most N (2^16 at q = 20).
     """
     designs, _, q = rows.shape
     _check_cap(q, max_factors)
     patterns = sign_patterns(rows)
     patterns += (np.arange(designs, dtype=np.int64) << q)[:, None]
-    freq = np.bincount(patterns.ravel(), minlength=designs << q)
-    freq = freq.astype(np.int64, copy=False).reshape(designs, 1 << q)
+    cells, counts = np.unique(patterns, return_counts=True)
+    freq = np.zeros((designs, 1 << q), dtype=np.int32)
+    freq.reshape(-1)[cells] = counts
     return _walsh_hadamard(freq)
 
 
 #: J-table entries per chunk of max(1, CHUNK_ENTRIES >> q) stacked designs.
-#: ``verify --n-max 3`` takes 1.26 / 1.09 / 0.98 s and peaks at 32.8 / 33.1 /
-#: 34.2 MiB RSS with 2^14 / 2^15 / 2^16 (in-process, 2 cores).
+#: ``verify --n-max 3`` takes 0.92 / 0.67 / 0.55 s and peaks at 32.7 / 33.0 /
+#: 33.7 MiB RSS with 2^14 / 2^15 / 2^16 (int32 tables, in-process, 2 cores).
 CHUNK_ENTRIES = 1 << 15
 
 
@@ -247,11 +265,13 @@ class _Projections:
 
     def __init__(self, table: JTable) -> None:
         self.values = table.values.reshape(-1, table.values.shape[-1])
-        self.q = len(table.columns)
+        self.q, self.n_runs = len(table.columns), table.n_runs
         sums = np.abs(self.values)
         sums[:, 0] = 0
-        # Survivors ordered by design, then by mask.
-        self.design, self.survivors = np.nonzero(_subset_sums(sums) >= table.n_runs)
+        # Survivors ordered by design, then by mask; the 2^q sums go first.
+        flat = np.flatnonzero(_subset_sums(sums, self.n_runs) >= self.n_runs)
+        del sums
+        self.design, self.survivors = flat >> self.q, flat & ((1 << self.q) - 1)
         self.sizes = _popcounts(self.q)[self.survivors]
 
     def deficient(self, levels: np.ndarray) -> np.ndarray:
@@ -305,16 +325,17 @@ class _Projections:
     def _has_empty_cell(
         self, design: np.ndarray, masks: np.ndarray, p: int
     ) -> np.ndarray:
-        """Exact check of p-sets: gather J over each set's 2^p submasks;
-        their transform is 2^p times the projected frequencies, and the set
-        misses a level combination iff one is 0."""
+        """Exact check of p-sets: gather J over each set's 2^p submasks; their
+        transform (int64 where it can pass int32) is 2^p times the projected
+        frequencies, and the set misses a level combination iff one is 0."""
         bits = (masks[:, None] >> np.arange(self.q)) & 1
         columns = np.nonzero(bits)[1].reshape(masks.size, p)
         submasks = np.zeros((masks.size, 1), dtype=np.int64)
         for bit in (np.int64(1) << columns).T:
             submasks = np.concatenate([submasks, submasks + bit[:, None]], axis=1)
-        cells = _walsh_hadamard(self.values[design[:, None], submasks])
-        return ~cells.all(axis=1)
+        cells = self.values[design[:, None], submasks]
+        wide = self.n_runs << p > np.iinfo(np.int32).max
+        return ~_walsh_hadamard(cells.astype(np.int64) if wide else cells).all(axis=1)
 
 
 def projection_level_full(

@@ -16,6 +16,7 @@ family              runs N     factors q     extra generator data
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -70,8 +71,15 @@ class Family(Enum):
         raise ValueError(f"unknown family {label!r}")
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, values))  # refused, never truncated
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _check_z4(values: Iterable[int], what: str) -> tuple[int, ...]:
-    vals = tuple(int(x) for x in values)
+    vals = _integers(values, f"{what} entries")
     for x in vals:
         if x not in Z4:
             raise ValueError(f"{what} entries must lie in {{0,1,2,3}}, got {x}")
@@ -94,6 +102,7 @@ class GeneratorSpec:
     v0: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integers((self.n,), "n")[0])
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         object.__setattr__(self, "u", _check_z4(self.u, "u"))
@@ -103,8 +112,8 @@ class GeneratorSpec:
         if self.family.branched:
             if self.u0 is None or self.v0 is None:
                 raise ValueError(f"{self.family.value} requires u0 and v0")
-            if self.u0 not in Z4 or self.v0 not in Z4:
-                raise ValueError("u0 and v0 must lie in {0,1,2,3}")
+            for name, x in zip(("u0", "v0"), _check_z4((self.u0, self.v0), "u0 and v0")):
+                object.__setattr__(self, name, x)
         elif self.u0 is not None or self.v0 is not None:
             raise ValueError(f"{self.family.value} does not take u0/v0")
 

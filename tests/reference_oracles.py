@@ -6,6 +6,8 @@ generator data, with the Gray coordinates of k in Z4 taken from
 ``conftest.GRAY_PAIRS`` (the exact values of sqrt(2)*sin(pi/4 + pi*k/2) and
 sqrt(2)*cos(pi/4 + pi*k/2)).  Neither shares code with the subset-parity
 transform of ``qcdesign.oracle.j_characteristics`` that they check.
+``walsh_hadamard_matrix`` and ``subset_sums_direct`` are the plain
+definitions of the two in-place butterfly transforms of ``qcdesign.oracle``.
 ``csv_rows`` is the line-by-line CSV parser that ``qcdesign.cli`` used
 before it read CSV as arrays; its acceptance and its messages are the
 reference for ``design_from_csv``.
@@ -33,6 +35,25 @@ def j_direct(design: DesignMatrix, labels: Iterable[str]) -> int:
     if not idx:
         raise ValueError("subset must be nonempty")
     return int(design.rows[:, idx].prod(axis=1, dtype=np.int64).sum())
+
+
+def walsh_hadamard_matrix(a: np.ndarray) -> np.ndarray:
+    """The Sylvester transform over the last axis as an explicit product
+    with the +1/-1 matrix H[s, p] = (-1)^popcount(s & p), in int64."""
+    index = np.arange(a.shape[-1])
+    common = index[:, None] & index[None, :]
+    parity = np.zeros_like(common)
+    for bit in range(max(1, a.shape[-1].bit_length())):
+        parity ^= (common >> bit) & 1
+    return a.astype(np.int64) @ (1 - 2 * parity)
+
+
+def subset_sums_direct(a: np.ndarray) -> np.ndarray:
+    """out[s] = sum of in[t] over the submasks t of s, as a product with the
+    0/1 matrix M[t, s] = [t & s == t], in int64."""
+    index = np.arange(a.shape[-1])
+    submask = (index[:, None] & index[None, :]) == index[:, None]
+    return a.astype(np.int64) @ submask.astype(np.int64)
 
 
 @dataclass(frozen=True)

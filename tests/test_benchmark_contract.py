@@ -1,9 +1,12 @@
 """The benchmark under ``perfbench/`` reaches into the library by name.
 
 Its tracer wraps functions given as (layer, name) pairs, and its scripts
-import names from ``qcdesign``.  The benchmark's own tests do not run with
-this suite, so these checks keep a library change from breaking it: a
-missing tracer target would crash a traced run with an ``AttributeError``.
+import names from ``qcdesign``.  The benchmark's own tests
+(``perfbench/tests``) run with this suite, but they check the tracer's
+arithmetic and the workload plumbing, not the names the benchmark takes
+from the library.  These checks do, so that a library change cannot break
+the benchmark: a missing tracer target would crash a traced run with an
+``AttributeError``.
 """
 
 from __future__ import annotations

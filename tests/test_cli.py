@@ -479,6 +479,15 @@ def test_batched_verify_passes_at_n_4_and_5(block):
     assert list(cli._verify_block(*block)) == []
 
 
+def test_verify_parseval_sums_past_int32():
+    # N * 2^q = 2^15 * 2^19 = 2^34: the sum of squares of the int32 J-table
+    # must be taken in a wider type.
+    family = Family.SIXTEENTH_ODD
+    assert family.run_count(7) << family.factor_count(7) > np.iinfo(np.int32).max
+    counts = np.array([[1, 1, 1, 1, 1, 1, 1, 0, 0, 0]])
+    assert list(cli._verify_block(family, counts, u0v0_classes(family)[:1])) == []
+
+
 # ---------------------------------------------------------------------------
 # Design documents: the array reader and writers against the line-by-line
 # reference parser, fuzzed, and against output taken from the writers they

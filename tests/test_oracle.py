@@ -26,12 +26,15 @@ from qcdesign import (
     spectrum_bruteforce,
     spectrum_metrics,
 )
+from qcdesign.oracle import _subset_sums, _walsh_hadamard
 from qcdesign.search import enumerate_profiles, u0v0_classes
 from reference_oracles import (
     character_sum_even,
     character_sum_odd,
     classify_subset,
     j_direct,
+    subset_sums_direct,
+    walsh_hadamard_matrix,
 )
 
 EXAMPLE_EVEN = GeneratorSpec(Family.SIXTEENTH_EVEN, 3, (2, 1, 1), (1, 1, 3))
@@ -363,6 +366,18 @@ def test_projectivity_matches_projection_scan_on_small_designs():
         )
 
 
+def test_projection_cells_past_int32_are_widened():
+    # A full 2^16 factorial plus 2^16 - 1 more copies of its all-+1 run: the
+    # 16-column projection is full, and its all-+1 cell, 2^16 times the
+    # frequency 2^16, would wrap to 0 in int32.
+    full = full_factorial(16)
+    rows = np.concatenate([full.rows, np.ones(((1 << 16) - 1, 16), dtype=np.int8)])
+    design = DesignMatrix(full.columns, rows)
+    assert design.n_runs << 16 > np.iinfo(np.int32).max
+    assert projection_level_full(design, 16)
+    assert projectivity(design) == 16
+
+
 def test_shared_table_gives_the_same_answers():
     design = build_design(EXAMPLE_ODD_N3)
     table = j_characteristics(design)
@@ -372,3 +387,53 @@ def test_shared_table_gives_the_same_answers():
         projection_level_full(design, p, table=table)
         for p in range(1, design.n_factors + 1)
     ] == _levels(design)
+
+
+@st.composite
+def stacks(draw, high, lengths=range(11)):
+    """A stack of 1 to 5 rows of 2^k integers drawn from 0..high, int32 or
+    int64, with k in ``lengths`` (lengths below the transposed block width
+    included)."""
+    k = draw(st.sampled_from(lengths))
+    rows = draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from((np.int32, np.int64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, high, size=(rows, 1 << k), endpoint=True).astype(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks(1 << 20), st.booleans())
+def test_walsh_hadamard_equals_the_matrix_product(a, centred):
+    # Entries of at most 2^20 in magnitude keep every partial sum of up to
+    # 2^10 of them inside int32.
+    if centred:
+        a -= 1 << 19
+    assert np.array_equal(_walsh_hadamard(a.copy()), walsh_hadamard_matrix(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks(1 << 16))
+def test_subset_sums_equal_the_submask_sums(a):
+    cap = int(a.max()) * 2 + 1
+    got, want = _subset_sums(a.copy(), cap), subset_sums_direct(a)
+    assert np.array_equal(np.minimum(got, cap), np.minimum(want, cap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(-(1 << 10), 1 << 10),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_subset_sums_clip_keeps_the_threshold_test(rows, offset, shift, seed):
+    # With a cap near 2^27 the int32 sums of a q = 8 table could pass 2^31
+    # after four stages, so the clip runs: before stage 4, or before stages
+    # 3 and 6 from 2^27 on.  The test >= cap must equal the int64 one.
+    cap = (1 << 27) + offset
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, cap >> shift, size=(rows, 1 << 8), endpoint=True).astype(np.int32)
+    a[rng.random(a.shape) < 0.5] = 0
+    got, want = _subset_sums(a.copy(), cap), subset_sums_direct(a)
+    assert np.array_equal(got >= cap, want >= cap)
+    assert np.array_equal(np.minimum(got, cap), np.minimum(want, cap))

@@ -142,6 +142,26 @@ def test_build_design_rejects_bad_specs():
         GeneratorSpec(Family.SIXTEENTH_ODD, 2, (0,), (0, 1), 1, 1)
 
 
+def test_generator_spec_refuses_non_integers_and_takes_numpy_integers():
+    # Non-integer entries are refused, not truncated: (1.5,) must not build u = (1,).
+    for n, u, v, pair in (
+        (1, (1.5,), (0,), ()),
+        (1, (1,), ("0",), ()),
+        (1.0, (1,), (0,), ()),
+        (1, (1,), (0,), (1.0, 1)),
+    ):
+        family = Family.SIXTEENTH_ODD if pair else Family.SIXTEENTH_EVEN
+        with pytest.raises(ValueError, match="cannot be interpreted as an integer"):
+            GeneratorSpec(family, n, u, v, *pair)
+    spec = GeneratorSpec(
+        Family.SIXTEENTH_ODD, np.int64(1), (np.int8(1),), (np.uint8(0),),
+        np.int32(2), np.int16(1),
+    )
+    assert (spec.n, spec.u, spec.v, spec.u0v0) == (1, (1,), (0,), (2, 1))
+    assert all(type(x) is int for x in (spec.n, *spec.u, *spec.v, *spec.u0v0))
+    assert build_design(spec).rows.shape == (8, 7)
+
+
 def test_design_matrix_validates_entries():
     with pytest.raises(ValueError):
         DesignMatrix(("A", "B"), [[1, 0], [1, -1]])
