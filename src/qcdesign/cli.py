@@ -331,10 +331,6 @@ def _spec_from_flags(args: argparse.Namespace) -> GeneratorSpec:
         raise UsageError("--u and --v must be comma-separated Z4 digits")
     try:
         pair = normalize_u0v0(args.u0v0) if args.u0v0 else (None, None)
-        if family.branched and pair[0] is None:
-            raise UsageError(f"--u0v0 is required for {family.value}")
-        if not family.branched and pair[0] is not None:
-            raise UsageError(f"--u0v0 is not accepted for {family.value}")
         return GeneratorSpec(family, args.n, u, v, *pair)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -355,6 +351,8 @@ def _resolve_design(args: argparse.Namespace) -> DesignDocument:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    if args.with_metrics and args.format == "csv":
+        raise UsageError("--with-metrics needs --format json; a CSV design has no metrics")
     spec = _spec_from_flags(args)
     design = build_design(spec)
     doc = DesignDocument(spec, design)
@@ -576,9 +574,8 @@ def _verify_blocks(
     are all its profiles times all its u0v0 values."""
     blocks = []
     for family in families:
-        pairs = u0v0_classes(family) if family.branched else (None,)
         for n in range(1, n_max + 1):
-            blocks.append((family, profile_array(n), pairs))
+            blocks.append((family, profile_array(n), u0v0_classes(family)))
     rng = random.Random(seed)
     for _ in range(sample):
         family = rng.choice(families)
@@ -671,6 +668,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1 or args.sample < 0:
         raise UsageError("--n-max must be positive and --sample nonnegative")
     families = [Family.from_label(f) for f in args.families]
+    n_top = args.n_max + 2 if args.sample else args.n_max  # samples reach n_max + 2
+    q, label = max((f.factor_count(n_top), f.value) for f in families)
+    if q > DEFAULT_MAX_FACTORS:
+        raise UsageError(f"{label} designs at n = {n_top} have q = {q} factors, "
+                         f"above the oracle's cap of {DEFAULT_MAX_FACTORS}")
     failures = []
     verified = 0
     for family, profiles, pairs in _verify_blocks(

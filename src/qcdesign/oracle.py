@@ -94,15 +94,6 @@ def _subset_sums(a: np.ndarray, cap: int) -> np.ndarray:
     return a
 
 
-def _popcounts(q: int) -> np.ndarray:
-    counts = np.zeros(1 << q, dtype=np.uint8)
-    h = 1
-    while h < counts.size:
-        counts[h : 2 * h] = counts[:h] + 1
-        h *= 2
-    return counts
-
-
 @dataclass(frozen=True, eq=False)
 class JTable:
     """All 2^q J-characteristics of a design, indexed by column-subset mask.
@@ -126,7 +117,7 @@ class JTable:
         q = len(self.columns)
         flat = np.flatnonzero(self.values)  # several times faster than a 2-D nonzero
         flat = flat[(flat & ((1 << q) - 1)) != 0]  # J(empty) = N is no word
-        lengths = _popcounts(q)[flat & ((1 << q) - 1)].astype(np.int64)
+        lengths = np.bitwise_count(flat & ((1 << q) - 1)).astype(np.int64)
         return flat >> q, lengths, np.abs(self.values.ravel()[flat])
 
 
@@ -164,12 +155,12 @@ def j_table_chunks(
     equal-n profiles and ``pairs`` is ``(None,)`` for even-run families."""
     n = int(counts[0].sum())
     step = max(1, CHUNK_ENTRIES >> family.factor_count(n))
-    pair_rows = np.array(pairs) if family.branched else None
+    pair_rows = np.array(pairs)  # design_stack ignores it for even-run families
     columns = column_labels(family, n)
     for start in range(0, p.size, step):
         cp, cc = p[start : start + step], c[start : start + step]
         u, v = realize_profiles(counts[cp])
-        rows = design_stack(family, n, u, v, None if pair_rows is None else pair_rows[cc])
+        rows = design_stack(family, n, u, v, pair_rows[cc])
         yield cp, cc, JTable(columns, family.run_count(n), j_tables(rows))
 
 
@@ -272,7 +263,7 @@ class _Projections:
         flat = np.flatnonzero(_subset_sums(sums, self.n_runs) >= self.n_runs)
         del sums
         self.design, self.survivors = flat >> self.q, flat & ((1 << self.q) - 1)
-        self.sizes = _popcounts(self.q)[self.survivors]
+        self.sizes = np.bitwise_count(self.survivors)
 
     def deficient(self, levels: np.ndarray) -> np.ndarray:
         """Whether some levels[d]-column projection of design d misses a

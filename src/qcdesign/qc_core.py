@@ -86,6 +86,21 @@ def _check_z4(values: Iterable[int], what: str) -> tuple[int, ...]:
     return vals
 
 
+def _check_u0v0(family: Family, u0v0: Sequence[int] | None) -> tuple[int, int] | None:
+    """``u0v0`` as two Z4 ints, present exactly for the branched families."""
+    if (u0v0 is None) == family.branched:
+        verb = "requires" if family.branched else "does not take"
+        raise ValueError(f"{family.value} {verb} u0v0")
+    return None if u0v0 is None else _check_pair(u0v0)
+
+
+def _check_pair(u0v0: Sequence[int]) -> tuple[int, int]:
+    pair = _check_z4(u0v0, "u0v0")
+    if len(pair) != 2:
+        raise ValueError(f"u0v0 must have two entries, got {len(pair)}")
+    return pair
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Generator data for one design: family tag plus Z4 vectors.
@@ -109,19 +124,13 @@ class GeneratorSpec:
         object.__setattr__(self, "v", _check_z4(self.v, "v"))
         if len(self.u) != self.n or len(self.v) != self.n:
             raise ValueError("u and v must both have length n")
-        if self.family.branched:
-            if self.u0 is None or self.v0 is None:
-                raise ValueError(f"{self.family.value} requires u0 and v0")
-            for name, x in zip(("u0", "v0"), _check_z4((self.u0, self.v0), "u0 and v0")):
-                object.__setattr__(self, name, x)
-        elif self.u0 is not None or self.v0 is not None:
-            raise ValueError(f"{self.family.value} does not take u0/v0")
+        pair = None if self.u0 is None and self.v0 is None else (self.u0, self.v0)
+        for name, x in zip(("u0", "v0"), _check_u0v0(self.family, pair) or (None, None)):
+            object.__setattr__(self, name, x)
 
     @property
     def u0v0(self) -> tuple[int, int] | None:
-        if self.u0 is None:
-            return None
-        return (self.u0, self.v0)
+        return None if self.u0 is None else (self.u0, self.v0)
 
 
 def column_labels(family: Family, n: int) -> tuple[str, ...]:
@@ -245,6 +254,7 @@ class GeneratorProfile:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", _integers(self.counts, "profile entries"))
         if len(self.counts) != 10:
             raise ValueError("profile must have 10 entries")
         if any(x < 0 for x in self.counts):
@@ -315,10 +325,5 @@ def spec_for(
 ) -> GeneratorSpec:
     """Build a GeneratorSpec from a profile via its canonical realization."""
     u, v = realize_profile(profile)
-    if family.branched:
-        if u0v0 is None:
-            raise ValueError(f"{family.value} requires u0v0")
-        return GeneratorSpec(family, profile.n, u, v, u0v0[0], u0v0[1])
-    if u0v0 is not None:
-        raise ValueError(f"{family.value} does not take u0v0")
-    return GeneratorSpec(family, profile.n, u, v)
+    u0, v0 = (None, None) if u0v0 is None else _check_pair(u0v0)
+    return GeneratorSpec(family, profile.n, u, v, u0, v0)

@@ -27,13 +27,13 @@ from .oracle import DEFAULT_MAX_FACTORS, j_table_chunks
 from .qc_core import Family, GeneratorProfile
 from .spectrum import Resolution, spectrum_metrics
 from .theory import (
-    U0V0_CLASSES_EIGHTH,
-    U0V0_CLASSES_SIXTEENTH,
+    U0V0,
     ClosedForms,
     closed_forms,
     family_spectrum,
     projectivity_bound,
     u0v0_class,
+    u0v0_classes,
 )
 
 #: Largest n ``optimize`` accepts unless told otherwise.  At n = 10 the
@@ -41,7 +41,6 @@ from .theory import (
 #: below 100 MiB; at n = 11 the eighth-odd scan peaks near 155 MiB.
 DEFAULT_MAX_N = 10
 
-U0V0 = tuple[int, int]
 Candidate = tuple[GeneratorProfile, U0V0 | None]
 
 
@@ -76,12 +75,6 @@ def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
     """All C(n+9, 9) compositions of n into ten counts, lexicographically."""
     for counts in profile_array(n).tolist():
         yield GeneratorProfile(tuple(counts))
-
-
-def u0v0_classes(family: Family) -> tuple[U0V0, ...]:
-    if not family.branched:
-        raise ValueError(f"{family.value} has no u0v0 classes")
-    return U0V0_CLASSES_SIXTEENTH if family.sixteenth else U0V0_CLASSES_EIGHTH
 
 
 def all_u0v0_pairs() -> tuple[U0V0, ...]:
@@ -229,12 +222,10 @@ def optimize(
                 f"projectivity refinement; use --skip-projectivity"
             )
     profiles = profile_array(n)
-    if family.branched:
-        pairs = all_u0v0_pairs() if all_pairs else u0v0_classes(family)
-    else:
-        pairs = (None,)
+    all_pairs = all_pairs and family.branched
+    pairs = all_u0v0_pairs() if all_pairs else u0v0_classes(family)
     forms = closed_forms(family, profiles, pairs)
-    if all_pairs and family.branched:
+    if all_pairs:
         _check_class_ties(family, profiles, pairs, forms)
     wlp_keys = _wlp_keys(forms, q)
     res = _resolution_keys(forms)

@@ -27,7 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .qc_core import Family, GeneratorProfile
+from .qc_core import (
+    _CLASS_OF, _CLASS_PAIRS, Family, GeneratorProfile, _check_pair, _check_u0v0,
+)
 from .spectrum import WordSpectrum
 
 # Raw spectra are lists of (length, e, count) with aliasing index 2^-e.
@@ -172,7 +174,9 @@ _EIGHTH_EVEN_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (10, 2, _W, (1,)),
 )
 
-_SIXTEENTH_COLS = ("00", "01", "02", "10", "11", "12", "13", "20", "21", "22")
+_SIXTEENTH_COLS: tuple[U0V0, ...] = (
+    (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2),
+)
 _SIXTEENTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (1, 1, _T1, (2, 2, 2, 1, 1, 1, 1, 0, 0, 0)),
     (1, 2, _T1, (0, 0, 0, 1, 1, 1, 1, 2, 2, 2)),
@@ -196,9 +200,9 @@ _SIXTEENTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (10, 3, _W, (0, 1, 2, 1, 0, 1, 2, 2, 1, 0)),
 )
 
-_EIGHTH_COLS = (
-    "00", "01", "02", "10", "11", "12", "13",
-    "20", "21", "22", "30", "31", "32", "33",
+_EIGHTH_COLS: tuple[U0V0, ...] = (
+    (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3),
+    (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3),
 )
 _EIGHTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (1, 1, _T1, (1, 1, 1, _K11, _K11, _K11, _K11, 0, 0, 0, _K12, _K12, _K12, _K12)),
@@ -217,48 +221,46 @@ _EIGHTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (10, 3, _W, (0, _H, 1, _H, 0, _H, 1, 1, _H, 0, _H, 1, _H, 0)),
 )
 
+_ROWS = {
+    Family.SIXTEENTH_EVEN: _SIXTEENTH_EVEN_ROWS,
+    Family.EIGHTH_EVEN: _EIGHTH_EVEN_ROWS,
+    Family.SIXTEENTH_ODD: _SIXTEENTH_ROWS,
+    Family.EIGHTH_ODD: _EIGHTH_ROWS,
+}
+
 #: u0v0 values whose omega0/omega rows apply unconditionally.
 _UNGATED = {(1, 1), (1, 3), (3, 1), (3, 3)}
 
-#: Merged-column mapping for the sixteenth-fraction count table.
-_SIXTEENTH_CLASS = {
-    "00": "00", "01": "01", "02": "02", "03": "01",
-    "10": "10", "11": "11", "12": "12", "13": "13",
-    "20": "20", "21": "21", "22": "22", "23": "21",
-    "30": "10", "31": "13", "32": "12", "33": "11",
-}
+#: Merged columns of the sixteenth-fraction count table: the (k, s) sign
+#: classes of a profile, each under its first-listed pair.
+_SIXTEENTH_CLASS = {pair: _CLASS_PAIRS[c][0] for pair, c in _CLASS_OF.items()}
 
-#: Merged-column mapping for the eighth-fraction count table.
-_EIGHTH_CLASS = {f"{a}{b}": f"{a}{b}" for a in range(4) for b in range(4)}
-_EIGHTH_CLASS["03"] = "01"
-_EIGHTH_CLASS["23"] = "21"
+#: Merged columns of the eighth-fraction count table; other pairs stand alone.
+_EIGHTH_CLASS = {(0, 3): (0, 1), (2, 3): (2, 1)}
 
-U0V0_CLASSES_SIXTEENTH: tuple[U0V0, ...] = tuple(
-    (int(c[0]), int(c[1])) for c in _SIXTEENTH_COLS
-)
-U0V0_CLASSES_EIGHTH: tuple[U0V0, ...] = tuple(
-    (int(c[0]), int(c[1])) for c in _EIGHTH_COLS
-)
+
+def u0v0_classes(family: Family) -> tuple[U0V0 | None, ...]:
+    """The family's u0v0 axis: one pair per merged count-table column, or
+    ``(None,)`` for the even-run families."""
+    if not family.branched:
+        return (None,)
+    return _SIXTEENTH_COLS if family.sixteenth else _EIGHTH_COLS
 
 
 def normalize_u0v0(u0v0: U0V0 | str) -> U0V0:
+    """(u0, v0) from two Z4 values or from two digits such as ``"12"``."""
     if isinstance(u0v0, str):
         text = u0v0.strip()
         if len(text) != 2 or not text.isdigit():
             raise ValueError(f"u0v0 must be two Z4 digits, got {u0v0!r}")
         u0v0 = (int(text[0]), int(text[1]))
-    u0, v0 = int(u0v0[0]), int(u0v0[1])
-    if u0 not in (0, 1, 2, 3) or v0 not in (0, 1, 2, 3):
-        raise ValueError("u0 and v0 must lie in {0,1,2,3}")
-    return (u0, v0)
+    return _check_pair(u0v0)
 
 
 def u0v0_class(family: Family, u0v0: U0V0 | str) -> U0V0:
     """Representative of the merged count-table column containing u0v0."""
-    u0, v0 = normalize_u0v0(u0v0)
-    mapping = _SIXTEENTH_CLASS if family.sixteenth else _EIGHTH_CLASS
-    rep = mapping[f"{u0}{v0}"]
-    return (int(rep[0]), int(rep[1]))
+    pair = normalize_u0v0(u0v0)
+    return (_SIXTEENTH_CLASS if family.sixteenth else _EIGHTH_CLASS).get(pair, pair)
 
 
 @dataclass(frozen=True)
@@ -276,19 +278,13 @@ def _table(family: Family, pairs: tuple[U0V0 | None, ...]) -> _Table:
     """Resolve a family's count table for the given u0v0 values: tokens
     and row gates become doubled weights indexed [gate, pair, row], the
     gate numbered as in ``_gates``."""
-    if family.branched:
-        if family.sixteenth:
-            cols, rows = _SIXTEENTH_COLS, _SIXTEENTH_ROWS
-        else:
-            cols, rows = _EIGHTH_COLS, _EIGHTH_ROWS
-    else:
-        cols, rows = ("",), _SIXTEENTH_EVEN_ROWS if family.sixteenth else _EIGHTH_EVEN_ROWS
+    cols, rows = u0v0_classes(family), _ROWS[family]
     weights = np.zeros((4, len(pairs), len(rows)), dtype=np.int8)
     for gate in range(4):
         populated, diagonal_empty = bool(gate >> 1), bool(gate & 1)
         doubled = {0: 0, 1: 2, 2: 4, 4: 8, _H: 1, **_k_weights(populated)}
         for j, pair in enumerate(pairs):
-            col = 0 if pair is None else cols.index("%d%d" % u0v0_class(family, pair))
+            col = cols.index(pair if pair is None else u0v0_class(family, pair))
             for r, (_, _, key, entries) in enumerate(rows):
                 if pair not in _UNGATED and (
                     (key == _W0 and not diagonal_empty)
@@ -343,16 +339,6 @@ class ClosedForms:
         return self.lengths[p].astype(np.int64), exps, (weights << 2 * exps) >> 1
 
 
-def _check_pairs(family: Family, pairs: Sequence[U0V0 | str | None]) -> tuple:
-    if family.branched:
-        if any(pair is None for pair in pairs):
-            raise ValueError(f"{family.value} requires u0v0")
-        return tuple(normalize_u0v0(pair) for pair in pairs)
-    if any(pair is not None for pair in pairs):
-        raise ValueError(f"{family.value} does not take u0v0")
-    return tuple(pairs)
-
-
 def closed_forms(
     family: Family, counts: np.ndarray, pairs: Sequence[U0V0 | str | None]
 ) -> ClosedForms:
@@ -361,7 +347,7 @@ def closed_forms(
     ``counts`` is a (profiles, 10) array of class counts; ``pairs`` are the
     u0v0 values (``(None,)`` for the even-run families).
     """
-    pairs = _check_pairs(family, pairs)
+    pairs = tuple(_check_u0v0(family, p if p is None else normalize_u0v0(p)) for p in pairs)
     counts = np.asarray(counts, dtype=np.int16).reshape(-1, 10)
     if counts.size and int(counts.sum(axis=1).max()) > _MAX_PROFILE_N:
         raise ValueError(f"closed forms are evaluated for n <= {_MAX_PROFILE_N}")
@@ -401,7 +387,7 @@ def _raw_spectrum(forms: ClosedForms, p: int, c: int) -> RawSpectrum:
 def _raw_family(
     family: Family,
     profile: GeneratorProfile,
-    u0v0: U0V0 | None = None,
+    u0v0: U0V0 | str | None = None,
 ) -> RawSpectrum:
     counts = np.array([profile.counts], dtype=np.int16)
     return _raw_spectrum(closed_forms(family, counts, (u0v0,)), 0, 0)
@@ -419,8 +405,6 @@ def family_spectrum(
     u0v0: U0V0 | str | None = None,
 ) -> WordSpectrum:
     """Closed-form spectrum of one design of any family."""
-    if u0v0 is not None:
-        u0v0 = normalize_u0v0(u0v0)
     return _to_spectrum(_raw_family(family, profile, u0v0))
 
 

@@ -137,7 +137,7 @@ def raw_branched(
         cols, rows, cls = _SIXTEENTH_COLS, _SIXTEENTH_ROWS, _SIXTEENTH_CLASS
     else:
         cols, rows, cls = _EIGHTH_COLS, _EIGHTH_ROWS, _EIGHTH_CLASS
-    col = cols.index(cls[f"{u0v0[0]}{u0v0[1]}"])
+    col = cols.index(cls.get(u0v0, u0v0))
     ungated = u0v0 in _UNGATED
 
     raw: RawSpectrum = []

@@ -31,8 +31,7 @@ from qcdesign import (
     spectrum_bruteforce,
     spectrum_metrics,
 )
-from qcdesign.search import EIGHTH_ROWS, SIXTEENTH_ROWS
-from qcdesign.theory import U0V0_CLASSES_EIGHTH, U0V0_CLASSES_SIXTEENTH
+from qcdesign.search import EIGHTH_ROWS, SIXTEENTH_ROWS, u0v0_classes
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -42,12 +41,6 @@ EXAMPLE_ODD = GeneratorSpec(Family.SIXTEENTH_ODD, 2, (1, 2), (2, 1), 1, 1)
 EXTENSION_ODD = spec_for(
     Family.EIGHTH_ODD, GeneratorProfile.from_digits("0020220000"), (2, 0)
 )
-
-
-def classes_for(family: Family):
-    if not family.branched:
-        return (None,)
-    return U0V0_CLASSES_SIXTEENTH if family.sixteenth else U0V0_CLASSES_EIGHTH
 
 
 def both_spectra(spec: GeneratorSpec):
@@ -153,7 +146,7 @@ def test_criterion_7_master_equivalence():
     for n in (1, 2, 3):
         for profile in enumerate_profiles(n):
             for family in Family:
-                for pair in classes_for(family):
+                for pair in u0v0_classes(family):
                     spec = spec_for(family, profile, pair)
                     theory = family_spectrum(family, profile, pair)
                     oracle = spectrum_bruteforce(build_design(spec))
@@ -168,7 +161,7 @@ def test_criterion_7_master_equivalence():
         for _ in range(n):
             counts[rng.randrange(10)] += 1
         profile = GeneratorProfile(tuple(counts))
-        pair = rng.choice(classes_for(family))
+        pair = rng.choice(u0v0_classes(family))
         spec = spec_for(family, profile, pair)
         theory = family_spectrum(family, profile, pair)
         oracle = spectrum_bruteforce(build_design(spec))
@@ -183,7 +176,7 @@ def test_criterion_8_parseval():
     for n in (1, 2):
         for profile in enumerate_profiles(n):
             for family in Family:
-                for pair in classes_for(family):
+                for pair in u0v0_classes(family):
                     specs.append(spec_for(family, profile, pair))
     for spec in specs:
         design = build_design(spec)

@@ -37,7 +37,7 @@ from qcdesign.cli import (
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.search import profile_array, u0v0_classes
 from qcdesign.spectrum import parse_fraction
-from qcdesign.theory import family_spectrum
+from qcdesign.theory import closed_forms, family_spectrum
 
 
 def run(capsys, *argv):
@@ -94,6 +94,58 @@ def test_build_writes_document(tmp_path, capsys):
     assert doc.metrics["resolution"] == "9/2"
     rebuilt = build_design(doc.spec)
     assert np.array_equal(rebuilt.rows, doc.design.rows)
+
+
+def test_build_refuses_metrics_in_csv(capsys):
+    code, stdout, err = run(
+        capsys, "build", "--family", "sixteenth-even", "--n", "1",
+        "--u", "0", "--v", "0", "--format", "csv", "--with-metrics",
+    )
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--with-metrics" in err
+
+
+def test_every_entry_point_refuses_the_same_u0v0(tmp_path, capsys):
+    # Non-integer, string, out-of-range and three-entry pairs, and a pair on
+    # an even-run family: refused by the library, by --u0v0 and by a JSON
+    # document's "u0v0" alike.  The flag is text, so it has no string entries.
+    odd, even = Family.SIXTEENTH_ODD, Family.SIXTEENTH_EVEN
+    profile, u, v = GeneratorProfile.from_digits("0011000000"), (1, 2), (2, 1)
+    cases = [
+        (odd, (1.5, 2), "1.5"), (odd, ("1", 2), None), (odd, (4, 0), "40"),
+        (odd, (1, 2, 3), "123"), (even, (1, 2), "12"),
+    ]
+    spec = GeneratorSpec(odd, 2, u, v, 1, 2)
+    payload = json.loads(document_to_json(DesignDocument(spec, build_design(spec))))
+    for family, pair, flag in cases:
+        calls = [
+            lambda: spec_for(family, profile, pair),
+            lambda: family_spectrum(family, profile, pair),
+            lambda: closed_forms(family, np.array([profile.counts]), (pair,)),
+        ]
+        if len(pair) == 2:  # GeneratorSpec takes u0 and v0 as two fields
+            calls.append(lambda: GeneratorSpec(family, 2, u, v, *pair))
+        for call in calls:
+            with pytest.raises(ValueError, match="u0v0"):
+                call()
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({**payload, "family": family.value, "u0v0": pair}))
+        outcomes = [run(capsys, "metrics", "--design", str(path))]
+        if flag is not None:
+            outcomes.append(run(
+                capsys, "build", "--family", family.value, "--n", "2",
+                "--u", "1,2", "--v", "2,1", "--u0v0", flag,
+            ))
+        for code, stdout, err in outcomes:
+            assert code == EXIT_USAGE and stdout == "", (pair, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    # Numpy integers are integers.
+    pair = (np.int64(1), np.uint8(2))
+    assert GeneratorSpec(odd, 2, u, v, *pair) == spec_for(odd, profile, pair) == spec
+    assert family_spectrum(odd, profile, np.array(pair)) == family_spectrum(odd, profile, "12")
+    assert closed_forms(odd, np.array([profile.counts]), (pair,)).table is (
+        closed_forms(odd, np.array([profile.counts]), ((1, 2),)).table
+    )
 
 
 def test_build_csv_constant_checks(capsys):
@@ -338,11 +390,26 @@ def test_bound_command(capsys):
     ("--n-max", "-1", "--sample", "1", "--seed", "1"),
     ("--n-max", "-1", "--sample", "1", "--seed", "2"),
     ("--sample", "-1"),
+    # Above the oracle's cap of 20 factors: sixteenth-odd n = 8 has q = 21,
+    # and --sample draws up to n-max + 2.
+    ("--n-max", "8"),
+    ("--n-max", "6", "--sample", "3"),
+    ("--n-max", "9", "--families", "eighth-even"),
 ])
 def test_verify_usage_errors(capsys, argv):
     code, stdout, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE and stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_refuses_sizes_above_the_oracle_cap(capsys):
+    # Refused before any block runs, not after the smaller ones.
+    code, _, err = run(capsys, "verify", "--n-max", "6", "--sample", "1")
+    assert code == EXIT_USAGE
+    assert err == (
+        "error: sixteenth-odd designs at n = 8 have q = 21 factors, "
+        "above the oracle's cap of 20\n"
+    )
 
 
 def test_verify_reports_every_failure(capsys, monkeypatch):
@@ -423,7 +490,7 @@ def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
     # their borders fall inside a profile's u0v0 values.
     monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
     for family in Family:
-        pairs = u0v0_classes(family) if family.branched else (None,)
+        pairs = u0v0_classes(family)
         for n in (1, 2):
             counts = profile_array(n)
             every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))

@@ -162,6 +162,17 @@ def test_generator_spec_refuses_non_integers_and_takes_numpy_integers():
     assert build_design(spec).rows.shape == (8, 7)
 
 
+def test_generator_profile_refuses_non_integer_counts():
+    # 1.5 must not give n = 2.5, nor a spectrum of the truncated 0011000000.
+    for counts in ((0, 0, 1.5, 1, 0, 0, 0, 0, 0, 0), (0, 0, "1", 1, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="cannot be interpreted as an integer"):
+            GeneratorProfile(counts)
+    profile = GeneratorProfile(tuple(np.array([0, 0, 1, 1, 0, 0, 0, 0, 0, 0], np.int8)))
+    assert profile == GeneratorProfile.from_digits("0011000000")
+    assert (profile.n, profile.digits) == (2, "0011000000")
+    assert all(type(x) is int for x in profile.counts)
+
+
 def test_design_matrix_validates_entries():
     with pytest.raises(ValueError):
         DesignMatrix(("A", "B"), [[1, 0], [1, -1]])

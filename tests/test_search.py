@@ -77,7 +77,7 @@ def test_optimize_max_projectivity_small(monkeypatch, family, n, entries):
     # score many at once.
     monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
     result = optimize(n, family, Criterion.PROJECTIVITY)
-    pairs = u0v0_classes(family) if family.branched else (None,)
+    pairs = u0v0_classes(family)
     scanned = {
         (profile, pair): scan_projectivity(build_design(spec_for(family, profile, pair)))
         for profile in enumerate_profiles(n)

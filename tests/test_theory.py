@@ -32,8 +32,6 @@ from qcdesign.search import (
     u0v0_classes,
 )
 from qcdesign.theory import (
-    U0V0_CLASSES_EIGHTH,
-    U0V0_CLASSES_SIXTEENTH,
     _L,
     _gates,
     _indicators,
@@ -214,12 +212,7 @@ def test_theory_counts_are_positive_integers():
             counts[rng.randrange(10)] += 1
         profile = GeneratorProfile(tuple(counts))
         for family in Family:
-            pairs = (None,)
-            if family.branched:
-                pairs = (
-                    U0V0_CLASSES_SIXTEENTH if family.sixteenth else U0V0_CLASSES_EIGHTH
-                )
-            for pair in pairs:
+            for pair in u0v0_classes(family):
                 for entry in family_spectrum(family, profile, pair):
                     assert entry.count >= 1
                     assert entry.ai.denominator & (entry.ai.denominator - 1) == 0
@@ -229,14 +222,7 @@ def test_master_equivalence_exhaustive_n2():
     for n in (1, 2):
         for profile in compositions(n):
             for family in Family:
-                pairs = (None,)
-                if family.branched:
-                    pairs = (
-                        U0V0_CLASSES_SIXTEENTH
-                        if family.sixteenth
-                        else U0V0_CLASSES_EIGHTH
-                    )
-                for pair in pairs:
+                for pair in u0v0_classes(family):
                     design = build_design(spec_for(family, profile, pair))
                     assert family_spectrum(family, profile, pair) == (
                         spectrum_bruteforce(design)
@@ -251,9 +237,23 @@ def test_u0v0_class_mapping():
         assert u0v0_class(Family.SIXTEENTH_ODD, raw) == (int(rep[0]), int(rep[1]))
     assert u0v0_class(Family.EIGHTH_ODD, "03") == (0, 1)
     assert u0v0_class(Family.EIGHTH_ODD, "23") == (2, 1)
-    # Everything else stands alone in the eighth-fraction table.
-    assert u0v0_class(Family.EIGHTH_ODD, "33") == (3, 3)
-    assert u0v0_class(Family.EIGHTH_ODD, "30") == (3, 0)
+    # Every other pair stands alone: in the sixteenth-fraction table those
+    # are its ten columns, in the eighth-fraction table all fourteen.
+    for pair in all_u0v0_pairs():
+        text = "%d%d" % pair
+        if text not in merged:
+            assert u0v0_class(Family.SIXTEENTH_ODD, pair) == pair
+        if text not in ("03", "23"):
+            assert u0v0_class(Family.EIGHTH_ODD, text) == pair
+
+
+def test_u0v0_classes_by_family():
+    # One u0v0 axis per family: the merged count-table columns, and one
+    # None for the even-run families.
+    assert u0v0_classes(Family.SIXTEENTH_EVEN) == u0v0_classes(Family.EIGHTH_EVEN) == (None,)
+    texts = {f: ["%d%d" % pair for pair in u0v0_classes(f)] for f in Family if f.branched}
+    assert texts[Family.SIXTEENTH_ODD] == "00 01 02 10 11 12 13 20 21 22".split()
+    assert texts[Family.EIGHTH_ODD] == "00 01 02 10 11 12 13 20 21 22 30 31 32 33".split()
 
 
 def test_all_sixteen_u0v0_pairs_against_oracle_exhaustive_small():
@@ -285,9 +285,7 @@ def test_projectivity_bound_reference_cases():
 
 
 def _pairs(family: Family, every_pair: bool = False):
-    if not family.branched:
-        return (None,)
-    return all_u0v0_pairs() if every_pair else u0v0_classes(family)
+    return all_u0v0_pairs() if every_pair and family.branched else u0v0_classes(family)
 
 
 @pytest.mark.parametrize("family", list(Family))
