@@ -185,8 +185,6 @@ def document_from_json(text: str) -> DesignDocument:
         raise UsageError("document run/factor counts disagree with the rows")
     spec = None
     if payload.get("family"):
-        if set(map(type, [payload["n"], *payload["u"], *payload["v"]])) - {int}:
-            raise UsageError("the generator fields n, u and v must be JSON integers")
         pair = normalize_u0v0(payload["u0v0"]) if payload.get("u0v0") else (None, None)
         spec = GeneratorSpec(Family.from_label(payload["family"]), payload["n"],
                              tuple(payload["u"]), tuple(payload["v"]), *pair)
@@ -478,7 +476,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         row = {
-            "design": f"2^{{{family.factor_count(args.n)}-{4 if family.sixteenth else 3}}}",
+            "design": family.label(args.n),
             "profile": payload["profile"],
             "u0v0": payload["u0v0"] or "-",
             "R": payload["resolution"],
@@ -547,14 +545,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError("--n must be positive")
     family = Family.from_label(args.family)
-    q = family.factor_count(args.n)
-    fraction = "sixteenth" if family.sixteenth else "eighth"
-    ceiling = orthogonal_array_ceiling(q, fraction)
-    print(f"design: {family.value}, n = {args.n}, q = {q}")
+    print(f"design: {family.value}, n = {args.n}, q = {family.factor_count(args.n)}")
     try:
         print(f"closed-form projectivity bound: {projectivity_bound(args.n, family)}")
     except NoClosedFormBound:
         print("closed-form projectivity bound: none for eighth fractions")
+    ceiling = orthogonal_array_ceiling(family, args.n)
     print(f"orthogonal-array ceiling (all designs of this size): {ceiling}")
     return EXIT_OK
 

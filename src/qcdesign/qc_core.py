@@ -44,24 +44,24 @@ class Family(Enum):
         return self in (Family.SIXTEENTH_ODD, Family.EIGHTH_ODD)
 
     @property
-    def drops_first_check(self) -> bool:
-        """True for the eighth fractions, which omit column F1."""
-        return self in (Family.EIGHTH_EVEN, Family.EIGHTH_ODD)
-
-    @property
     def sixteenth(self) -> bool:
         return self in (Family.SIXTEENTH_EVEN, Family.SIXTEENTH_ODD)
 
+    @property
+    def checks(self) -> int:
+        """Check columns kept: F1..F4 for a one-sixteenth fraction, and
+        F2..F4 for a one-eighth fraction, which omits F1."""
+        return 4 if self.sixteenth else 3
+
     def run_count(self, n: int) -> int:
-        return 2 ** (2 * n + 1) if self.branched else 2 ** (2 * n)
+        return 2 ** (2 * n + self.branched)
 
     def factor_count(self, n: int) -> int:
-        q = 2 * n + 4
-        if self.branched:
-            q += 1
-        if self.drops_first_check:
-            q -= 1
-        return q
+        return 2 * n + self.branched + self.checks
+
+    def label(self, n: int) -> str:
+        """The fraction as 2^{q-k}: q factors, k check columns."""
+        return f"2^{{{self.factor_count(n)}-{self.checks}}}"
 
     @classmethod
     def from_label(cls, label: str) -> "Family":
@@ -72,6 +72,9 @@ class Family(Enum):
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if any(isinstance(x, bool) for x in values):  # operator.index reads True as 1
+        raise ValueError(f"{what}: 'bool' object cannot be interpreted as an integer")
     try:
         return tuple(map(operator.index, values))  # refused, never truncated
     except TypeError as exc:
@@ -135,9 +138,7 @@ class GeneratorSpec:
 
 def column_labels(family: Family, n: int) -> tuple[str, ...]:
     """Ordered factor labels: F1..F4 checks, F5 for branched, then pairs Fj1, Fj2."""
-    labels = ["F1", "F2", "F3", "F4"]
-    if family.drops_first_check:
-        labels = labels[1:]
+    labels = ["F1", "F2", "F3", "F4"][4 - family.checks :]
     if family.branched:
         labels.append("F5")
     for j in range(1, n + 1):
@@ -208,9 +209,7 @@ def design_stack(
         shared.append(np.repeat(np.array([1, -1], dtype=np.int8), base))
     tu %= 4
     tv %= 4
-    checks = [_GRAY1[tu], _GRAY2[tu], _GRAY1[tv], _GRAY2[tv]]
-    if family.drops_first_check:
-        checks = checks[1:]
+    checks = [_GRAY1[tu], _GRAY2[tu], _GRAY1[tv], _GRAY2[tv]][4 - family.checks :]
     for j in range(n):
         shared += [_GRAY1[digits[:, j]], _GRAY2[digits[:, j]]]
     stack = np.empty((tu.shape[1], tu.shape[0], len(checks) + len(shared)), np.int8)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -274,26 +273,15 @@ def optimize(
     )
 
 
-@lru_cache(maxsize=None)
-def _optimize_cached(
-    n: int, family: Family, criterion: Criterion, with_projectivity: bool
-) -> SearchResult:
-    return optimize(n, family, criterion, with_projectivity=with_projectivity)
+def orthogonal_array_ceiling(family: Family, n: int) -> int:
+    """Highest projectivity any design of this size could have: log2 N - 1.
 
-
-def orthogonal_array_ceiling(q: int, fraction: str) -> int:
-    """Highest projectivity any design of this size could have.
-
-    Exceeding it would require an index-one orthogonal array of strength
-    q - 4 (sixteenth fractions) or q - 3 (eighth fractions), which does not
-    exist; rows attaining the ceiling are globally optimal among all
-    designs, not just the code-derived ones.
+    A projectivity of log2 N would need an index-one orthogonal array of
+    strength log2 N on more than log2 N + 1 factors, which does not exist;
+    rows attaining the ceiling have maximum projectivity among all designs,
+    not just the code-derived ones.
     """
-    if fraction == "sixteenth":
-        return q - 5
-    if fraction == "eighth":
-        return q - 4
-    raise ValueError("fraction must be 'sixteenth' or 'eighth'")
+    return family.run_count(n).bit_length() - 2
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +293,6 @@ def orthogonal_array_ceiling(q: int, fraction: str) -> int:
 
 @dataclass(frozen=True)
 class TableRowSpec:
-    label: str
     family: Family
     n: int
     profile: str
@@ -316,45 +303,49 @@ class TableRowSpec:
     regular_projectivity: int
     regular: RegularReference
 
+    @property
+    def label(self) -> str:
+        return self.family.label(self.n)
 
-def _row(label, family, n, profile, u0v0, res, a4, proj, reg_proj, reg_r, cmp):
+
+def _row(family, n, profile, u0v0, res, a4, proj, reg_proj, reg_r, cmp):
     return TableRowSpec(
-        label, family, n, profile, u0v0, Fraction(res), tuple(a4),
+        family, n, profile, u0v0, Fraction(res), tuple(a4),
         proj, reg_proj, RegularReference(Fraction(reg_r), cmp),
     )
 
 
 SIXTEENTH_ROWS: tuple[TableRowSpec, ...] = (
-    _row("2^{8-4}", Family.SIXTEENTH_EVEN, 2, "0011000000", None,
+    _row(Family.SIXTEENTH_EVEN, 2, "0011000000", None,
          4, (14, 0, 0, 0, 1), 3, 3, 4, "same"),
-    _row("2^{9-4}", Family.SIXTEENTH_ODD, 2, "0011000000", (1, 1),
+    _row(Family.SIXTEENTH_ODD, 2, "0011000000", (1, 1),
          Fraction(9, 2), (6, 8, 0, 0, 1, 0), 4, 3, 4, "same"),
-    _row("2^{10-4}", Family.SIXTEENTH_EVEN, 3, "0001110000", None,
+    _row(Family.SIXTEENTH_EVEN, 3, "0001110000", None,
          Fraction(9, 2), (2, 8, 4, 0, 1, 0, 0), 5, 3, 4, "same"),
-    _row("2^{11-4}", Family.SIXTEENTH_ODD, 3, "0001110000", (1, 2),
+    _row(Family.SIXTEENTH_ODD, 3, "0001110000", (1, 2),
          Fraction(11, 2), (0, 6, 6, 2, 1, 0, 0, 0), 6, 4, 5, "same"),
-    _row("2^{12-4}", Family.SIXTEENTH_EVEN, 4, "0011110000", None,
+    _row(Family.SIXTEENTH_EVEN, 4, "0011110000", None,
          Fraction(13, 2), (0, 0, 12, 0, 3, 0, 0, 0, 0), 7, 5, 6, "same"),
-    _row("2^{13-4}", Family.SIXTEENTH_ODD, 4, "0011110000", (2, 2),
+    _row(Family.SIXTEENTH_ODD, 4, "0011110000", (2, 2),
          Fraction(13, 2), (0, 0, 4, 8, 3, 0, 0, 0, 0, 0), 7, 5, 6, "same"),
-    _row("2^{14-4}", Family.SIXTEENTH_EVEN, 5, "1011110000", None,
+    _row(Family.SIXTEENTH_EVEN, 5, "1011110000", None,
          Fraction(13, 2), (0, 0, 2, 8, 3, 0, 2, 0, 0, 0, 0), 7, 6, 7, "better"),
 )
 
 EIGHTH_ROWS: tuple[TableRowSpec, ...] = (
-    _row("2^{7-3}", Family.EIGHTH_EVEN, 2, "0011000000", None,
+    _row(Family.EIGHTH_EVEN, 2, "0011000000", None,
          4, (7, 0, 0, 0), 3, 3, 4, "same"),
-    _row("2^{8-3}", Family.EIGHTH_ODD, 2, "0011000000", (1, 1),
+    _row(Family.EIGHTH_ODD, 2, "0011000000", (1, 1),
          Fraction(9, 2), (3, 4, 0, 0, 0), 4, 3, 4, "same"),
-    _row("2^{9-3}", Family.EIGHTH_EVEN, 3, "0010110000", None,
+    _row(Family.EIGHTH_EVEN, 3, "0010110000", None,
          Fraction(9, 2), (1, 4, 2, 0, 0, 0), 5, 3, 4, "same"),
-    _row("2^{10-3}", Family.EIGHTH_ODD, 3, "0010110000", (2, 1),
+    _row(Family.EIGHTH_ODD, 3, "0010110000", (2, 1),
          Fraction(11, 2), (0, 3, 3, 1, 0, 0, 0), 6, 4, 5, "same"),
-    _row("2^{11-3}", Family.EIGHTH_EVEN, 4, "0011110000", None,
+    _row(Family.EIGHTH_EVEN, 4, "0011110000", None,
          Fraction(13, 2), (0, 0, 6, 0, 1, 0, 0, 0), 7, 5, 6, "same"),
-    _row("2^{12-3}", Family.EIGHTH_ODD, 4, "0011110000", (1, 2),
+    _row(Family.EIGHTH_ODD, 4, "0011110000", (1, 2),
          Fraction(27, 4), (0, 0, 2, 4, 1, 0, 0, 0, 0), 7, 5, 6, "same"),
-    _row("2^{13-3}", Family.EIGHTH_EVEN, 5, "0021110000", None,
+    _row(Family.EIGHTH_EVEN, 5, "0021110000", None,
          Fraction(31, 4), (0, 0, 0, 4, 3, 0, 0, 0, 0, 0), 7, 6, 7, "same"),
 )
 
@@ -398,11 +389,8 @@ def reproduce_table(which: int) -> list[ReportRow]:
     """
     rows = []
     for spec in _optima_rows(which):
-        result = _optimize_cached(spec.n, spec.family, Criterion.ABERRATION, True)
-        q = spec.family.factor_count(spec.n)
-        expected_wlp = tuple(
-            Fraction(a) for a in ((0,) * 3 + spec.wlp_from_4)
-        )
+        result = optimize(spec.n, spec.family, Criterion.ABERRATION)
+        expected_wlp = tuple(map(Fraction, (0,) * 3 + spec.wlp_from_4))
         listed = (GeneratorProfile.from_digits(spec.profile), spec.u0v0)
         if which in (3, 4):
             flags = {
@@ -420,9 +408,5 @@ def reproduce_table(which: int) -> list[ReportRow]:
                 flags["attains_bound"] = (
                     result.projectivity == projectivity_bound(spec.n, spec.family)
                 )
-            fraction = "sixteenth" if spec.family.sixteenth else "eighth"
-            ceiling = orthogonal_array_ceiling(q, fraction)
-            if result.projectivity == ceiling:
-                flags["globally_optimal"] = True
         rows.append(ReportRow(spec.label, spec.family, spec.n, result, spec, flags))
     return rows

@@ -34,7 +34,7 @@ def reference_rows(spec: GeneratorSpec) -> list[list[int]]:
                 t_u += spec.u0 * a0
                 t_v += spec.v0 * a0
             row = list(GRAY_PAIRS[t_u % 4]) + list(GRAY_PAIRS[t_v % 4])
-            if spec.family.drops_first_check:
+            if not spec.family.sixteenth:
                 row = row[1:]
             if spec.family.branched:
                 row.append(1 if a0 == 0 else -1)

@@ -210,7 +210,7 @@ def test_criterion_9_structural_properties():
     # sixteenth fraction's spectrum over the subsets avoiding F1.
     deletions = 0
     for spec in sample_specs:
-        if spec.family.drops_first_check:
+        if not spec.family.sixteenth:
             continue
         full_family = spec.family
         slim_family = (
@@ -230,7 +230,7 @@ def test_criterion_9_structural_properties():
     # of u and v (and u0, v0) interchanged; and over all generator choices
     # the four deletions produce identical spectrum multisets.
     for spec in sample_specs:
-        if spec.family.drops_first_check:
+        if not spec.family.sixteenth:
             continue
         design = build_design(spec)
         mirror = build_design(_mirror_spec(spec))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,14 +107,14 @@ def test_build_refuses_metrics_in_csv(capsys):
 
 
 def test_every_entry_point_refuses_the_same_u0v0(tmp_path, capsys):
-    # Non-integer, string, out-of-range and three-entry pairs, and a pair on
-    # an even-run family: refused by the library, by --u0v0 and by a JSON
+    # Non-integer, string, out-of-range, three-entry and boolean pairs, and a
+    # pair on an even-run family: refused by the library, by --u0v0 and by a JSON
     # document's "u0v0" alike.  The flag is text, so it has no string entries.
     odd, even = Family.SIXTEENTH_ODD, Family.SIXTEENTH_EVEN
     profile, u, v = GeneratorProfile.from_digits("0011000000"), (1, 2), (2, 1)
     cases = [
         (odd, (1.5, 2), "1.5"), (odd, ("1", 2), None), (odd, (4, 0), "40"),
-        (odd, (1, 2, 3), "123"), (even, (1, 2), "12"),
+        (odd, (1, 2, 3), "123"), (even, (1, 2), "12"), (odd, (True, False), None),
     ]
     spec = GeneratorSpec(odd, 2, u, v, 1, 2)
     payload = json.loads(document_to_json(DesignDocument(spec, build_design(spec))))
@@ -810,3 +811,26 @@ def test_rows_must_match_the_generator_rebuild(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
     assert code == EXIT_USAGE and err.startswith("error: ") and err.count("\n") == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+#: Each file in ``tests/golden`` holds the stdout of its commands, run one
+#: after another.  A refactor keeps these bytes unless it says why.
+GOLDEN_COMMANDS = {
+    **{f"tables_{w}.json": [("tables", "--which", str(w), "--report", "json")]
+       for w in (3, 4, 5, 6)},
+    **{f"bound_{f.value}.txt": [("bound", "--family", f.value, "--n", str(n))
+                                for n in range(1, 11)] for f in Family},
+    **{f"search_{f.value}_n2.md": [("search", "--n", "2", "--family", f.value)]
+       for f in Family},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_golden_file(capsys, name):
+    stdout = ""
+    for argv in GOLDEN_COMMANDS[name]:
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        stdout += out
+    assert stdout == (GOLDEN / name).read_bytes().decode()

@@ -30,12 +30,25 @@ def test_gray_map_values():
 
 
 def test_family_shapes():
+    # The README family table: runs N, factors q, and the 2^{q-k} fraction.
+    table = {
+        Family.SIXTEENTH_EVEN: (0, 4), Family.EIGHTH_EVEN: (0, 3),
+        Family.SIXTEENTH_ODD: (1, 4), Family.EIGHTH_ODD: (1, 3),
+    }
+    for family, (odd, checks) in table.items():
+        assert family.checks == checks
+        for n in range(1, 11):
+            q = 2 * n + odd + checks
+            assert family.run_count(n) == 2 ** (2 * n + odd)
+            assert family.factor_count(n) == q
+            assert family.label(n) == f"2^{{{q}-{checks}}}"
     assert Family.SIXTEENTH_EVEN.run_count(3) == 64
     assert Family.SIXTEENTH_EVEN.factor_count(3) == 10
     assert Family.EIGHTH_EVEN.factor_count(3) == 9
     assert Family.SIXTEENTH_ODD.run_count(2) == 32
     assert Family.SIXTEENTH_ODD.factor_count(2) == 9
     assert Family.EIGHTH_ODD.factor_count(2) == 8
+    assert Family.EIGHTH_ODD.label(2) == "2^{8-3}"
 
 
 def test_zero_generator_design_is_constant_on_checks():

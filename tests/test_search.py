@@ -167,11 +167,14 @@ def test_ties_include_profile_mirror():
 
 
 def test_orthogonal_array_ceiling():
-    assert orthogonal_array_ceiling(10, "sixteenth") == 5
-    assert orthogonal_array_ceiling(9, "eighth") == 5
-    assert orthogonal_array_ceiling(8, "sixteenth") == 3
-    with pytest.raises(ValueError):
-        orthogonal_array_ceiling(8, "half")
+    assert orthogonal_array_ceiling(Family.SIXTEENTH_EVEN, 3) == 5
+    assert orthogonal_array_ceiling(Family.EIGHTH_EVEN, 3) == 5
+    assert orthogonal_array_ceiling(Family.SIXTEENTH_EVEN, 2) == 3
+    # log2 N - 1 for every family: q - 5 for a sixteenth, q - 4 for an eighth.
+    for family in Family:
+        for n in range(1, 11):
+            q = family.factor_count(n)
+            assert orthogonal_array_ceiling(family, n) == q - (5 if family.sixteenth else 4)
 
 
 def test_regular_reference_embedded():
