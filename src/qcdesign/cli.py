@@ -179,8 +179,10 @@ def document_from_json(text: str) -> DesignDocument:
         raise UsageError("a design document must be a JSON object")
     if payload.get("schema") != SCHEMA:
         raise UsageError(f"unsupported schema {payload.get('schema')!r}")
-    columns = tuple(payload["columns"])
-    design = DesignMatrix(columns, _json_runs(payload["rows"], len(columns)))
+    columns = payload["columns"]
+    if type(columns) is not list or set(map(type, columns)) - {str}:
+        raise UsageError("JSON columns must be a list of strings")
+    design = DesignMatrix(tuple(columns), _json_runs(payload["rows"], len(columns)))
     if design.n_runs != payload["n_runs"] or design.n_factors != payload["n_factors"]:
         raise UsageError("document run/factor counts disagree with the rows")
     spec = None
@@ -337,7 +339,7 @@ def _spec_from_flags(args: argparse.Namespace) -> GeneratorSpec:
 def _resolve_design(args: argparse.Namespace) -> DesignDocument:
     if args.design:
         return load_design(args.design, args.design_format)
-    if not (args.family and args.u and args.v and args.n):
+    if not (args.family and args.u and args.v) or args.n is None:
         raise UsageError("provide --design PATH or --family/--n/--u/--v flags")
     spec = _spec_from_flags(args)
     return DesignDocument(spec, build_design(spec))
@@ -463,7 +465,7 @@ def _render_rows(rows: list[dict], fmt: str, columns: Sequence[str]) -> str:
 
 def cmd_search(args: argparse.Namespace) -> int:
     family = Family.from_label(args.family)
-    criterion = Criterion.from_label(args.criterion)
+    criterion = Criterion(args.criterion)
     try:
         result = optimize(
             args.n, family, criterion, max_n=args.max_n, all_pairs=args.all_pairs,
@@ -700,16 +702,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_generator(p: _Parser, required: bool) -> None:
+    p.add_argument("--family", required=required, choices=[f.value for f in Family])
+    p.add_argument("--n", type=int, required=required)
+    for flag in ("--u", "--v"):
+        p.add_argument(flag, required=required, help="comma-separated Z4 digits")
+    p.add_argument("--u0v0", help="two Z4 digits, e.g. 12 means u0=1, v0=2")
+
+
 def _add_design_source(p: _Parser) -> None:
     p.add_argument("--design", help="path to a design document (JSON or CSV)")
     p.add_argument(
         "--design-format", choices=("json", "csv"), help="override format sniffing"
     )
-    p.add_argument("--family", choices=[f.value for f in Family])
-    p.add_argument("--n", type=int)
-    p.add_argument("--u", help="comma-separated Z4 digits")
-    p.add_argument("--v", help="comma-separated Z4 digits")
-    p.add_argument("--u0v0", help="two Z4 digits, e.g. 12 means u0=1, v0=2")
+    _add_generator(p, required=False)
     p.add_argument("--max-factors", type=int, default=DEFAULT_MAX_FACTORS,
                    help="cap on q for the 2^q pattern table (memory guard)")
 
@@ -723,11 +729,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a design and write it out")
-    p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--u0v0")
+    _add_generator(p, required=True)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--with-metrics", action="store_true",

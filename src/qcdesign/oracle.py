@@ -25,14 +25,6 @@ from .spectrum import WordSpectrum
 DEFAULT_MAX_FACTORS, PEAK_BYTES_PER_ENTRY = 20, 14
 
 
-def _check_cap(q: int, max_factors: int) -> None:
-    if q > max_factors:
-        raise ValueError(
-            f"design has {q} factors, above the cap of {max_factors}; "
-            f"the oracle needs about {PEAK_BYTES_PER_ENTRY} * 2^q bytes"
-        )
-
-
 def sign_patterns(rows: np.ndarray) -> np.ndarray:
     """Encode each run as a q-bit integer: +1 -> bit 0, -1 -> bit 1.
 
@@ -130,9 +122,14 @@ def j_tables(rows: np.ndarray, max_factors: int = DEFAULT_MAX_FACTORS) -> np.nda
     and transformed, so J(S) = sum_p freq[p] (-1)^popcount(p & S), the sum
     over runs of the product of the columns in S.  int32 is exact: each
     partial sum is the J-value of a sub-table, at most N (2^16 at q = 20).
+    This is the one place the oracle checks q against ``max_factors``.
     """
     designs, _, q = rows.shape
-    _check_cap(q, max_factors)
+    if q > max_factors:
+        raise ValueError(
+            f"design has {q} factors, above the cap of {max_factors}; "
+            f"the oracle needs about {PEAK_BYTES_PER_ENTRY} * 2^q bytes"
+        )
     patterns = sign_patterns(rows)
     patterns += (np.arange(designs, dtype=np.int64) << q)[:, None]
     cells, counts = np.unique(patterns, return_counts=True)
@@ -184,16 +181,12 @@ def spectrum_bruteforce(
     if table is None:
         table = j_characteristics(design, max_factors)
     _, lengths, jabs = table.words()
-    if lengths.size == 0:
-        return WordSpectrum(())
     n = design.n_runs
-    keys = lengths * (n + 1) + jabs
-    uniq, counts = np.unique(keys, return_counts=True)
-    entries = []
-    for key, count in zip(uniq.tolist(), counts.tolist()):
-        length, j = divmod(key, n + 1)
-        entries.append((length, Fraction(j, n), count))
-    return WordSpectrum.from_entries(entries)
+    uniq, counts = np.unique(lengths * (n + 1) + jabs, return_counts=True)
+    return WordSpectrum.from_entries(
+        (key // (n + 1), Fraction(key % (n + 1), n), count)
+        for key, count in zip(uniq.tolist(), counts.tolist())
+    )
 
 
 # The sort-based projection scan below is the independent reference for
@@ -344,7 +337,6 @@ def projection_level_full(
     q = design.n_factors
     if not 1 <= p <= q:
         raise ValueError("p must lie in 1..q")
-    _check_cap(q, max_factors)
     if table is None:
         table = j_characteristics(design, max_factors)
     return not table.projections.deficient([p])[0]
@@ -361,7 +353,6 @@ def projectivity(
     factorial.  ``table`` is the design's J-table when the caller already
     has it.
     """
-    _check_cap(design.n_factors, max_factors)
     if table is None:
         table = j_characteristics(design, max_factors)
     return int(table.projections.projectivity()[0])

@@ -48,13 +48,6 @@ class Criterion(Enum):
     ABERRATION = "aberration"
     PROJECTIVITY = "projectivity"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Criterion":
-        for c in cls:
-            if c.value == label:
-                return c
-        raise ValueError(f"unknown criterion {label!r}")
-
 
 def profile_array(n: int) -> np.ndarray:
     """All C(n+9, 9) compositions of n into ten counts, one per row, in
@@ -358,24 +351,17 @@ _REGULAR_REFERENCE: dict[tuple[Family, int], RegularReference] = {
 class ReportRow:
     """One verified table row: computed results against published values."""
 
-    label: str
-    family: Family
-    n: int
-    result: SearchResult
     expected: TableRowSpec
+    result: SearchResult
     flags: dict[str, bool]
+
+    @property
+    def label(self) -> str:
+        return self.expected.label
 
     @property
     def passed(self) -> bool:
         return all(self.flags.values())
-
-
-def _optima_rows(which: int) -> tuple[TableRowSpec, ...]:
-    if which in (3, 5):
-        return SIXTEENTH_ROWS
-    if which in (4, 6):
-        return EIGHTH_ROWS
-    raise ValueError("table id must be 3, 4, 5, or 6")
 
 
 def reproduce_table(which: int) -> list[ReportRow]:
@@ -387,8 +373,10 @@ def reproduce_table(which: int) -> list[ReportRow]:
     of those optima, including (for sixteenth fractions) that it attains the
     closed-form bound.
     """
+    if which not in (3, 4, 5, 6):
+        raise ValueError("table id must be 3, 4, 5, or 6")
     rows = []
-    for spec in _optima_rows(which):
+    for spec in SIXTEENTH_ROWS if which in (3, 5) else EIGHTH_ROWS:
         result = optimize(spec.n, spec.family, Criterion.ABERRATION)
         expected_wlp = tuple(map(Fraction, (0,) * 3 + spec.wlp_from_4))
         listed = (GeneratorProfile.from_digits(spec.profile), spec.u0v0)
@@ -408,5 +396,5 @@ def reproduce_table(which: int) -> list[ReportRow]:
                 flags["attains_bound"] = (
                     result.projectivity == projectivity_bound(spec.n, spec.family)
                 )
-        rows.append(ReportRow(spec.label, spec.family, spec.n, result, spec, flags))
+        rows.append(ReportRow(spec, result, flags))
     return rows

@@ -81,25 +81,19 @@ _MAX_PROFILE_N = 126
 
 
 def _indicators(u0v0: U0V0 | None) -> tuple[int, int, int, int]:
-    """delta1, delta2, eps1, eps2 of a branching pair (u0, v0); all zero
-    without one."""
+    """delta1, delta2, eps1, eps2 of a branching pair (u0, v0): delta1 and
+    delta2 are the parities of u0 and v0, eps1 = delta1 and not delta2,
+    eps2 = delta2 and not delta1.  All zero without a pair."""
     if u0v0 is None:
         return 0, 0, 0, 0
-    u0, v0 = u0v0
-    d1 = 1 if u0 in (1, 3) else 0
-    d2 = 1 if v0 in (1, 3) else 0
-    e1 = 1 if (u0, v0) in ((1, 0), (1, 2), (3, 0), (3, 2)) else 0
-    e2 = 1 if (u0, v0) in ((0, 1), (0, 3), (2, 1), (2, 3)) else 0
-    return d1, d2, e1, e2
+    d1, d2 = u0v0[0] & 1, u0v0[1] & 1
+    return d1, d2, d1 & (1 - d2), d2 & (1 - d1)
 
 
 def _exponent_groups(counts: np.ndarray, pairs: Sequence[U0V0 | None]) -> np.ndarray:
     """(profiles, pairs, 5) int8 exponents theta1, theta2, omega1, omega2,
     omega (rho1, rho2, xi1, xi2, xi for a pair of None)."""
-    shifts = []
-    for pair in pairs:
-        d1, d2, e1, e2 = _indicators(pair)
-        shifts.append((d1, d2, e1, e2, e1 + e2 + 1))
+    shifts = [(d1, d2, e1, e2, e1 + e2 + 1) for d1, d2, e1, e2 in map(_indicators, pairs)]
     sums = (counts @ _X)[:, None, :] + np.array(shifts, dtype=np.int16)
     return (sums // 2).astype(np.int8)
 
@@ -125,8 +119,9 @@ def _gates(counts: np.ndarray) -> np.ndarray:
 #   k11 = 1/2 if classes 1, 3, 5 or 6 are populated else 0, k12 = 1 - k11,
 #   k21 = 1 if classes 1, 3, 5 or 6 are populated else 0,   k22 = 2 - k21.
 # The omega0 rows apply only when classes 5 and 6 are empty and the omega
-# rows only when they are not, except in the 11/13/31/33 columns where both
-# row groups always apply (their omega0 entries are zero there).
+# rows only when they are not, except where u0 and v0 are both odd (the
+# 11/13/31/33 columns): there both row groups always apply (their omega0
+# entries are zero).
 # ---------------------------------------------------------------------------
 
 _H, _K11, _K12, _K21, _K22 = "h", "k11", "k12", "k21", "k22"
@@ -228,9 +223,6 @@ _ROWS = {
     Family.EIGHTH_ODD: _EIGHTH_ROWS,
 }
 
-#: u0v0 values whose omega0/omega rows apply unconditionally.
-_UNGATED = {(1, 1), (1, 3), (3, 1), (3, 3)}
-
 #: Merged columns of the sixteenth-fraction count table: the (k, s) sign
 #: classes of a profile, each under its first-listed pair.
 _SIXTEENTH_CLASS = {pair: _CLASS_PAIRS[c][0] for pair, c in _CLASS_OF.items()}
@@ -286,7 +278,7 @@ def _table(family: Family, pairs: tuple[U0V0 | None, ...]) -> _Table:
         for j, pair in enumerate(pairs):
             col = cols.index(pair if pair is None else u0v0_class(family, pair))
             for r, (_, _, key, entries) in enumerate(rows):
-                if pair not in _UNGATED and (
+                if _indicators(pair)[:2] != (1, 1) and (
                     (key == _W0 and not diagonal_empty)
                     or (key == _W and diagonal_empty)
                 ):
@@ -374,29 +366,16 @@ def closed_forms(
     return forms
 
 
-def _raw_spectrum(forms: ClosedForms, p: int, c: int) -> RawSpectrum:
-    """Merged (length, e, count) spectrum of candidate (p, c)."""
-    rows = forms.words(np.array([p]), np.array([c]))
-    acc: dict[tuple[int, int], int] = {}
-    for length, e, count in zip(*(a[0].tolist() for a in rows)):
-        if count:
-            acc[(length, e)] = acc.get((length, e), 0) + count
-    return [(length, e, count) for (length, e), count in sorted(acc.items())]
-
-
 def _raw_family(
     family: Family,
     profile: GeneratorProfile,
     u0v0: U0V0 | str | None = None,
 ) -> RawSpectrum:
-    counts = np.array([profile.counts], dtype=np.int16)
-    return _raw_spectrum(closed_forms(family, counts, (u0v0,)), 0, 0)
-
-
-def _to_spectrum(raw: RawSpectrum) -> WordSpectrum:
-    return WordSpectrum.from_entries(
-        (length, Fraction(1, 1 << e), count) for length, e, count in raw
-    )
+    """The (length, e, count) table rows of one design with a nonzero
+    count, unmerged."""
+    forms = closed_forms(family, np.array([profile.counts], dtype=np.int16), (u0v0,))
+    rows = zip(*(a[0].tolist() for a in forms.words(np.array([0]), np.array([0]))))
+    return [row for row in rows if row[2]]
 
 
 def family_spectrum(
@@ -405,7 +384,10 @@ def family_spectrum(
     u0v0: U0V0 | str | None = None,
 ) -> WordSpectrum:
     """Closed-form spectrum of one design of any family."""
-    return _to_spectrum(_raw_family(family, profile, u0v0))
+    return WordSpectrum.from_entries(
+        (length, Fraction(1, 1 << e), count)
+        for length, e, count in _raw_family(family, profile, u0v0)
+    )
 
 
 class NoClosedFormBound(ValueError):

@@ -20,15 +20,26 @@ from qcdesign.theory import (
     _SIXTEENTH_ROWS,
     _T1,
     _T2,
-    _UNGATED,
     _W,
     _W0,
-    _indicators,
     _k_weights,
     normalize_u0v0,
 )
 
 RawSpectrum = list[tuple[int, int, int]]
+
+#: u0v0 values whose omega0/omega rows apply unconditionally.
+UNGATED = {(1, 1), (1, 3), (3, 1), (3, 3)}
+
+
+def indicators(u0v0: tuple[int, int]) -> tuple[int, int, int, int]:
+    """delta1, delta2, eps1, eps2 of a branching pair (u0, v0)."""
+    u0, v0 = u0v0
+    d1 = 1 if u0 in (1, 3) else 0
+    d2 = 1 if v0 in (1, 3) else 0
+    e1 = 1 if (u0, v0) in ((1, 0), (1, 2), (3, 0), (3, 2)) else 0
+    e2 = 1 if (u0, v0) in ((0, 1), (0, 3), (2, 1), (2, 3)) else 0
+    return d1, d2, e1, e2
 
 
 def length_offsets(profile: GeneratorProfile) -> tuple[int, ...]:
@@ -60,7 +71,7 @@ def exponents(
         xi=(m1 + m2 + m3 + m4 + 1) // 2,
     )
     if u0v0 is not None:
-        d1, d2, e1, e2 = _indicators(u0v0)
+        d1, d2, e1, e2 = indicators(u0v0)
         exps.update(
             theta1=(m1 + m3 + m5 + m6 + d1) // 2,
             theta2=(m2 + m4 + m5 + m6 + d2) // 2,
@@ -138,7 +149,7 @@ def raw_branched(
     else:
         cols, rows, cls = _EIGHTH_COLS, _EIGHTH_ROWS, _EIGHTH_CLASS
     col = cols.index(cls.get(u0v0, u0v0))
-    ungated = u0v0 in _UNGATED
+    ungated = u0v0 in UNGATED
 
     raw: RawSpectrum = []
     for l_index, offset, key, counts in rows:

@@ -133,7 +133,7 @@ def test_criterion_6_projectivity_tables():
     assert [row.result.projectivity for row in rows5] == expected
     for row in rows5:
         assert row.passed, (row.label, row.flags)
-        assert row.result.projectivity == projectivity_bound(row.n, row.family)
+        assert row.result.projectivity == projectivity_bound(row.expected.n, row.expected.family)
     rows6 = reproduce_table(6)
     assert [row.result.projectivity for row in rows6] == expected
     for row in rows6:

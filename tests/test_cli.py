@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from reference_oracles import csv_rows
 
 from qcdesign import (
@@ -184,15 +184,16 @@ def test_build_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "build", "--family", "nonsense", "--n", "1", "--u", "0", "--v", "0")
     assert code == EXIT_USAGE
-    # A malformed --u0v0 is one error line for every command that builds.
+    # A malformed --u0v0 or --n 0 is one error line for every command that builds.
     for command in ("build", "metrics", "spectrum"):
-        for u0v0 in ("7", "1", "45"):
+        for n, u0v0 in (("1", "7"), ("1", "1"), ("1", "45"), ("0", "11")):
             code, stdout, err = run(
-                capsys, command, "--family", "sixteenth-odd", "--n", "1",
+                capsys, command, "--family", "sixteenth-odd", "--n", n,
                 "--u", "1", "--v", "1", "--u0v0", u0v0,
             )
             assert code == EXIT_USAGE and stdout == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert n != "0" or err == "error: n must be a positive integer\n", err
 
 
 def test_metrics_both_agree(capsys):
@@ -596,7 +597,7 @@ def csv_documents(draw, bad_token=False, ragged=False):
         runs[run][draw(st.integers(0, q - 1))] = bad
     if ragged:
         runs[run] = runs[run][:-1] if draw(st.booleans()) else runs[run] + ["1"]
-        if not runs[run]:
+        if not any(runs[run]):  # nothing left, or only the empty bad token
             runs[run] = ["-1"] * (q + 1)
     text = draw(space)
     for line in [labels] + runs:
@@ -610,6 +611,7 @@ def csv_documents(draw, bad_token=False, ragged=False):
 
 @fuzzed
 @given(csv_documents())
+@example("A,A\n\n1,1")
 def test_csv_reader_matches_reference_parser(text):
     columns, rows = csv_rows(text)
     design = design_from_csv(text)
@@ -654,7 +656,7 @@ def _break_json(payload: dict, data) -> None:
     """Make one part of a design document malformed, in place."""
     rows = payload["rows"]
     kind = data.draw(st.sampled_from(
-        ("entry", "rows", "ragged", "n_runs", "missing", "schema", "generator")
+        ("entry", "rows", "ragged", "n_runs", "missing", "schema", "columns", "generator")
     ))
     if kind == "entry":
         run = data.draw(st.integers(0, len(rows) - 1))
@@ -672,6 +674,12 @@ def _break_json(payload: dict, data) -> None:
         del payload[data.draw(st.sampled_from(("columns", "rows", "n_runs", "n_factors")))]
     elif kind == "schema":
         payload["schema"] = data.draw(st.sampled_from(("qcdesign/2", None, 1)))
+    elif kind == "columns":  # each has one item per column, but is no list of strings
+        columns = payload["columns"]
+        payload["columns"] = data.draw(st.sampled_from((
+            "ABCDEFGHIJKLMNOPQRSTU"[: len(columns)], list(range(len(columns))),
+            dict.fromkeys(columns), [*columns[:-1], None],
+        )))
     else:
         key, value = data.draw(st.sampled_from((
             ("u", [7] * payload["n"]), ("u", [1.0] * payload["n"]), ("v", None),
@@ -822,6 +830,17 @@ GOLDEN_COMMANDS = {
     **{f"bound_{f.value}.txt": [("bound", "--family", f.value, "--n", str(n))
                                 for n in range(1, 11)] for f in Family},
     **{f"search_{f.value}_n2.md": [("search", "--n", "2", "--family", f.value)]
+       for f in Family},
+    **{f"search_{f.value}_n2_all_pairs.json": [
+        ("search", "--n", "2", "--family", f.value, "--all-pairs", "--report", "json")]
+       for f in Family if f.branched},
+    **{f"search_{f.value}_n3_projectivity.json": [
+        ("search", "--n", "3", "--family", f.value, "--criterion", "projectivity",
+         "--report", "json")]
+       for f in Family},
+    **{f"metrics_{f.value}.json": [
+        ("metrics", "--family", f.value, "--n", "2", "--u", "1,2", "--v", "2,1",
+         *(["--u0v0", "12"] if f.branched else []), "--method", "both", "--report", "json")]
        for f in Family},
 }
 

@@ -36,8 +36,6 @@ from qcdesign.theory import (
     _gates,
     _indicators,
     _k_weights,
-    _raw_spectrum,
-    _to_spectrum,
     closed_forms,
 )
 
@@ -305,7 +303,9 @@ def test_array_path_matches_scalar_reference(family):
             )
             for c, pair in enumerate(pairs):
                 ref = scalar_theory.raw_family(family, profile, pair)
-                assert _raw_spectrum(forms, p, c) == ref, (family, profile.digits, pair)
+                rows = forms.words(np.array([p]), np.array([c]))
+                merged = scalar_theory.merge(zip(*(a[0].tolist() for a in rows)))
+                assert merged == ref, (family, profile.digits, pair)
                 assert tuple(row[c] for row in wlp[p]) == scalar_theory.wlp_key(ref, q)
                 key = res[p][c]
                 assert (key >> 8, key & 255) == scalar_theory.resolution_key(ref)
@@ -325,5 +325,8 @@ def larger_candidates(draw):
 @given(larger_candidates())
 def test_one_row_spectrum_matches_scalar_reference(candidate):
     family, profile, pair = candidate
-    reference = _to_spectrum(scalar_theory.raw_family(family, profile, pair))
+    reference = WordSpectrum.from_entries(
+        (length, Fraction(1, 1 << e), count)
+        for length, e, count in scalar_theory.raw_family(family, profile, pair)
+    )
     assert family_spectrum(family, profile, pair) == reference
