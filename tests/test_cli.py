@@ -842,6 +842,8 @@ GOLDEN_COMMANDS = {
         ("metrics", "--family", f.value, "--n", "2", "--u", "1,2", "--v", "2,1",
          *(["--u0v0", "12"] if f.branched else []), "--method", "both", "--report", "json")]
        for f in Family},
+    "verify_n3_sample20_seed1.txt": [
+        ("verify", "--n-max", "3", "--sample", "20", "--seed", "1")],
 }
 
 
