@@ -32,7 +32,7 @@ from .oracle import (
     projectivity,
     spectrum_bruteforce,
 )
-from .theory import NoClosedFormBound, family_spectrum, projectivity_bound
+from .theory import family_spectrum, projectivity_bound
 from .search import (
     Criterion,
     SearchResult,

@@ -58,7 +58,6 @@ from .spectrum import (
 )
 from .theory import (
     ClosedForms,
-    NoClosedFormBound,
     closed_forms,
     family_spectrum,
     normalize_u0v0,
@@ -544,14 +543,14 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be positive")
     family = Family.from_label(args.family)
-    print(f"design: {family.value}, n = {args.n}, q = {family.factor_count(args.n)}")
     try:
-        print(f"closed-form projectivity bound: {projectivity_bound(args.n, family)}")
-    except NoClosedFormBound:
-        print("closed-form projectivity bound: none for eighth fractions")
+        bound = projectivity_bound(args.n, family)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    print(f"design: {family.value}, n = {args.n}, q = {family.factor_count(args.n)}")
+    print(f"closed-form projectivity bound: "
+          f"{'none for eighth fractions' if bound is None else bound}")
     ceiling = orthogonal_array_ceiling(family, args.n)
     print(f"orthogonal-array ceiling (all designs of this size): {ceiling}")
     return EXIT_OK
@@ -650,7 +649,7 @@ def _verify_block(family: Family, counts: np.ndarray, pairs: tuple) -> Iterator[
     chunk, and yield a message for each failing design, profile-major."""
     forms = closed_forms(family, counts, pairs)
     n = int(counts[0].sum())
-    bound = projectivity_bound(n, family) if family.sixteenth else None
+    bound = projectivity_bound(n, family)
     every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
     for p, c, table in j_table_chunks(family, counts, pairs, *every):
         messages = _chunk_failures(forms, p, c, table, bound)

@@ -81,6 +81,14 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _check_n(n: int) -> int:
+    """The size n of a design, a positive integer."""
+    n = _integers((n,), "n")[0]
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
+
+
 def _check_z4(values: Iterable[int], what: str) -> tuple[int, ...]:
     vals = _integers(values, f"{what} entries")
     for x in vals:
@@ -120,9 +128,7 @@ class GeneratorSpec:
     v0: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integers((self.n,), "n")[0])
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", _check_n(self.n))
         object.__setattr__(self, "u", _check_z4(self.u, "u"))
         object.__setattr__(self, "v", _check_z4(self.v, "v"))
         if len(self.u) != self.n or len(self.v) != self.n:

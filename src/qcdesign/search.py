@@ -23,10 +23,11 @@ from typing import Iterator
 import numpy as np
 
 from .oracle import DEFAULT_MAX_FACTORS, j_table_chunks
-from .qc_core import Family, GeneratorProfile
+from .qc_core import Family, GeneratorProfile, _check_n
 from .spectrum import Resolution, spectrum_metrics
 from .theory import (
     U0V0,
+    U0V0_PAIRS,
     ClosedForms,
     closed_forms,
     family_spectrum,
@@ -56,8 +57,7 @@ def profile_array(n: int) -> np.ndarray:
     Row i places nine bars among n + 9 slots (the i-th 9-subset in
     lexicographic order); the counts are the gaps between the bars.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _check_n(n)
     bars = np.array(list(combinations(range(n + 9), 9)), dtype=np.int16)
     edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + 9))
     return np.diff(edges, axis=1) - 1
@@ -70,7 +70,7 @@ def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
 
 
 def all_u0v0_pairs() -> tuple[U0V0, ...]:
-    return tuple((a, b) for a in range(4) for b in range(4))
+    return U0V0_PAIRS
 
 
 def _wlp_keys(forms: ClosedForms, q: int) -> np.ndarray:
@@ -199,7 +199,7 @@ def optimize(
     When oracle projectivity is needed and the size has more than
     ``DEFAULT_MAX_FACTORS`` factors, it refuses before the theory scan.
     """
-    if not 1 <= n <= max_n:
+    if _check_n(n) > max_n:
         raise ValueError(f"n must lie in 1..{max_n}")
     q = family.factor_count(n)
     if q > DEFAULT_MAX_FACTORS:

@@ -1,10 +1,11 @@
 """Closed-form word spectra and projectivity bounds from generator profiles.
 
 The word spectrum of every family depends on (u, v) only through the ten
-pair-class counts (and on (u0, v0) through its merged class, for branched
-families).  This module evaluates those closed forms exactly; the oracle
-module recomputes the same spectra by brute force, and the two must agree
-entry for entry.
+pair-class counts, and on (u0, v0) through its merged class: a column of
+the fraction's count table, where the even-run family reads column 00.
+This module evaluates those closed forms exactly; the oracle module
+recomputes the same spectra by brute force, and the two must agree entry
+for entry.
 
 The closed forms run as one integer array program over a batch of
 candidates, profiles times u0v0 values (``closed_forms``): the length
@@ -28,13 +29,17 @@ from typing import Sequence
 import numpy as np
 
 from .qc_core import (
-    _CLASS_OF, _CLASS_PAIRS, Family, GeneratorProfile, _check_pair, _check_u0v0,
+    _CLASS_OF, _CLASS_PAIRS, Z4, Family, GeneratorProfile, _check_n, _check_pair,
+    _check_u0v0,
 )
 from .spectrum import WordSpectrum
 
 # Raw spectra are lists of (length, e, count) with aliasing index 2^-e.
 RawSpectrum = list[tuple[int, int, int]]
 U0V0 = tuple[int, int]
+
+#: The sixteen (u0, v0) pairs, sorted.
+U0V0_PAIRS: tuple[U0V0, ...] = tuple((u0, v0) for u0 in Z4 for v0 in Z4)
 
 #: l1..l10 = counts @ _L; column j holds the coefficients of l(j+1) in the
 #: class counts m1..m10 (rows).
@@ -80,19 +85,17 @@ _X = np.array(
 _MAX_PROFILE_N = 126
 
 
-def _indicators(u0v0: U0V0 | None) -> tuple[int, int, int, int]:
+def _indicators(u0v0: U0V0) -> tuple[int, int, int, int]:
     """delta1, delta2, eps1, eps2 of a branching pair (u0, v0): delta1 and
     delta2 are the parities of u0 and v0, eps1 = delta1 and not delta2,
-    eps2 = delta2 and not delta1.  All zero without a pair."""
-    if u0v0 is None:
-        return 0, 0, 0, 0
+    eps2 = delta2 and not delta1."""
     d1, d2 = u0v0[0] & 1, u0v0[1] & 1
     return d1, d2, d1 & (1 - d2), d2 & (1 - d1)
 
 
-def _exponent_groups(counts: np.ndarray, pairs: Sequence[U0V0 | None]) -> np.ndarray:
+def _exponent_groups(counts: np.ndarray, pairs: Sequence[U0V0]) -> np.ndarray:
     """(profiles, pairs, 5) int8 exponents theta1, theta2, omega1, omega2,
-    omega (rho1, rho2, xi1, xi2, xi for a pair of None)."""
+    omega (rho1, rho2, xi1, xi2, xi at u0v0 = 00)."""
     shifts = [(d1, d2, e1, e2, e1 + e2 + 1) for d1, d2, e1, e2 in map(_indicators, pairs)]
     sums = (counts @ _X)[:, None, :] + np.array(shifts, dtype=np.int16)
     return (sums // 2).astype(np.int8)
@@ -107,14 +110,12 @@ def _gates(counts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Count tables, one per family.
+# Count tables, one per fraction.
 #
 # Each row (l index i, offset o, exponent token, weights per column) holds
 # words of length l_i + o with aliasing index 2^-e, e the token's exponent,
-# and word count weight / ai^2.  The columns are the merged u0v0 classes of
-# the branched families; the even-run families have one column and zero
-# indicators, where theta1, theta2, omega0, omega reduce to rho1, rho2,
-# xi1 + xi2, xi.  Weights may be half-integers and are resolved doubled.
+# and word count weight / ai^2.  The columns are the merged u0v0 classes,
+# sorted.  Weights may be half-integers and are resolved doubled.
 # Tokens K11/K12/K21/K22 depend on the profile (``_k_weights``):
 #   k11 = 1/2 if classes 1, 3, 5 or 6 are populated else 0, k12 = 1 - k11,
 #   k21 = 1 if classes 1, 3, 5 or 6 are populated else 0,   k22 = 2 - k21.
@@ -122,6 +123,12 @@ def _gates(counts: np.ndarray) -> np.ndarray:
 # rows only when they are not, except where u0 and v0 are both odd (the
 # 11/13/31/33 columns): there both row groups always apply (their omega0
 # entries are zero).
+#
+# The even-run families read the u0v0 = 00 column: there the check columns
+# do not depend on a0, so the odd-run design is the even-run design run
+# with F5 = +1 and again with F5 = -1.  Every word with F5 has J = 0 (zero
+# in column 00), every other word keeps its |J|/N, and the indicators are
+# zero: theta1, theta2, omega0, omega reduce to rho1, rho2, xi1 + xi2, xi.
 # ---------------------------------------------------------------------------
 
 _H, _K11, _K12, _K21, _K22 = "h", "k11", "k12", "k21", "k22"
@@ -144,34 +151,16 @@ def _k_weights(populated: bool) -> dict[str, int]:
     return {_K11: 0, _K12: 2, _K21: 0, _K22: 4}
 
 
-_SIXTEENTH_EVEN_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
-    (1, 1, _T1, (2,)),
-    (2, 1, _T2, (2,)),
-    (3, 3, _T1, (2,)),
-    (4, 3, _T2, (2,)),
-    (5, 2, _ONE, (1,)),
-    (6, 2, _ONE, (1,)),
-    (7, 4, _ONE, (1,)),
-    (8, 2, _W0, (4,)),
-    (9, 2, _W, (2,)),
-    (10, 2, _W, (2,)),
-)
+#: Merged columns of the sixteenth-fraction count table: the (k, s) sign
+#: classes of a profile, each under its first-listed pair.
+_SIXTEENTH_CLASS = {pair: _CLASS_PAIRS[c][0] for pair, c in _CLASS_OF.items()}
 
-# The eighth fraction keeps only the check types avoiding F1, which halves
-# the rho1 and mixed group sizes and drops two of the three full words.
-_EIGHTH_EVEN_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
-    (1, 1, _T1, (1,)),
-    (2, 1, _T2, (2,)),
-    (3, 3, _T1, (1,)),
-    (6, 2, _ONE, (1,)),
-    (8, 2, _W0, (2,)),
-    (9, 2, _W, (1,)),
-    (10, 2, _W, (1,)),
-)
+#: Merged columns of the eighth-fraction count table; other pairs stand alone.
+_EIGHTH_CLASS = {(0, 3): (0, 1), (2, 3): (2, 1)}
 
-_SIXTEENTH_COLS: tuple[U0V0, ...] = (
-    (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2),
-)
+_SIXTEENTH_COLS = tuple(sorted(set(_SIXTEENTH_CLASS.values())))
+_EIGHTH_COLS = tuple(pair for pair in U0V0_PAIRS if pair not in _EIGHTH_CLASS)
+
 _SIXTEENTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (1, 1, _T1, (2, 2, 2, 1, 1, 1, 1, 0, 0, 0)),
     (1, 2, _T1, (0, 0, 0, 1, 1, 1, 1, 2, 2, 2)),
@@ -195,10 +184,6 @@ _SIXTEENTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (10, 3, _W, (0, 1, 2, 1, 0, 1, 2, 2, 1, 0)),
 )
 
-_EIGHTH_COLS: tuple[U0V0, ...] = (
-    (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3),
-    (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3),
-)
 _EIGHTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (1, 1, _T1, (1, 1, 1, _K11, _K11, _K11, _K11, 0, 0, 0, _K12, _K12, _K12, _K12)),
     (1, 2, _T1, (0, 0, 0, _K12, _K12, _K12, _K12, 1, 1, 1, _K11, _K11, _K11, _K11)),
@@ -215,20 +200,6 @@ _EIGHTH_ROWS: tuple[tuple[int, int, str, tuple], ...] = (
     (10, 2, _W, (1, _H, 0, _H, 1, _H, 0, 0, _H, 1, _H, 0, _H, 1)),
     (10, 3, _W, (0, _H, 1, _H, 0, _H, 1, 1, _H, 0, _H, 1, _H, 0)),
 )
-
-_ROWS = {
-    Family.SIXTEENTH_EVEN: _SIXTEENTH_EVEN_ROWS,
-    Family.EIGHTH_EVEN: _EIGHTH_EVEN_ROWS,
-    Family.SIXTEENTH_ODD: _SIXTEENTH_ROWS,
-    Family.EIGHTH_ODD: _EIGHTH_ROWS,
-}
-
-#: Merged columns of the sixteenth-fraction count table: the (k, s) sign
-#: classes of a profile, each under its first-listed pair.
-_SIXTEENTH_CLASS = {pair: _CLASS_PAIRS[c][0] for pair, c in _CLASS_OF.items()}
-
-#: Merged columns of the eighth-fraction count table; other pairs stand alone.
-_EIGHTH_CLASS = {(0, 3): (0, 1), (2, 3): (2, 1)}
 
 
 def u0v0_classes(family: Family) -> tuple[U0V0 | None, ...]:
@@ -266,17 +237,19 @@ class _Table:
 
 
 @lru_cache(maxsize=None)
-def _table(family: Family, pairs: tuple[U0V0 | None, ...]) -> _Table:
-    """Resolve a family's count table for the given u0v0 values: tokens
+def _table(family: Family, pairs: tuple[U0V0, ...]) -> _Table:
+    """Resolve the fraction's count table for the given u0v0 values: tokens
     and row gates become doubled weights indexed [gate, pair, row], the
-    gate numbered as in ``_gates``."""
-    cols, rows = u0v0_classes(family), _ROWS[family]
+    gate numbered as in ``_gates``.  Rows that no gate and no pair
+    populates are dropped (at 00 alone: the words with F5)."""
+    cols = _SIXTEENTH_COLS if family.sixteenth else _EIGHTH_COLS
+    rows = _SIXTEENTH_ROWS if family.sixteenth else _EIGHTH_ROWS
     weights = np.zeros((4, len(pairs), len(rows)), dtype=np.int8)
     for gate in range(4):
         populated, diagonal_empty = bool(gate >> 1), bool(gate & 1)
         doubled = {0: 0, 1: 2, 2: 4, 4: 8, _H: 1, **_k_weights(populated)}
         for j, pair in enumerate(pairs):
-            col = cols.index(pair if pair is None else u0v0_class(family, pair))
+            col = cols.index(u0v0_class(family, pair))
             for r, (_, _, key, entries) in enumerate(rows):
                 if _indicators(pair)[:2] != (1, 1) and (
                     (key == _W0 and not diagonal_empty)
@@ -284,6 +257,8 @@ def _table(family: Family, pairs: tuple[U0V0 | None, ...]) -> _Table:
                 ):
                     continue
                 weights[gate, j, r] = doubled[entries[col]]
+    kept = weights.any(axis=(0, 1))
+    weights, rows = weights[:, :, kept], [row for row, k in zip(rows, kept) if k]
     # A doubled wordlength-pattern entry sums weights of one candidate.
     assert int(weights.astype(np.int64).sum(axis=2).max()) <= np.iinfo(np.int8).max
     weights.flags.writeable = False
@@ -337,9 +312,11 @@ def closed_forms(
     """Evaluate the family's count table for every (profile, pair) candidate.
 
     ``counts`` is a (profiles, 10) array of class counts; ``pairs`` are the
-    u0v0 values (``(None,)`` for the even-run families).
+    u0v0 values (``(None,)`` for the even-run families, which read 00).
     """
-    pairs = tuple(_check_u0v0(family, p if p is None else normalize_u0v0(p)) for p in pairs)
+    pairs = tuple(
+        _check_u0v0(family, p if p is None else normalize_u0v0(p)) or (0, 0) for p in pairs
+    )
     counts = np.asarray(counts, dtype=np.int16).reshape(-1, 10)
     if counts.size and int(counts.sum(axis=1).max()) > _MAX_PROFILE_N:
         raise ValueError(f"closed forms are evaluated for n <= {_MAX_PROFILE_N}")
@@ -390,30 +367,18 @@ def family_spectrum(
     )
 
 
-class NoClosedFormBound(ValueError):
-    """Raised for families without a closed-form projectivity bound."""
-
-
-def projectivity_bound(n: int, family: Family) -> int:
+def projectivity_bound(n: int, family: Family) -> int | None:
     """Upper bound on projectivity for the sixteenth-fraction families.
 
     The bound follows from the guaranteed full words: at least three of
     them exist, and their lengths cannot all be large at once.  No analog
     is available for the eighth fractions, which guarantee only one full
-    word; those families raise :class:`NoClosedFormBound`.
+    word; those families get None.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if family is Family.SIXTEENTH_EVEN:
-        j = n % 3
-        if j == 0:
-            return 4 * n // 3 + 1
-        return 4 * (n - j) // 3 + 3
-    if family is Family.SIXTEENTH_ODD:
-        j = n % 3
-        if j == 0:
-            return 4 * n // 3 + 2
-        return 4 * (n - j) // 3 + 2 + j
-    raise NoClosedFormBound(
-        f"no closed-form projectivity bound for {family.value}"
-    )
+    n = _check_n(n)
+    if not family.sixteenth:
+        return None
+    j = n % 3
+    if j == 0:
+        return 4 * n // 3 + 1 + family.branched
+    return 4 * (n - j) // 3 + (2 + j if family.branched else 3)

@@ -95,6 +95,10 @@ def merge(raw: RawSpectrum) -> RawSpectrum:
 def raw_even(profile: GeneratorProfile, sixteenth: bool) -> RawSpectrum:
     """Aggregate spectrum of the even-run families.
 
+    Written out term by term, without the library's count tables: the
+    library reads the 00 column of its odd-run tables here, and this is
+    the independent reference for that reading.
+
     The sixteenth fraction carries the full set of check-column types; the
     eighth fraction keeps only the types avoiding F1, which halves the
     rho1/rho2/mixed group sizes and drops two of the three full words.

@@ -379,10 +379,15 @@ def test_bound_command(capsys):
     code, stdout, _ = run(capsys, "bound", "--family", "eighth-even", "--n", "3")
     assert code == EXIT_OK
     assert "none" in stdout
-    for n in ("0", "-2"):
-        code, stdout, err = run(capsys, "bound", "--family", "sixteenth-odd", "--n", n)
-        assert code == EXIT_USAGE and stdout == ""
-        assert err == "error: --n must be positive\n"
+    # An n below 1 has one wording on every command that takes --n.
+    for command in ("bound", "search"):
+        for n in ("0", "-2"):
+            code, stdout, err = run(capsys, command, "--family", "sixteenth-odd", "--n", n)
+            assert code == EXIT_USAGE and stdout == ""
+            assert err == "error: n must be a positive integer\n"
+    code, stdout, err = run(capsys, "search", "--family", "sixteenth-odd", "--n", "11")
+    assert code == EXIT_USAGE and stdout == ""
+    assert err == "error: n must lie in 1..10\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,9 +478,11 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
     assert stderr.splitlines()[0] == "FAILURES: 94"
     assert stderr.endswith(": projectivity below ceil(R) - 1\n")
 
-    monkeypatch.setattr(
-        cli, "projectivity_bound", lambda n, family: real_bound(n, family) - 1
-    )
+    def bound_lowered(n, family):
+        bound = real_bound(n, family)  # None for the eighth fractions
+        return None if bound is None else bound - 1
+
+    monkeypatch.setattr(cli, "projectivity_bound", bound_lowered)
     code, _, stderr = run(capsys, "verify", "--n-max", "2")
     assert code == EXIT_MISMATCH
     assert stderr.splitlines()[:3] == [

@@ -14,7 +14,6 @@ import scalar_theory
 from qcdesign import (
     Family,
     GeneratorProfile,
-    NoClosedFormBound,
     UNBOUNDED,
     WordSpectrum,
     build_design,
@@ -274,12 +273,61 @@ def test_projectivity_bound_reference_cases():
     assert projectivity_bound(4, Family.SIXTEENTH_EVEN) == 7
     assert projectivity_bound(4, Family.SIXTEENTH_ODD) == 7
     assert projectivity_bound(5, Family.SIXTEENTH_EVEN) == 7
-    with pytest.raises(NoClosedFormBound):
-        projectivity_bound(3, Family.EIGHTH_EVEN)
-    with pytest.raises(NoClosedFormBound):
-        projectivity_bound(3, Family.EIGHTH_ODD)
-    with pytest.raises(ValueError):
-        projectivity_bound(0, Family.SIXTEENTH_EVEN)
+    assert projectivity_bound(3, Family.EIGHTH_EVEN) is None
+    assert projectivity_bound(3, Family.EIGHTH_ODD) is None
+    for n in (0, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            projectivity_bound(n, Family.SIXTEENTH_EVEN)
+
+
+def _shortest_full_words(family: Family, n: int) -> np.ndarray:
+    """Length of the shortest full word (e = 0, nonzero weight) of every
+    (profile, u0v0 class) candidate at size n, from the count table."""
+    forms = closed_forms(family, profile_array(n), u0v0_classes(family))
+    none = np.iinfo(np.int16).max
+    shortest = np.full(forms.tokens.shape[:2], none)
+    for r in range(forms.lengths.shape[1]):
+        lengths, exps, weights = forms.row(r)
+        full = (weights != 0) & (exps == 0)
+        shortest = np.minimum(shortest, np.where(full, lengths[:, None], none))
+    assert (shortest < none).all()  # at least three full words exist
+    return shortest
+
+
+@pytest.mark.parametrize("family", [Family.SIXTEENTH_EVEN, Family.SIXTEENTH_ODD])
+def test_projectivity_bound_holds_against_count_table(family):
+    """A full word of length L caps projectivity at L - 1, so no candidate's
+    shortest full word exceeds the bound + 1, and the bound is attained."""
+    for n in range(1, 8):
+        cap = int(_shortest_full_words(family, n).max()) - 1
+        bound = projectivity_bound(n, family)
+        if n == 1:
+            assert (cap, bound) == (1 + family.branched, 3)
+        else:
+            assert cap == bound, (n, cap, bound)
+
+
+@pytest.mark.parametrize("sixteenth", [True, False])
+def test_even_run_design_is_odd_run_design_at_00(sixteenth):
+    """At u0v0 = 00 the check columns ignore a0, so the odd-run design is
+    the even-run design twice, once per level of F5: the same spectrum."""
+    even, odd = (f for f in Family if f.sixteenth == sixteenth)
+    for n in (1, 2, 3):
+        for profile in compositions(n):
+            assert spectrum_bruteforce(build_design(spec_for(odd, profile, (0, 0)))) == (
+                spectrum_bruteforce(build_design(spec_for(even, profile)))
+            ), profile.digits
+    for n in range(1, 7):
+        profiles = profile_array(n)
+        every = np.arange(len(profiles)), np.zeros(len(profiles), dtype=int)
+        rows = [
+            zip(*(a.tolist() for a in closed_forms(f, profiles, pairs).words(*every)))
+            for f, pairs in ((even, (None,)), (odd, ((0, 0),)))
+        ]
+        for p, (even_rows, odd_rows) in enumerate(zip(*rows)):
+            assert sorted(r for r in zip(*even_rows) if r[2]) == (
+                sorted(r for r in zip(*odd_rows) if r[2])
+            ), profiles[p]
 
 
 def _pairs(family: Family, every_pair: bool = False):
