@@ -28,7 +28,6 @@ from .spectrum import (
 from .oracle import (
     JTable,
     j_characteristics,
-    projection_level_full,
     projectivity,
     spectrum_bruteforce,
 )
@@ -36,7 +35,6 @@ from .theory import family_spectrum, projectivity_bound
 from .search import (
     Criterion,
     SearchResult,
-    enumerate_profiles,
     optimize,
     orthogonal_array_ceiling,
     reproduce_table,

@@ -467,7 +467,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     criterion = Criterion(args.criterion)
     try:
         result = optimize(
-            args.n, family, criterion, max_n=args.max_n, all_pairs=args.all_pairs,
+            args.n, family, criterion, max_n=args.max_n,
             with_projectivity=not args.skip_projectivity,
         )
     except ValueError as exc:
@@ -664,7 +664,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--families needs at least one family")
     if args.n_max < 1 or args.sample < 0:
         raise UsageError("--n-max must be positive and --sample nonnegative")
-    families = [Family.from_label(f) for f in args.families]
+    families = [Family.from_label(f) for f in dict.fromkeys(args.families)]
     n_top = args.n_max + 2 if args.sample else args.n_max  # samples reach n_max + 2
     q, label = max((f.factor_count(n_top), f.value) for f in families)
     if q > DEFAULT_MAX_FACTORS:
@@ -754,9 +754,6 @@ def build_parser() -> _Parser:
     p.add_argument("--criterion", default="aberration",
                    choices=[c.value for c in Criterion])
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--all-pairs", action="store_true",
-                   help="slow verification mode: enumerate all 16 u0v0 pairs "
-                   "and assert merged classes tie exactly")
     p.add_argument("--skip-projectivity", action="store_true",
                    help="skip the oracle projectivity refinement of ties")
     p.add_argument("--report", choices=("md", "json", "csv"), default="md")

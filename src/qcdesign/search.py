@@ -27,12 +27,10 @@ from .qc_core import Family, GeneratorProfile, _check_n
 from .spectrum import Resolution, spectrum_metrics
 from .theory import (
     U0V0,
-    U0V0_PAIRS,
     ClosedForms,
     closed_forms,
     family_spectrum,
     projectivity_bound,
-    u0v0_class,
     u0v0_classes,
 )
 
@@ -67,10 +65,6 @@ def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
     """All C(n+9, 9) compositions of n into ten counts, lexicographically."""
     for counts in profile_array(n).tolist():
         yield GeneratorProfile(tuple(counts))
-
-
-def all_u0v0_pairs() -> tuple[U0V0, ...]:
-    return U0V0_PAIRS
 
 
 def _wlp_keys(forms: ClosedForms, q: int) -> np.ndarray:
@@ -145,32 +139,6 @@ class SearchResult:
         return self.wlp[3:]
 
 
-def _check_class_ties(
-    family: Family, profiles: np.ndarray, pairs: tuple[U0V0, ...], forms: ClosedForms
-) -> None:
-    """Assert that u0v0 values in one merged column give identical spectra.
-
-    Two candidates of one profile share their row lengths, so equal weights
-    on every row, and equal exponents on every row of nonzero weight, give
-    equal spectra.
-    """
-    token = forms.table.token
-    for j, pair in enumerate(pairs):
-        rep = u0v0_class(family, pair)
-        i = pairs.index(rep)
-        weights = forms.table.weights[forms.gates, j]
-        rep_weights = forms.table.weights[forms.gates, i]
-        exps, rep_exps = forms.tokens[:, j, token], forms.tokens[:, i, token]
-        same = (weights == rep_weights) & ((weights == 0) | (exps == rep_exps))
-        bad = np.flatnonzero(~same.all(axis=1))
-        if bad.size:
-            profile = GeneratorProfile(tuple(profiles[bad[0]].tolist()))
-            raise AssertionError(
-                f"u0v0 {pair} differs from its class representative "
-                f"{rep} on profile {profile.digits}"
-            )
-
-
 def _projectivities(
     family: Family, profiles: np.ndarray, pairs: tuple, pool: np.ndarray
 ) -> np.ndarray:
@@ -187,7 +155,6 @@ def optimize(
     family: Family,
     criterion: Criterion,
     max_n: int = DEFAULT_MAX_N,
-    all_pairs: bool = False,
     with_projectivity: bool = True,
 ) -> SearchResult:
     """Best design over all profiles (and u0v0 classes) for one criterion.
@@ -199,6 +166,8 @@ def optimize(
     When oracle projectivity is needed and the size has more than
     ``DEFAULT_MAX_FACTORS`` factors, it refuses before the theory scan.
     """
+    if max_n < 1:
+        raise ValueError("--max-n must be positive")
     if _check_n(n) > max_n:
         raise ValueError(f"n must lie in 1..{max_n}")
     q = family.factor_count(n)
@@ -214,11 +183,8 @@ def optimize(
                 f"projectivity refinement; use --skip-projectivity"
             )
     profiles = profile_array(n)
-    all_pairs = all_pairs and family.branched
-    pairs = all_u0v0_pairs() if all_pairs else u0v0_classes(family)
+    pairs = u0v0_classes(family)
     forms = closed_forms(family, profiles, pairs)
-    if all_pairs:
-        _check_class_ties(family, profiles, pairs, forms)
     wlp_keys = _wlp_keys(forms, q)
     res = _resolution_keys(forms)
 

@@ -19,10 +19,8 @@ from qcdesign import (
     GeneratorProfile,
     GeneratorSpec,
     build_design,
-    enumerate_profiles,
     family_spectrum,
     profile_of,
-    projection_level_full,
     projectivity,
     projectivity_bound,
     realize_profile,
@@ -31,7 +29,8 @@ from qcdesign import (
     spectrum_bruteforce,
     spectrum_metrics,
 )
-from qcdesign.search import EIGHTH_ROWS, SIXTEENTH_ROWS, u0v0_classes
+from qcdesign.oracle import projection_level_full
+from qcdesign.search import EIGHTH_ROWS, SIXTEENTH_ROWS, enumerate_profiles, u0v0_classes
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)

@@ -21,7 +21,6 @@ from qcdesign import (
     j_characteristics,
     oracle,
     profile_of,
-    projection_level_full,
     spec_for,
 )
 from qcdesign.cli import (
@@ -372,6 +371,14 @@ def test_verify_single_family_count(capsys):
     assert "verified 65 designs" in stdout
 
 
+def test_verify_checks_a_repeated_family_once(capsys):
+    code, stdout, _ = run(
+        capsys, "verify", "--n-max", "1", "--families", "eighth-odd", "eighth-odd",
+    )
+    assert code == EXIT_OK
+    assert "verified 140 designs (families: eighth-odd, n <= 1" in stdout
+
+
 def test_bound_command(capsys):
     code, stdout, _ = run(capsys, "bound", "--family", "sixteenth-even", "--n", "3")
     assert code == EXIT_OK
@@ -388,6 +395,17 @@ def test_bound_command(capsys):
     code, stdout, err = run(capsys, "search", "--family", "sixteenth-odd", "--n", "11")
     assert code == EXIT_USAGE and stdout == ""
     assert err == "error: n must lie in 1..10\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--max-n", "0"), "error: --max-n must be positive\n"),
+    (("--max-n", "-3"), "error: --max-n must be positive\n"),
+    (("--all-pairs",), "error: unrecognized arguments: --all-pairs\n"),
+], ids=["max-n-zero", "max-n-negative", "all-pairs"])
+def test_search_usage_errors(capsys, argv, message):
+    code, stdout, err = run(capsys, "search", "--family", "sixteenth-odd", "--n", "1", *argv)
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.endswith(message)
 
 
 @pytest.mark.parametrize("argv", [
@@ -521,7 +539,7 @@ def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
                     assert table.n_runs == design.n_runs
                     assert np.array_equal(table.values[d], one.values)
                     assert [not v[d] for v in verdicts] == [
-                        projection_level_full(design, level, table=one)
+                        oracle.projection_level_full(design, level, table=one)
                         for level in levels
                     ]
                     first_deficient = next(
@@ -838,9 +856,6 @@ GOLDEN_COMMANDS = {
                                 for n in range(1, 11)] for f in Family},
     **{f"search_{f.value}_n2.md": [("search", "--n", "2", "--family", f.value)]
        for f in Family},
-    **{f"search_{f.value}_n2_all_pairs.json": [
-        ("search", "--n", "2", "--family", f.value, "--all-pairs", "--report", "json")]
-       for f in Family if f.branched},
     **{f"search_{f.value}_n3_projectivity.json": [
         ("search", "--n", "3", "--family", f.value, "--criterion", "projectivity",
          "--report", "json")]
@@ -862,3 +877,8 @@ def test_stdout_matches_golden_file(capsys, name):
         assert code == EXIT_OK
         stdout += out
     assert stdout == (GOLDEN / name).read_bytes().decode()
+
+
+def test_every_golden_file_has_its_commands():
+    # A file without commands would silently stop being compared.
+    assert {path.name for path in GOLDEN.iterdir()} == set(GOLDEN_COMMANDS)

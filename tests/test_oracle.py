@@ -20,13 +20,12 @@ from qcdesign import (
     UNBOUNDED,
     build_design,
     j_characteristics,
-    projection_level_full,
     projectivity,
     spec_for,
     spectrum_bruteforce,
     spectrum_metrics,
 )
-from qcdesign.oracle import _subset_sums, _walsh_hadamard
+from qcdesign.oracle import _subset_sums, _walsh_hadamard, projection_level_full
 from qcdesign.search import enumerate_profiles, u0v0_classes
 from reference_oracles import (
     character_sum_even,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from qcdesign import (
     Family,
     GeneratorProfile,
     build_design,
-    enumerate_profiles,
     optimize,
     orthogonal_array_ceiling,
     reproduce_table,
@@ -25,12 +23,9 @@ from qcdesign.search import (
     DEFAULT_MAX_N,
     EIGHTH_ROWS,
     SIXTEENTH_ROWS,
-    _check_class_ties,
-    all_u0v0_pairs,
-    profile_array,
+    enumerate_profiles,
     u0v0_classes,
 )
-from qcdesign.theory import closed_forms
 
 
 def test_enumerate_profiles_counts():
@@ -101,6 +96,8 @@ def test_optimize_rejects_out_of_range_n():
         optimize(DEFAULT_MAX_N + 1, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
     with pytest.raises(ValueError):
         optimize(0, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
+    with pytest.raises(ValueError, match="--max-n must be positive"):
+        optimize(1, Family.SIXTEENTH_EVEN, Criterion.ABERRATION, max_n=0)
 
 
 def test_oversized_projectivity_search_is_refused_up_front(monkeypatch):
@@ -119,35 +116,6 @@ def test_oversized_projectivity_search_is_refused_up_front(monkeypatch):
             optimize(9, family, Criterion.PROJECTIVITY, with_projectivity=False)
     with pytest.raises(AssertionError, match="theory scan ran"):
         optimize(9, Family.EIGHTH_EVEN, Criterion.ABERRATION, with_projectivity=False)
-
-
-def test_all_pairs_mode_matches_class_representatives():
-    merged = optimize(1, Family.SIXTEENTH_ODD, Criterion.ABERRATION)
-    full = optimize(1, Family.SIXTEENTH_ODD, Criterion.ABERRATION, all_pairs=True)
-    assert merged.profile == full.profile
-    assert merged.u0v0 == full.u0v0
-    assert merged.wlp == full.wlp
-
-    merged = optimize(1, Family.EIGHTH_ODD, Criterion.ABERRATION)
-    full = optimize(1, Family.EIGHTH_ODD, Criterion.ABERRATION, all_pairs=True)
-    assert merged.u0v0 == full.u0v0
-    assert merged.wlp == full.wlp
-
-
-@pytest.mark.parametrize("family", [Family.SIXTEENTH_ODD, Family.EIGHTH_ODD])
-def test_all_sixteen_pairs_tie_with_their_class(family):
-    pairs = all_u0v0_pairs()
-    for n in (1, 2, 3):
-        profiles = profile_array(n)
-        forms = closed_forms(family, profiles, pairs)
-        _check_class_ties(family, profiles, pairs, forms)
-    # A weight planted on one pair outside its class representative's rows
-    # must be caught: (0, 3) belongs to the class of (0, 1).
-    weights = forms.table.weights.copy()
-    weights[:, pairs.index((0, 3)), 0] += 2
-    planted = replace(forms, table=replace(forms.table, weights=weights))
-    with pytest.raises(AssertionError, match="u0v0 \\(0, 3\\) differs"):
-        _check_class_ties(family, profiles, pairs, planted)
 
 
 def test_skip_projectivity_mode():

@@ -26,11 +26,11 @@ from qcdesign import (
 from qcdesign.search import (
     _resolution_keys,
     _wlp_keys,
-    all_u0v0_pairs,
     profile_array,
     u0v0_classes,
 )
 from qcdesign.theory import (
+    U0V0_PAIRS,
     _L,
     _gates,
     _indicators,
@@ -236,7 +236,7 @@ def test_u0v0_class_mapping():
     assert u0v0_class(Family.EIGHTH_ODD, "23") == (2, 1)
     # Every other pair stands alone: in the sixteenth-fraction table those
     # are its ten columns, in the eighth-fraction table all fourteen.
-    for pair in all_u0v0_pairs():
+    for pair in U0V0_PAIRS:
         text = "%d%d" % pair
         if text not in merged:
             assert u0v0_class(Family.SIXTEENTH_ODD, pair) == pair
@@ -331,7 +331,7 @@ def test_even_run_design_is_odd_run_design_at_00(sixteenth):
 
 
 def _pairs(family: Family, every_pair: bool = False):
-    return all_u0v0_pairs() if every_pair and family.branched else u0v0_classes(family)
+    return U0V0_PAIRS if every_pair and family.branched else u0v0_classes(family)
 
 
 @pytest.mark.parametrize("family", list(Family))
