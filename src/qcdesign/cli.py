@@ -26,6 +26,7 @@ import numpy as np
 from .oracle import (
     DEFAULT_MAX_FACTORS,
     JTable,
+    check_factor_cap,
     j_characteristics,
     j_table_chunks,
     projectivity as oracle_projectivity,
@@ -40,7 +41,6 @@ from .qc_core import (
     profile_of,
 )
 from .search import (
-    DEFAULT_MAX_N,
     Criterion,
     ReportRow,
     SearchResult,
@@ -93,10 +93,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class DesignDocument:
-    """A design matrix plus the generator data that produced it."""
+    """A design matrix plus the generator data that produced it; the matrix
+    is None where a command needs the generator data alone."""
 
     spec: GeneratorSpec | None
-    design: DesignMatrix
+    design: DesignMatrix | None
     metrics: dict | None = None
 
 
@@ -256,12 +257,12 @@ def design_from_csv(text: str) -> DesignMatrix:
     return DesignMatrix(columns, (1 - 2 * negative).reshape(-1, len(columns)))
 
 
-def load_design(path: str, fmt: str | None = None) -> DesignDocument:
-    """Read a JSON or CSV design document; malformed input is a UsageError."""
-    kind = fmt or ("csv" if path.lower().endswith(".csv") else "json")
+def load_design(path: str) -> DesignDocument:
+    """Read a JSON design document, or a CSV one by its ``.csv`` extension;
+    malformed input is a UsageError."""
     try:
         text = Path(path).read_text()
-        if kind == "csv":
+        if path.lower().endswith(".csv"):
             return DesignDocument(None, design_from_csv(text))
         return document_from_json(text)
     except OSError as exc:
@@ -335,13 +336,15 @@ def _spec_from_flags(args: argparse.Namespace) -> GeneratorSpec:
         raise UsageError(str(exc))
 
 
-def _resolve_design(args: argparse.Namespace) -> DesignDocument:
+def _resolve_design(args: argparse.Namespace, build: bool) -> DesignDocument:
+    """The document of ``--design``, or of the generator flags, whose matrix
+    is built only if ``build``."""
     if args.design:
-        return load_design(args.design, args.design_format)
+        return load_design(args.design)
     if not (args.family and args.u and args.v) or args.n is None:
         raise UsageError("provide --design PATH or --family/--n/--u/--v flags")
     spec = _spec_from_flags(args)
-    return DesignDocument(spec, build_design(spec))
+    return DesignDocument(spec, build_design(spec) if build else None)
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +381,26 @@ def _theory_spectrum_for(doc: DesignDocument) -> WordSpectrum:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    doc = _resolve_design(args)
-    q = doc.design.n_factors
     method = args.method
+    doc = _resolve_design(args, build=method != "theory")
+    spec, design = doc.spec, doc.design
+    n_runs, q = (design.n_runs, design.n_factors) if design else (
+        spec.family.run_count(spec.n), spec.family.factor_count(spec.n))
     payloads: dict[str, dict] = {}
     if method in ("theory", "both"):
         payloads["theory"] = _metrics_payload(_theory_spectrum_for(doc), q)
     if method in ("oracle", "both"):
-        table = j_characteristics(doc.design, args.max_factors)
+        table = j_characteristics(design, args.max_factors)
         proj = None
         if not args.skip_projectivity:
-            proj = oracle_projectivity(doc.design, args.max_factors, table)
-        payloads["oracle"] = _metrics_payload(
-            spectrum_bruteforce(doc.design, args.max_factors, table=table), q, proj
-        )
+            proj = oracle_projectivity(design, table)
+        payloads["oracle"] = _metrics_payload(spectrum_bruteforce(design, table), q, proj)
     agree = True
     if method == "both":
         keys = ("resolution", "wlp", "spectrum")
         agree = all(payloads["theory"][k] == payloads["oracle"][k] for k in keys)
     if args.report == "json":
-        out = {"method": method, "n_runs": doc.design.n_runs, "n_factors": q}
+        out = {"method": method, "n_runs": n_runs, "n_factors": q}
         out.update(payloads)
         if method == "both":
             out["agree"] = agree
@@ -411,11 +414,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    doc = _resolve_design(args)
+    doc = _resolve_design(args, build=args.method != "theory")
     if args.method == "theory":
         spectrum = _theory_spectrum_for(doc)
     else:
-        spectrum = spectrum_bruteforce(doc.design, args.max_factors)
+        spectrum = spectrum_bruteforce(doc.design, j_characteristics(doc.design, args.max_factors))
     payload = _spectrum_payload(spectrum)
     if args.report == "json":
         print(json.dumps(payload, indent=2))
@@ -428,15 +431,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _result_payload(result: SearchResult) -> dict:
-    unbounded = result.resolution is UNBOUNDED
     return {
         "family": result.family.value,
         "n": result.n,
         "criterion": result.criterion.value,
         "profile": result.profile.digits,
         "u0v0": _pair_text(result.u0v0),
-        "resolution": "unbounded" if unbounded else str(result.resolution),
-        "resolution_decimal": None if unbounded else float(result.resolution),
+        "resolution": str(result.resolution),
+        "resolution_decimal": float(result.resolution),
         "wlp": [str(a) for a in result.wlp],
         "wlp_from_4": [str(a) for a in result.wlp_from_4],
         "projectivity": result.projectivity,
@@ -467,8 +469,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     criterion = Criterion(args.criterion)
     try:
         result = optimize(
-            args.n, family, criterion, max_n=args.max_n,
-            with_projectivity=not args.skip_projectivity,
+            args.n, family, criterion, with_projectivity=not args.skip_projectivity
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -667,9 +668,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     families = [Family.from_label(f) for f in dict.fromkeys(args.families)]
     n_top = args.n_max + 2 if args.sample else args.n_max  # samples reach n_max + 2
     q, label = max((f.factor_count(n_top), f.value) for f in families)
-    if q > DEFAULT_MAX_FACTORS:
-        raise UsageError(f"{label} designs at n = {n_top} have q = {q} factors, "
-                         f"above the oracle's cap of {DEFAULT_MAX_FACTORS}")
+    try:
+        check_factor_cap(q, f"{label} designs at n = {n_top} have")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     failures = []
     verified = 0
     for family, profiles, pairs in _verify_blocks(
@@ -710,10 +712,7 @@ def _add_generator(p: _Parser, required: bool) -> None:
 
 
 def _add_design_source(p: _Parser) -> None:
-    p.add_argument("--design", help="path to a design document (JSON or CSV)")
-    p.add_argument(
-        "--design-format", choices=("json", "csv"), help="override format sniffing"
-    )
+    p.add_argument("--design", help="path to a design document (JSON, or CSV by extension)")
     _add_generator(p, required=False)
     p.add_argument("--max-factors", type=int, default=DEFAULT_MAX_FACTORS,
                    help="cap on q for the 2^q pattern table (memory guard)")
@@ -753,7 +752,6 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--criterion", default="aberration",
                    choices=[c.value for c in Criterion])
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--skip-projectivity", action="store_true",
                    help="skip the oracle projectivity refinement of ties")
     p.add_argument("--report", choices=("md", "json", "csv"), default="md")

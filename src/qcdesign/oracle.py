@@ -25,6 +25,18 @@ from .spectrum import WordSpectrum
 DEFAULT_MAX_FACTORS, PEAK_BYTES_PER_ENTRY = 20, 14
 
 
+def check_factor_cap(q: int, subject: str = "design has", use: str = "",
+                     max_factors: int = DEFAULT_MAX_FACTORS) -> None:
+    """Refuse a q above ``max_factors``, the one comparison of q with the
+    oracle's cap: ``subject`` names what has q factors, ``use`` what needs
+    the oracle."""
+    if q > max_factors:
+        raise ValueError(
+            f"{subject} {q} factors, above the cap of {max_factors}; the oracle"
+            f"{use} needs q <= {max_factors}, about {PEAK_BYTES_PER_ENTRY} * 2^q bytes"
+        )
+
+
 def sign_patterns(rows: np.ndarray) -> np.ndarray:
     """Encode each run as a q-bit integer: +1 -> bit 0, -1 -> bit 1.
 
@@ -122,14 +134,9 @@ def j_tables(rows: np.ndarray, max_factors: int = DEFAULT_MAX_FACTORS) -> np.nda
     and transformed, so J(S) = sum_p freq[p] (-1)^popcount(p & S), the sum
     over runs of the product of the columns in S.  int32 is exact: each
     partial sum is the J-value of a sub-table, at most N (2^16 at q = 20).
-    This is the one place the oracle checks q against ``max_factors``.
     """
     designs, _, q = rows.shape
-    if q > max_factors:
-        raise ValueError(
-            f"design has {q} factors, above the cap of {max_factors}; "
-            f"the oracle needs about {PEAK_BYTES_PER_ENTRY} * 2^q bytes"
-        )
+    check_factor_cap(q, max_factors=max_factors)
     patterns = sign_patterns(rows)
     patterns += (np.arange(designs, dtype=np.int64) << q)[:, None]
     cells, counts = np.unique(patterns, return_counts=True)
@@ -161,25 +168,20 @@ def j_table_chunks(
         yield cp, cc, JTable(columns, family.run_count(n), j_tables(rows))
 
 
-def j_characteristics(
-    design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS
-) -> JTable:
-    """J(S) for every column subset S of one design (see ``j_tables``)."""
+def j_characteristics(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS) -> JTable:
+    """J(S) for every column subset S of one design (see ``j_tables``).
+    The functions below take this table to run above the default cap."""
     values = j_tables(design.rows[None], max_factors)[0]
     return JTable(design.columns, design.n_runs, values)
 
 
-def spectrum_bruteforce(
-    design: DesignMatrix,
-    max_factors: int = DEFAULT_MAX_FACTORS,
-    table: JTable | None = None,
-) -> WordSpectrum:
+def spectrum_bruteforce(design: DesignMatrix, table: JTable | None = None) -> WordSpectrum:
     """Word spectrum from the full J-table.
 
     ``table`` is the design's J-table when the caller already has it.
     """
     if table is None:
-        table = j_characteristics(design, max_factors)
+        table = j_characteristics(design)
     _, lengths, jabs = table.words()
     n = design.n_runs
     uniq, counts = np.unique(lengths * (n + 1) + jabs, return_counts=True)
@@ -322,12 +324,7 @@ class _Projections:
         return ~_walsh_hadamard(cells.astype(np.int64) if wide else cells).all(axis=1)
 
 
-def projection_level_full(
-    design: DesignMatrix,
-    p: int,
-    max_factors: int = DEFAULT_MAX_FACTORS,
-    table: JTable | None = None,
-) -> bool:
+def projection_level_full(design: DesignMatrix, p: int, table: JTable | None = None) -> bool:
     """True when every p-column projection contains all 2^p level combos.
 
     ``table`` is the design's J-table when the caller already has it; the
@@ -338,15 +335,11 @@ def projection_level_full(
     if not 1 <= p <= q:
         raise ValueError("p must lie in 1..q")
     if table is None:
-        table = j_characteristics(design, max_factors)
+        table = j_characteristics(design)
     return not table.projections.deficient([p])[0]
 
 
-def projectivity(
-    design: DesignMatrix,
-    max_factors: int = DEFAULT_MAX_FACTORS,
-    table: JTable | None = None,
-) -> int:
+def projectivity(design: DesignMatrix, table: JTable | None = None) -> int:
     """Largest p such that every p-factor projection is a full factorial.
 
     Returns q itself only when the design contains a complete 2^q
@@ -354,5 +347,5 @@ def projectivity(
     has it.
     """
     if table is None:
-        table = j_characteristics(design, max_factors)
+        table = j_characteristics(design)
     return int(table.projections.projectivity()[0])

@@ -22,9 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .oracle import DEFAULT_MAX_FACTORS, j_table_chunks
+from .oracle import check_factor_cap, j_table_chunks
 from .qc_core import Family, GeneratorProfile, _check_n
-from .spectrum import Resolution, spectrum_metrics
+from .spectrum import spectrum_metrics
 from .theory import (
     U0V0,
     ClosedForms,
@@ -34,10 +34,10 @@ from .theory import (
     u0v0_classes,
 )
 
-#: Largest n ``optimize`` accepts unless told otherwise.  At n = 10 the
-#: whole-space theory scan of every family runs in about 0.5 s and peaks
-#: below 100 MiB; at n = 11 the eighth-odd scan peaks near 155 MiB.
-DEFAULT_MAX_N = 10
+#: Largest n ``optimize`` accepts.  At n = 10 the whole-space theory scan
+#: of every family runs in about 0.5 s and peaks below 100 MiB; at n = 11
+#: the eighth-odd scan peaks near 155 MiB.
+MAX_N = 10
 
 Candidate = tuple[GeneratorProfile, U0V0 | None]
 
@@ -127,7 +127,7 @@ class SearchResult:
     criterion: Criterion
     profile: GeneratorProfile
     u0v0: U0V0 | None
-    resolution: Resolution
+    resolution: Fraction  # never UNBOUNDED: with 2^q > N every design has a word
     wlp: tuple[Fraction, ...]
     projectivity: int | None
     criteria_coincide: bool
@@ -154,7 +154,6 @@ def optimize(
     n: int,
     family: Family,
     criterion: Criterion,
-    max_n: int = DEFAULT_MAX_N,
     with_projectivity: bool = True,
 ) -> SearchResult:
     """Best design over all profiles (and u0v0 classes) for one criterion.
@@ -163,25 +162,19 @@ def optimize(
     wordlength pattern, then resolution, then (optionally) oracle
     projectivity of the realized designs, and finally the lexicographically
     smallest (profile, u0v0).  The surviving tie set is reported in full.
-    When oracle projectivity is needed and the size has more than
-    ``DEFAULT_MAX_FACTORS`` factors, it refuses before the theory scan.
+    When oracle projectivity is needed, the oracle's cap on q is checked
+    before the theory scan.
     """
-    if max_n < 1:
-        raise ValueError("--max-n must be positive")
-    if _check_n(n) > max_n:
-        raise ValueError(f"n must lie in 1..{max_n}")
+    if _check_n(n) > MAX_N:
+        raise ValueError(f"n must lie in 1..{MAX_N}")
     q = family.factor_count(n)
-    if q > DEFAULT_MAX_FACTORS:
-        size = f"{family.value} designs at n = {n} have q = {q} factors"
-        if criterion is Criterion.PROJECTIVITY:
-            raise ValueError(
-                f"the projectivity criterion needs q <= {DEFAULT_MAX_FACTORS}; {size}"
-            )
-        if with_projectivity:
-            raise ValueError(
-                f"{size}, above the oracle's cap of {DEFAULT_MAX_FACTORS} for the "
-                f"projectivity refinement; use --skip-projectivity"
-            )
+    size = f"{family.value} designs at n = {n} have"
+    if criterion is Criterion.PROJECTIVITY:
+        check_factor_cap(q, size, " for --criterion projectivity")
+    elif with_projectivity:
+        check_factor_cap(
+            q, size, " for the projectivity refinement, which --skip-projectivity skips,"
+        )
     profiles = profile_array(n)
     pairs = u0v0_classes(family)
     forms = closed_forms(family, profiles, pairs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import dataclasses
 import json
 import sys
@@ -337,6 +339,23 @@ def test_max_factors_defaults_to_the_oracle_cap():
     assert args.max_factors == DEFAULT_MAX_FACTORS
 
 
+def test_max_factors_sets_the_oracle_cap(capsys):
+    flags = ("--family", "sixteenth-even", "--n", "2", "--u", "1,2", "--v", "2,1",
+             "--method", "oracle")  # q = 8
+    for command in ("metrics", "spectrum"):
+        code, _, _ = run(capsys, command, *flags, "--max-factors", "8")
+        assert code == EXIT_OK
+        with pytest.raises(ValueError, match="above the cap of 7"):
+            main([command, *flags, "--max-factors", "7"])
+
+
+def test_metrics_refuses_design_format(capsys):
+    code, stdout, err = run(capsys, "metrics", "--family", "sixteenth-even", "--n", "1",
+                            "--u", "1", "--v", "2", "--design-format", "csv")
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.endswith("error: unrecognized arguments: --design-format csv\n")
+
+
 def test_tables_commands_pass(capsys):
     for which in ("3", "4", "5", "6"):
         code, stdout, _ = run(capsys, "tables", "--which", which, "--report", "json")
@@ -398,10 +417,9 @@ def test_bound_command(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--max-n", "0"), "error: --max-n must be positive\n"),
-    (("--max-n", "-3"), "error: --max-n must be positive\n"),
+    (("--max-n", "11"), "error: unrecognized arguments: --max-n 11\n"),
     (("--all-pairs",), "error: unrecognized arguments: --all-pairs\n"),
-], ids=["max-n-zero", "max-n-negative", "all-pairs"])
+], ids=["max-n", "all-pairs"])
 def test_search_usage_errors(capsys, argv, message):
     code, stdout, err = run(capsys, "search", "--family", "sixteenth-odd", "--n", "1", *argv)
     assert code == EXIT_USAGE and stdout == ""
@@ -432,8 +450,8 @@ def test_verify_refuses_sizes_above_the_oracle_cap(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "6", "--sample", "1")
     assert code == EXIT_USAGE
     assert err == (
-        "error: sixteenth-odd designs at n = 8 have q = 21 factors, "
-        "above the oracle's cap of 20\n"
+        "error: sixteenth-odd designs at n = 8 have 21 factors, above the cap of 20; "
+        "the oracle needs q <= 20, about 14 * 2^q bytes\n"
     )
 
 
@@ -847,6 +865,12 @@ def test_rows_must_match_the_generator_rebuild(tmp_path, capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+#: Generator flags of one n = 10 design per family (2^20 or 2^21 runs).
+N10_FLAGS = {
+    f: ("--family", f.value, "--n", "10", "--u", "1,2,3,0,1,2,3,0,1,2",
+        "--v", "2,1,0,3,2,1,0,3,2,1", *(["--u0v0", "12"] if f.branched else []))
+    for f in Family
+}
 #: Each file in ``tests/golden`` holds the stdout of its commands, run one
 #: after another.  A refactor keeps these bytes unless it says why.
 GOLDEN_COMMANDS = {
@@ -866,19 +890,64 @@ GOLDEN_COMMANDS = {
        for f in Family},
     "verify_n3_sample20_seed1.txt": [
         ("verify", "--n-max", "3", "--sample", "20", "--seed", "1")],
+    "metrics_theory_n10.json": [
+        ("metrics", *N10_FLAGS[f], "--method", "theory", "--report", "json") for f in Family],
+    "spectrum_theory_n10.txt": [
+        ("spectrum", *N10_FLAGS[f], "--method", "theory") for f in Family],
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_stdout_matches_golden_file(capsys, name):
+def _golden_stdout(capsys, name: str) -> str:
     stdout = ""
     for argv in GOLDEN_COMMANDS[name]:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         stdout += out
-    assert stdout == (GOLDEN / name).read_bytes().decode()
+    return stdout
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_golden_file(capsys, name):
+    assert _golden_stdout(capsys, name) == (GOLDEN / name).read_bytes().decode()
+
+
+@pytest.mark.parametrize("name", ["metrics_theory_n10.json", "spectrum_theory_n10.txt"])
+def test_theory_commands_never_build_the_matrix(capsys, monkeypatch, name):
+    # The closed forms need the generator data alone; the shape comes from
+    # the family's run and factor counts.
+    def build_design(spec):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(cli, "build_design", build_design)
+    assert _golden_stdout(capsys, name) == (GOLDEN / name).read_bytes().decode()
 
 
 def test_every_golden_file_has_its_commands():
     # A file without commands would silently stop being compared.
     assert {path.name for path in GOLDEN.iterdir()} == set(GOLDEN_COMMANDS)
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> list[str]:
+    options = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options += _option_strings(sub)
+        else:
+            options += action.option_strings
+    return options
+
+
+def test_every_option_is_set_somewhere():
+    # An option that no test argv, golden command or benchmark workload sets
+    # is a knob nothing sets: delete it or test it.
+    sources = [*Path(__file__).parent.glob("*.py"),
+               Path(__file__).parents[1] / "perfbench" / "workloads.py"]
+    literals = {
+        node.value
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    idle = set(_option_strings(cli.build_parser())) - literals - {"-h", "--help"}
+    assert idle == set()

@@ -153,21 +153,23 @@ def test_parseval_identity():
 
 def test_factor_cap_guard():
     design = build_design(EXAMPLE_EVEN)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="above the cap of 8"):
         j_characteristics(design, max_factors=8)
-    with pytest.raises(ValueError):
-        projectivity(design, max_factors=8)
+    # The cap is raised through the table the other functions take.
+    table = j_characteristics(design, max_factors=design.n_factors)
+    assert projectivity(design, table) == projectivity(design)
 
 
 def test_factor_cap_refuses_before_the_projection_tables():
-    design = build_design(EXAMPLE_ODD_N3)
-    assert design.n_factors == 11
+    spec = spec_for(Family.SIXTEENTH_ODD, GeneratorProfile.from_digits("2222000000"), (1, 2))
+    design = build_design(spec)
+    assert design.n_factors == 21
     for check in (
-        lambda: projectivity(design, max_factors=8),
-        lambda: projection_level_full(design, 4, max_factors=8),
-        lambda: spectrum_bruteforce(design, max_factors=8),
+        lambda: projectivity(design),
+        lambda: projection_level_full(design, 4),
+        lambda: spectrum_bruteforce(design),
     ):
-        with pytest.raises(ValueError, match="above the cap of 8"):
+        with pytest.raises(ValueError, match="above the cap of 20"):
             check()
 
 

@@ -20,8 +20,8 @@ from qcdesign import (
 from qcdesign import oracle, search
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.search import (
-    DEFAULT_MAX_N,
     EIGHTH_ROWS,
+    MAX_N,
     SIXTEENTH_ROWS,
     enumerate_profiles,
     u0v0_classes,
@@ -93,11 +93,9 @@ def test_optimize_is_deterministic():
 
 def test_optimize_rejects_out_of_range_n():
     with pytest.raises(ValueError):
-        optimize(DEFAULT_MAX_N + 1, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
+        optimize(MAX_N + 1, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
     with pytest.raises(ValueError):
         optimize(0, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
-    with pytest.raises(ValueError, match="--max-n must be positive"):
-        optimize(1, Family.SIXTEENTH_EVEN, Criterion.ABERRATION, max_n=0)
 
 
 def test_oversized_projectivity_search_is_refused_up_front(monkeypatch):
