@@ -37,6 +37,7 @@ from .qc_core import (
     Family,
     GeneratorProfile,
     GeneratorSpec,
+    _integers,
     build_design,
     profile_of,
 )
@@ -154,27 +155,95 @@ def _validate_metrics_payload(payload: dict) -> dict:
     return out
 
 
-def _json_runs(rows, q: int) -> np.ndarray:
-    """JSON ``rows``: a list per run of q entries, each the integer 1 or -1."""
-    if type(rows) is not list or set(map(type, rows)) - {list}:
-        raise UsageError("JSON rows must be a list of runs, each a list of entries")
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))
-    if np.any(widths != q):
-        run = np.argmax(widths != q)
-        raise UsageError(f"JSON run {run + 1} has {widths[run]} entries for {q} columns")
-    try:  # type() tells true from 1; np.array alone would also take 1.5 and "1"
-        if set(map(type, chain.from_iterable(rows))) <= {int}:
-            values = np.array(rows, dtype=np.int8)
-            if np.all(np.abs(values) == 1):
-                return values
-    except OverflowError:  # an integer beyond int8
+# Byte classes (bytes.translate tables).  In a CSV, _SPACE is what str.strip()
+# drops in a line and _BREAK a str.splitlines() break; in JSON, _SPACE is JSON
+# whitespace.  _FAULT is 0 at a << 4 | b where class b may follow class a: a
+# CSV run is `[sign]1` fields joined by commas (a blank line has none); JSON
+# runs are `[`, `[-]1` entries joined by commas, `]`, with _SEPs around them.
+_SPACE, _BREAK, _COMMA, _ONE, _OTHER, _OPEN, _CLOSE, _SEP, _PLUS, _MINUS = range(10)
+_CSV_CLASS, _JSON_CLASS = np.full((2, 256), _OTHER, np.uint8)
+_CSV_CLASS[list(b"\t \x1f")] = _SPACE
+_CSV_CLASS[list(b"\n\r\v\f\x1c\x1d\x1e")] = _BREAK
+_CSV_CLASS[list(b",1+-")] = _COMMA, _ONE, _PLUS, _MINUS
+_JSON_CLASS[list(b" \t\n\r,1-[]")] = *[_SPACE] * 4, _COMMA, _ONE, _MINUS, _OPEN, _CLOSE
+_FAULT = np.ones(256, np.uint8)
+_FAULT[[a << 4 | b for a, bs in {
+    _BREAK: (_BREAK, _ONE, _PLUS, _MINUS), _PLUS: (_ONE,), _MINUS: (_ONE,),
+    _COMMA: (_ONE, _PLUS, _MINUS), _ONE: (_COMMA, _BREAK, _CLOSE),
+    _SEP: (_OPEN,), _OPEN: (_ONE, _MINUS, _CLOSE), _CLOSE: (_COMMA, _SEP),
+}.items() for b in bs]] = 0
+# An entry's value at the pair code that ends in its `1`; 0 at a run's end,
+# (1, break) in a CSV and (1 or `[`, `]`) in JSON; 2, dropped, elsewhere.
+_ENTRY = np.full(256, 2, np.int8)
+_ENTRY[[a << 4 | _ONE for a in range(16)]] = 1
+_ENTRY[_MINUS << 4 | _ONE] = -1
+_ENTRY[[_ONE << 4 | _BREAK, _ONE << 4 | _CLOSE, _OPEN << 4 | _CLOSE]] = 0
+_DROP = bytes(code for code in range(256) if _ENTRY[code] == 2)
+
+
+def _pairs(classes: bytes) -> bytes:
+    """The code a << 4 | b of each two adjacent classes once whitespace is
+    dropped.  A space after a sign becomes _OTHER, and a comma after `]`
+    becomes the _SEP that opens the next pair."""
+    cls = np.frombuffer(classes, np.uint8)
+    signed = cls[:-1] >= _PLUS
+    signed &= cls[1:] == _SPACE  # `- 1` is no entry
+    if signed.any():
+        classes = np.where(np.append(False, signed), np.uint8(_OTHER), cls).tobytes()
+    tokens = np.frombuffer(classes.translate(None, bytes((_SPACE,))), np.uint8)
+    pairs = tokens[:-1] << 4
+    pairs |= tokens[1:]
+    pairs[1:][pairs[:-1] == _CLOSE << 4 | _COMMA] += _SEP - _COMMA << 4
+    return pairs.tobytes()
+
+
+def _check_widths(kind: str, widths: np.ndarray, q: int) -> None:
+    for run in np.flatnonzero(widths != q)[:1]:
+        raise UsageError(f"{kind} run {run + 1} has {widths[run]} entries for {q} columns")
+
+
+def _sign_runs(pairs: bytes, q: int, kind: str) -> np.ndarray:
+    """The int8 runs of a text whose pair codes _FAULT takes; a ragged run
+    is refused."""
+    values = np.frombuffer(pairs.translate(_ENTRY, _DROP), np.int8)
+    _check_widths(kind, np.diff(np.flatnonzero(values == 0), prepend=-1) - 1, q)
+    return np.ascontiguousarray(values.reshape(-1, q + 1)[:, :q])  # each run, then its end
+
+
+def _rows_block(text: str, pos: int) -> tuple[object, int]:
+    """The ``rows`` value at text[pos] and the index after it: the pair
+    codes of a list of runs of 1 and -1, or else the stdlib's value."""
+    if text.startswith("[", pos) and (close := _ROWS_END.search(text, pos)):
+        inner = text[pos + 1 : close.end() - 1].encode().translate(_JSON_CLASS)
+        pairs = _pairs(bytes((_SEP,)) + inner + bytes((_SEP,)))  # the outer brackets
+        if pairs.translate(_FAULT).find(1) < 0:  # a list of runs: it ends at its first `]]`
+            return pairs, close.end()
+    return _DECODER.raw_decode(text, pos)
+
+
+_DECODER = json.JSONDecoder()
+_ROWS_END = re.compile(r"\][ \t\n\r]*\]")
+# A member's `{` (the first) or `,`, its key and its colon.
+_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*("(?:[^"\\]|\\.)*")[ \t\n\r]*:[ \t\n\r]*', re.S)
+
+
+def _json_payload(text: str) -> object:
+    """``json.loads(text)``, with a top-level ``rows`` read by _rows_block;
+    text this walk does not expect goes to json.loads itself."""
+    payload, pos = {}, 0
+    try:
+        while (m := _MEMBER.match(text, pos)) and m[1] == ("," if payload else "{"):
+            read = _rows_block if (key := json.loads(m[2])) == "rows" else _DECODER.raw_decode
+            payload[key], pos = read(text, m.end())  # a repeated key keeps the last value
+        if payload and text[pos:].strip(" \t\n\r") == "}":
+            return payload
+    except ValueError:  # json.loads reads the whole text: its value or its error
         pass
-    bad = next(x for x in chain.from_iterable(rows) if type(x) is not int or abs(x) != 1)
-    raise UsageError(f"JSON entries must be the integers 1 and -1, got {json.dumps(bad)}")
+    return json.loads(text)
 
 
 def document_from_json(text: str) -> DesignDocument:
-    payload = json.loads(text)
+    payload = _json_payload(text)
     if not isinstance(payload, dict):
         raise UsageError("a design document must be a JSON object")
     if payload.get("schema") != SCHEMA:
@@ -182,9 +251,23 @@ def document_from_json(text: str) -> DesignDocument:
     columns = payload["columns"]
     if type(columns) is not list or set(map(type, columns)) - {str}:
         raise UsageError("JSON columns must be a list of strings")
-    design = DesignMatrix(tuple(columns), _json_runs(payload["rows"], len(columns)))
-    if design.n_runs != payload["n_runs"] or design.n_factors != payload["n_factors"]:
-        raise UsageError("document run/factor counts disagree with the rows")
+    if not columns:
+        raise UsageError("JSON columns must name at least one column")
+    rows, q = payload["rows"], len(columns)
+    if type(rows) is bytes:
+        rows = _sign_runs(rows, q, "JSON")
+    elif type(rows) is not list or set(map(type, rows)) - {list}:
+        raise UsageError("JSON rows must be a list of runs, each a list of entries")
+    else:  # a list of lists _rows_block refused: its first ragged run, else bad entry
+        _check_widths("JSON", np.fromiter(map(len, rows), np.int64, len(rows)), q)
+        for x in chain.from_iterable(rows):  # type() tells true from 1 and 1.0
+            if type(x) is not int or abs(x) != 1:
+                got = json.dumps(x)
+                raise UsageError(f"JSON entries must be the integers 1 and -1, got {got}")
+    design = DesignMatrix(tuple(columns), rows)  # `[]` is 1-d, which it refuses
+    for key, count in (("n_runs", design.n_runs), ("n_factors", design.n_factors)):
+        if _integers((payload[key],), key) != (count,):  # an integer, as n, u and v are
+            raise UsageError("document run/factor counts disagree with the rows")
     spec = None
     if payload.get("family"):
         pair = normalize_u0v0(payload["u0v0"]) if payload.get("u0v0") else (None, None)
@@ -203,20 +286,6 @@ def design_to_csv(design: DesignMatrix) -> str:
     return ",".join(design.columns) + "\n" + _encode_runs(design.rows, b"", b"\n")
 
 
-# Byte classes of a CSV body, as a bytes.translate table: _SPACE is the
-# whitespace str.strip() removes in a line, _BREAK a str.splitlines() break.
-_SPACE, _BREAK, _COMMA, _ONE, _OTHER, _PLUS, _MINUS = range(7)
-_CLASS = np.full(256, _OTHER, np.uint8)
-_CLASS[list(b"\t \x1f")] = _SPACE
-_CLASS[list(b"\n\r\v\f\x1c\x1d\x1e")] = _BREAK
-_CLASS[list(b",1+-")] = _COMMA, _ONE, _PLUS, _MINUS
-# _FAULT[a << 3 | b] is 0 where class b may follow class a once whitespace is
-# removed: a run is `[sign]1` fields joined by commas, a blank line has none.
-_FAULT = np.ones(256, np.uint8)
-_FAULT[[a << 3 | b for a, follow in {
-    _BREAK: (_BREAK, _ONE, _PLUS, _MINUS), _COMMA: (_ONE, _PLUS, _MINUS),
-    _ONE: (_COMMA, _BREAK), _PLUS: (_ONE,), _MINUS: (_ONE,),
-}.items() for b in follow]] = 0
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # Non-ASCII whitespace as " ", and its line breaks as "\n" (str.translate table).
 _WIDE_SPACE = str.maketrans("\x85\u2028\u2029", "\n\n\n") | dict.fromkeys(
@@ -229,32 +298,19 @@ def design_from_csv(text: str) -> DesignMatrix:
     first = re.search(r"\S", text)
     header = first and _LINE_BREAK.search(text, first.start())
     body = text[header.start() :] if header else ""  # starts with a line break
-    ascii_body = body if body.isascii() else body.translate(_WIDE_SPACE)
-    cls = np.frombuffer((ascii_body + "\n").encode().translate(_CLASS), np.uint8)
-    keep = cls != _SPACE
-    keep[1:] |= cls[:-1] >= _PLUS  # keep the space of "- 1", which no sign may precede
-    s = cls[keep]
-    starts = np.flatnonzero((s[:-1] == _BREAK) & (s[1:] != _BREAK)) + 1
-    if not starts.size:
+    if not body or body.isspace():
         raise UsageError("a CSV design needs a header line and at least one run")
+    ascii_body = body if body.isascii() else body.translate(_WIDE_SPACE)
+    pairs = _pairs((ascii_body + "\n").encode().translate(_CSV_CLASS))
     columns = tuple(map(str.strip, text[first.start() : header.start()].split(",")))
-    ones = np.flatnonzero(s == _ONE)
-    counts = np.diff(np.searchsorted(ones, starts), append=ones.size)
-    ragged = np.flatnonzero(counts != len(columns))
-    fault = (s[:-1] << 3 | s[1:]).tobytes().translate(_FAULT).find(1)
-    if fault >= 0:  # the pair lies on the line of its first non-break byte
-        run = np.searchsorted(starts, fault + (s[fault] == _BREAK), "right") - 1
-        if not ragged.size or run <= ragged[0]:
-            line = [line for line in body.splitlines() if line.strip()][run]
-            tok = next(t for t in map(str.strip, line.split(",")) if t not in ("1", "+1", "-1"))
-            raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
-    if ragged.size:
-        run = ragged[0]
-        raise UsageError(
-            f"CSV run {run + 1} has {counts[run]} entries for {len(columns)} columns"
-        )
-    negative = (s[ones - 1] == _MINUS).view(np.int8)
-    return DesignMatrix(columns, (1 - 2 * negative).reshape(-1, len(columns)))
+    fault = pairs.translate(_FAULT).find(1)
+    if fault >= 0:  # the runs before its line end by the last (1, break) before it
+        done = pairs.rfind(bytes((_ONE << 4 | _BREAK,)), 0, fault) + 1
+        run = len(_sign_runs(pairs[:done], len(columns), "CSV"))  # a ragged one comes first
+        line = [line for line in body.splitlines() if line.strip()][run]
+        tok = next(t for t in map(str.strip, line.split(",")) if t not in ("1", "+1", "-1"))
+        raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
+    return DesignMatrix(columns, _sign_runs(pairs, len(columns), "CSV"))
 
 
 def load_design(path: str) -> DesignDocument:
@@ -269,7 +325,7 @@ def load_design(path: str) -> DesignDocument:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}")
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}")
 
 

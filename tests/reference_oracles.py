@@ -10,20 +10,33 @@ transform of ``qcdesign.oracle.j_characteristics`` that they check.
 definitions of the two in-place butterfly transforms of ``qcdesign.oracle``.
 ``csv_rows`` is the line-by-line CSV parser that ``qcdesign.cli`` used
 before it read CSV as arrays; its acceptance and its messages are the
-reference for ``design_from_csv``.
+reference for ``design_from_csv``.  ``json_document`` is the JSON reader
+that ``qcdesign.cli`` used before it read ``rows`` as bytes: ``json.loads``
+of the whole text, then ``json_runs`` on the nested lists.  It is the
+reference for ``document_from_json``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from conftest import GRAY_PAIRS
-from qcdesign import DesignMatrix, GeneratorSpec
+from qcdesign import DesignMatrix, GeneratorSpec, build_design
+from qcdesign.cli import (
+    SCHEMA,
+    DesignDocument,
+    MismatchError,
+    UsageError,
+    _validate_metrics_payload,
+)
+from qcdesign.qc_core import Family
+from qcdesign.theory import normalize_u0v0
 
 _G1 = tuple(GRAY_PAIRS[k][0] for k in range(4))
 _G2 = tuple(GRAY_PAIRS[k][1] for k in range(4))
@@ -198,3 +211,48 @@ def csv_rows(text: str) -> tuple[tuple[str, ...], list[list[int]]]:
             )
         rows.append(entries)
     return columns, rows
+
+
+def json_runs(rows, q: int) -> np.ndarray:
+    """JSON ``rows``: a list per run of q entries, each the integer 1 or -1."""
+    if type(rows) is not list or set(map(type, rows)) - {list}:
+        raise UsageError("JSON rows must be a list of runs, each a list of entries")
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    if np.any(widths != q):
+        run = np.argmax(widths != q)
+        raise UsageError(f"JSON run {run + 1} has {widths[run]} entries for {q} columns")
+    try:  # type() tells true from 1; np.array alone would also take 1.5 and "1"
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            values = np.array(rows, dtype=np.int8)
+            if np.all(np.abs(values) == 1):
+                return values
+    except OverflowError:  # an integer beyond int8
+        pass
+    bad = next(x for x in chain.from_iterable(rows) if type(x) is not int or abs(x) != 1)
+    raise UsageError(f"JSON entries must be the integers 1 and -1, got {json.dumps(bad)}")
+
+
+def json_document(text: str) -> DesignDocument:
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise UsageError("a design document must be a JSON object")
+    if payload.get("schema") != SCHEMA:
+        raise UsageError(f"unsupported schema {payload.get('schema')!r}")
+    columns = payload["columns"]
+    if type(columns) is not list or set(map(type, columns)) - {str}:
+        raise UsageError("JSON columns must be a list of strings")
+    design = DesignMatrix(tuple(columns), json_runs(payload["rows"], len(columns)))
+    if design.n_runs != payload["n_runs"] or design.n_factors != payload["n_factors"]:
+        raise UsageError("document run/factor counts disagree with the rows")
+    spec = None
+    if payload.get("family"):
+        pair = normalize_u0v0(payload["u0v0"]) if payload.get("u0v0") else (None, None)
+        spec = GeneratorSpec(Family.from_label(payload["family"]), payload["n"],
+                             tuple(payload["u"]), tuple(payload["v"]), *pair)
+        rebuilt = design.n_runs == spec.family.run_count(spec.n) and build_design(spec)
+        if not (rebuilt and np.array_equal(rebuilt.rows, design.rows)):
+            raise MismatchError("the rows differ from a rebuild of the generator fields")
+    metrics = payload.get("metrics")
+    if metrics is not None:
+        metrics = _validate_metrics_payload(metrics)
+    return DesignDocument(spec, design, metrics)

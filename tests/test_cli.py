@@ -7,12 +7,13 @@ import ast
 import dataclasses
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from reference_oracles import csv_rows
+from reference_oracles import csv_rows, json_document
 
 from qcdesign import (
     Family,
@@ -323,15 +324,30 @@ def test_search_refuses_oversized_projectivity_refinement(capsys):
         ("ragged.csv", "A,B\n1,-1\n1\n"),
         ("header_only.csv", "A,B\n"),
         ("missing.json", None),
+        # json.loads recurses into these until it raises RecursionError.
+        pytest.param("deep_rows.json", '{"schema": "qcdesign/1", "columns": ["A"], "rows": '
+                     + "[" * 100_000 + "]" * 100_000 + ', "n_runs": 1, "n_factors": 1}',
+                     id="deep_rows.json"),
+        pytest.param("deep_metrics.json", '{"schema": "qcdesign/1", "columns": ["A"], '
+                     '"rows": [[1]], "n_runs": 1, "n_factors": 1, "metrics": ' + "[" * 100_000,
+                     id="deep_metrics.json"),
+        # The reference reader took these counts, and this matrix of no columns.
+        ("bool_count.json", '{"schema": "qcdesign/1", "columns": ["A"], "rows": [[1]], '
+         '"n_runs": true, "n_factors": 1}'),
+        ("float_count.json", '{"schema": "qcdesign/1", "columns": ["A", "B"], '
+         '"rows": [[1, -1], [1, 1], [1, -1], [-1, 1]], "n_runs": 4.0, "n_factors": 2}'),
+        ("no_columns.json", '{"schema": "qcdesign/1", "columns": [], "rows": [[], []], '
+         '"n_runs": 2, "n_factors": 0}'),
     ],
 )
 def test_bad_design_documents_end_in_one_error_line(tmp_path, capsys, name, text):
     path = tmp_path / name
     if text is not None:
         path.write_text(text)
-    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
-    assert code == EXIT_USAGE
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    for command in ("metrics", "spectrum"):
+        code, out, err = run(capsys, command, "--design", str(path), "--method", "oracle")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_max_factors_defaults_to_the_oracle_cap():
@@ -695,36 +711,55 @@ def _payload(spec: GeneratorSpec) -> dict:
     return json.loads(document_to_json(DesignDocument(spec, build_design(spec))))
 
 
-def _break_json(payload: dict, data) -> None:
+#: Refusals of the array JSON reader that the reference reader does not make
+#: (it accepts such a document, or refuses it later with another message).
+NEW_REFUSALS = ("JSON columns must name at least one column", "n_runs: ", "n_factors: ")
+
+
+def _new_refusal(message: str) -> bool:
+    return any(refusal in message for refusal in NEW_REFUSALS)
+
+
+BREAK_KINDS = (
+    "entry", "rows", "ragged", "n_runs", "missing", "schema", "columns", "generator",
+    "counts", "no_columns",
+)
+
+
+def _break_json(payload: dict, draw, kind: str) -> None:
     """Make one part of a design document malformed, in place."""
     rows = payload["rows"]
-    kind = data.draw(st.sampled_from(
-        ("entry", "rows", "ragged", "n_runs", "missing", "schema", "columns", "generator")
-    ))
     if kind == "entry":
-        run = data.draw(st.integers(0, len(rows) - 1))
-        entry = data.draw(st.integers(0, len(rows[run]) - 1))
-        rows[run][entry] = data.draw(st.sampled_from(
+        run = draw(st.integers(0, len(rows) - 1))
+        entry = draw(st.integers(0, len(rows[run]) - 1))
+        rows[run][entry] = draw(st.sampled_from(
             (257, -128, 0, 2, 10**30, 1.5, -1.9, 1.0, True, False, "1", None, [1], {})
         ))
     elif kind == "rows":
-        payload["rows"] = data.draw(st.sampled_from((5, "1,-1", {"a": 1}, None, [1, -1], [[1], 1])))
+        payload["rows"] = draw(st.sampled_from(
+            (5, "1,-1", {"a": 1}, None, [1, -1], [[1], 1], [], [[[1]]], [[1], 1, [1]])
+        ))
     elif kind == "ragged":
-        rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
     elif kind == "n_runs":
         payload["n_runs"] += 1
     elif kind == "missing":
-        del payload[data.draw(st.sampled_from(("columns", "rows", "n_runs", "n_factors")))]
+        del payload[draw(st.sampled_from(("columns", "rows", "n_runs", "n_factors")))]
     elif kind == "schema":
-        payload["schema"] = data.draw(st.sampled_from(("qcdesign/2", None, 1)))
+        payload["schema"] = draw(st.sampled_from(("qcdesign/2", None, 1)))
     elif kind == "columns":  # each has one item per column, but is no list of strings
         columns = payload["columns"]
-        payload["columns"] = data.draw(st.sampled_from((
+        payload["columns"] = draw(st.sampled_from((
             "ABCDEFGHIJKLMNOPQRSTU"[: len(columns)], list(range(len(columns))),
             dict.fromkeys(columns), [*columns[:-1], None],
         )))
+    elif kind == "counts":  # the right count, or not, as no JSON integer
+        key = draw(st.sampled_from(("n_runs", "n_factors")))
+        payload[key] = draw(st.sampled_from((True, False, float(payload[key]), 1e400)))
+    elif kind == "no_columns":  # the reference takes the runs of no entries
+        payload.update(columns=[], rows=[[] for _ in rows], n_factors=0, family=None)
     else:
-        key, value = data.draw(st.sampled_from((
+        key, value = draw(st.sampled_from((
             ("u", [7] * payload["n"]), ("u", [1.0] * payload["n"]), ("v", None),
             ("n", str(payload["n"])), ("n", 1e400), ("family", "tenth-even"),
             ("u0v0", "9"), ("u0v0", [1e400, 0]), ("u", [0] * (payload["n"] + 1)),
@@ -734,14 +769,94 @@ def _break_json(payload: dict, data) -> None:
 
 @fuzzed
 @given(specs(max_n=2), st.data())
-def test_malformed_json_ends_in_one_error_line(tmp_path, capsys, spec, data):
+def test_malformed_json_ends_in_one_error_line(tmp_path, capsys, monkeypatch, spec, data):
     payload = _payload(spec)
-    _break_json(payload, data)
+    _break_json(payload, data.draw, data.draw(st.sampled_from(BREAK_KINDS)))
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "metrics", "--design", str(path), "--method", "oracle")
+    argv = ("metrics", "--design", str(path), "--method", "oracle")
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if not _new_refusal(err):
+        with monkeypatch.context() as patch:  # undone before the next example
+            patch.setattr(cli, "document_from_json", json_document)
+            assert run(capsys, *argv) == (code, out, err)
+
+
+@st.composite
+def json_texts(draw):
+    """A design document, perhaps broken, as JSON text with random
+    whitespace between tokens and its keys in random order; perhaps with
+    a second top-level ``rows``, one under ``metrics``, an escaped key or
+    non-ASCII labels.  Also whether its rows must take the byte path."""
+    payload = _payload(draw(specs(max_n=2)))
+    kind = draw(st.sampled_from((None, *BREAK_KINDS)))
+    if kind:
+        _break_json(payload, draw, kind)
+    if draw(st.booleans()) and type(payload.get("columns")) is list:
+        payload["columns"] = [f"{c}\u00e9\u2028" for c in payload["columns"]]
+    if draw(st.booleans()):
+        payload["metrics"] = {"rows": draw(st.sampled_from(([[1, -1]], [[1]] * 3, "[[1]]")))}
+    members = draw(st.permutations(list(payload.items())))
+    twice = draw(st.booleans()) and "rows" in payload
+    if twice:
+        other = draw(st.sampled_from(([[1, -1]], [], [[2]], "rows")))
+        members.insert(draw(st.integers(0, len(members))), ("rows", other))
+    rnd = draw(st.randoms(use_true_random=False))
+    escape = draw(st.booleans())
+
+    def space() -> str:
+        return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.choice((0, 0, 1, 2))))
+
+    def dump(value) -> str:
+        if isinstance(value, list):
+            return "[" + ",".join(space() + dump(v) + space() for v in value) + "]"
+        if isinstance(value, dict):
+            return "{" + ",".join(member(k, v) for k, v in value.items()) + "}"
+        return json.dumps(value, ensure_ascii=rnd.random() < 0.5)
+
+    def member(key: str, value) -> str:
+        name = '"r\\u006fws"' if escape and key == "rows" else dump(key)
+        return space() + name + space() + ":" + space() + dump(value) + space()
+
+    text = space() + "{" + ",".join(member(k, v) for k, v in members) + "}" + space()
+    last_rows = [v for k, v in members if k == "rows"][-1:]
+    fast = kind is None and last_rows == [payload["rows"]] and payload["rows"] != []
+    return text, fast
+
+
+def _outcome(read, text: str) -> tuple:
+    try:
+        doc = read(text)
+    except (cli.UsageError, KeyError, ValueError, TypeError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return doc.spec, doc.design.columns, doc.design.rows.tolist(), doc.metrics
+
+
+@fuzzed
+@given(json_texts())
+@example(('{"schema": "qcdesign/1", "columns": ["A"], "rows": [[1], [-1]], '
+          '"n_runs": 2, "n_factors": 1}', True))
+@example(('{"columns": ["A"], "rows": [[1],1,[1]], "schema": "qcdesign/1"}', False))
+@example(('{"columns": ["A"], "rows": [[1,[1],1]], "schema": "qcdesign/1"}', False))
+@example(('{"columns": ["A"], "rows": [[- 1]], "schema": "qcdesign/1"}', False))
+@example(('{"columns": ["A"], "rows": [[1]]]', False))
+@example(('{"columns": ["A"], "rows": [[1]], }', False))
+@example(('{"rows": [], "rows": [[1]], "columns": ["A"], "schema": "qcdesign/1", '
+          '"n_runs": 1, "n_factors": 1}', True))
+@example(('[{"rows": [[1]]}]', False))
+def test_json_reader_matches_reference_reader(document):
+    text, fast = document
+    ours = _outcome(document_from_json, text)
+    if len(ours) == 2 and _new_refusal(ours[1]):
+        payload = json.loads(text)
+        counts = (payload.get(k, 0) for k in ("n_runs", "n_factors"))
+        assert payload["columns"] == [] or {type(c) for c in counts} != {int}
+    else:
+        assert ours == _outcome(json_document, text)
+    if fast:  # a well-formed document never reaches the stdlib's scanner for its rows
+        assert type(cli._json_payload(text)["rows"]) is bytes
 
 
 @settings(max_examples=100, deadline=None)
@@ -825,6 +940,24 @@ def test_indent_2_layout_gives_the_same_metrics(tmp_path, capsys):
         for path in (out, old)
     ]
     assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+
+
+def test_readers_peak_memory_is_a_few_times_the_file(tmp_path):
+    # q = 16, 8192 runs.  The readers keep no index array per entry; with
+    # two int64 indices per entry the CSV reader peaked at 12 times its file.
+    spec = GeneratorSpec(Family.EIGHTH_ODD, 6, (1, 2, 3, 0, 1, 2), (2, 1, 0, 3, 2, 1), 1, 2)
+    doc = DesignDocument(spec, build_design(spec))
+    for name, text in (("q16.json", document_to_json(doc)), ("q16.csv", design_to_csv(doc.design))):
+        path = tmp_path / name
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            loaded = cli.load_design(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.design.rows, doc.design.rows)
+        assert peak < 8 * len(text), (name, peak / len(text))
 
 
 @pytest.mark.parametrize("entry", ["257", "1.5", "-1.9", "true", '"1"', "1e400", "-128"])
