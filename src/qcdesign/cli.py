@@ -158,8 +158,8 @@ def _validate_metrics_payload(payload: dict) -> dict:
 # Byte classes (bytes.translate tables).  In a CSV, _SPACE is what str.strip()
 # drops in a line and _BREAK a str.splitlines() break; in JSON, _SPACE is JSON
 # whitespace.  _FAULT is 0 at a << 4 | b where class b may follow class a: a
-# CSV run is `[sign]1` fields joined by commas (a blank line has none); JSON
-# runs are `[`, `[-]1` entries joined by commas, `]`, with _SEPs around them.
+# CSV run is `[sign]1` fields joined by commas (a blank line has none); a JSON
+# run is `[`, `[-]1` entries joined by commas, `]`, and runs are joined by _SEPs.
 _SPACE, _BREAK, _COMMA, _ONE, _OTHER, _OPEN, _CLOSE, _SEP, _PLUS, _MINUS = range(10)
 _CSV_CLASS, _JSON_CLASS = np.full((2, 256), _OTHER, np.uint8)
 _CSV_CLASS[list(b"\t \x1f")] = _SPACE
@@ -170,7 +170,7 @@ _FAULT = np.ones(256, np.uint8)
 _FAULT[[a << 4 | b for a, bs in {
     _BREAK: (_BREAK, _ONE, _PLUS, _MINUS), _PLUS: (_ONE,), _MINUS: (_ONE,),
     _COMMA: (_ONE, _PLUS, _MINUS), _ONE: (_COMMA, _BREAK, _CLOSE),
-    _SEP: (_OPEN,), _OPEN: (_ONE, _MINUS, _CLOSE), _CLOSE: (_COMMA, _SEP),
+    _SEP: (_OPEN,), _OPEN: (_ONE, _MINUS, _CLOSE), _CLOSE: (_COMMA,),
 }.items() for b in bs]] = 0
 # An entry's value at the pair code that ends in its `1`; 0 at a run's end,
 # (1, break) in a CSV and (1 or `[`, `]`) in JSON; 2, dropped, elsewhere.
@@ -183,14 +183,17 @@ _DROP = bytes(code for code in range(256) if _ENTRY[code] == 2)
 
 def _pairs(classes: bytes) -> bytes:
     """The code a << 4 | b of each two adjacent classes once whitespace is
-    dropped.  A space after a sign becomes _OTHER, and a comma after `]`
-    becomes the _SEP that opens the next pair."""
+    dropped, from the caller's temporary ``classes``, freed once read.  A
+    space after a sign becomes _OTHER, and a comma after `]` becomes the
+    _SEP that opens the next run."""
     cls = np.frombuffer(classes, np.uint8)
     signed = cls[:-1] >= _PLUS
     signed &= cls[1:] == _SPACE  # `- 1` is no entry
     if signed.any():
         classes = np.where(np.append(False, signed), np.uint8(_OTHER), cls).tobytes()
+    del cls, signed
     tokens = np.frombuffer(classes.translate(None, bytes((_SPACE,))), np.uint8)
+    del classes
     pairs = tokens[:-1] << 4
     pairs |= tokens[1:]
     pairs[1:][pairs[:-1] == _CLOSE << 4 | _COMMA] += _SEP - _COMMA << 4
@@ -214,10 +217,9 @@ def _rows_block(text: str, pos: int) -> tuple[object, int]:
     """The ``rows`` value at text[pos] and the index after it: the pair
     codes of a list of runs of 1 and -1, or else the stdlib's value."""
     if text.startswith("[", pos) and (close := _ROWS_END.search(text, pos)):
-        inner = text[pos + 1 : close.end() - 1].encode().translate(_JSON_CLASS)
-        pairs = _pairs(bytes((_SEP,)) + inner + bytes((_SEP,)))  # the outer brackets
-        if pairs.translate(_FAULT).find(1) < 0:  # a list of runs: it ends at its first `]]`
-            return pairs, close.end()
+        pairs = _pairs(text[pos + 1 : close.end() - 1].encode().translate(_JSON_CLASS))
+        if pairs[:1] and pairs[0] >> 4 == _OPEN and pairs.translate(_FAULT).find(1) < 0:
+            return pairs, close.end()  # runs, from the first inner `[` to the first `]]`
     return _DECODER.raw_decode(text, pos)
 
 
@@ -253,7 +255,7 @@ def document_from_json(text: str) -> DesignDocument:
         raise UsageError("JSON columns must be a list of strings")
     if not columns:
         raise UsageError("JSON columns must name at least one column")
-    rows, q = payload["rows"], len(columns)
+    rows, q = payload.pop("rows"), len(columns)  # the pair codes are freed once read
     if type(rows) is bytes:
         rows = _sign_runs(rows, q, "JSON")
     elif type(rows) is not list or set(map(type, rows)) - {list}:
@@ -264,7 +266,9 @@ def document_from_json(text: str) -> DesignDocument:
             if type(x) is not int or abs(x) != 1:
                 got = json.dumps(x)
                 raise UsageError(f"JSON entries must be the integers 1 and -1, got {got}")
-    design = DesignMatrix(tuple(columns), rows)  # `[]` is 1-d, which it refuses
+    if len(rows) == 0:
+        raise UsageError("a JSON design needs at least one run")
+    design = DesignMatrix(tuple(columns), rows)
     for key, count in (("n_runs", design.n_runs), ("n_factors", design.n_factors)):
         if _integers((payload[key],), key) != (count,):  # an integer, as n, u and v are
             raise UsageError("document run/factor counts disagree with the rows")
@@ -675,24 +679,14 @@ def _chunk_failures(
     values = table.values
     parseval = np.einsum("dj,dj->d", values, values, dtype=np.int64) != n_runs << q
 
-    # With r the minimum word length and top its largest |J|, R = r + 1 -
-    # top / N, so ceil(R) - 1 = r - [top == N]; a design without words has
-    # r = q + 1 and no projection to check.
-    shortest = np.full(designs, q + 1)
-    np.minimum.at(shortest, design, lengths)
-    full_word = np.zeros(designs, dtype=bool)
-    full_word[design[(lengths == shortest[design]) & (jabs == n_runs)]] = True
-    floor_p = shortest - full_word
-    below = (floor_p >= 1) & table.projections.deficient(floor_p)
-
+    # The resolution floor on projectivity needs no check: see oracle._Projections.
     exceeds = np.zeros(designs, dtype=bool)
     if bound is not None and bound + 1 <= q:
-        exceeds = ~table.projections.deficient(np.full(designs, bound + 1))
+        exceeds = ~table.projections.deficient(bound + 1)
 
     checks = (
         (differ, "theory and oracle spectra differ"),
         (parseval, "Parseval identity fails"),
-        (below, "projectivity below ceil(R) - 1"),
         (exceeds, "projectivity exceeds the closed-form bound"),
     )
     return [

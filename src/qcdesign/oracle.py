@@ -246,7 +246,9 @@ class _Projections:
     which needs sum_{nonempty S subset of P} |J(S)| >= N.  One subset-sum
     transform of |J| gives that sum for every P of every design at once;
     the sets that reach N are the survivors, and only they need the exact
-    check.
+    check.  No P of ceil(R) - 1 or fewer columns survives (Deng & Tang 1999):
+    ceil(R) - 1 = r - [top == N] for the shortest word length r and its largest
+    |J| top, so P holds no word, or only itself with |J| <= top < N.
     """
 
     def __init__(self, table: JTable) -> None:
@@ -260,37 +262,34 @@ class _Projections:
         self.design, self.survivors = flat >> self.q, flat & ((1 << self.q) - 1)
         self.sizes = np.bitwise_count(self.survivors)
 
-    def deficient(self, levels: np.ndarray) -> np.ndarray:
-        """Whether some levels[d]-column projection of design d misses a
-        level combination, for every design d of the table.
+    def deficient(self, p: int, designs: np.ndarray | None = None) -> np.ndarray:
+        """Whether some p-column projection of each design misses a level
+        combination; False for the designs the boolean mask ``designs`` omits.
 
-        Each design's survivors of its size are checked exactly in rounds
-        of 1, 2, 4, ... sets, and a design leaves the rounds at its first
-        deficient set.  A round's checks of one size run in batches of at
-        most about _BATCH_ELEMS gathered entries, skipping the designs an
-        earlier batch resolved.
+        Each design's p-set survivors are checked exactly in rounds of 1, 2,
+        4, ... sets, and a design leaves the rounds at its first deficient
+        set.  A round's checks run in batches of at most about _BATCH_ELEMS
+        gathered entries, skipping the designs an earlier batch resolved.
         """
-        levels = np.asarray(levels)
-        pick = self.sizes == levels[self.design]
+        pick = self.sizes == p
+        if designs is not None:
+            pick &= designs[self.design]
         design, masks = self.design[pick], self.survivors[pick]
         rank = np.arange(design.size) - np.searchsorted(design, design)
-        found = np.zeros(levels.shape, dtype=bool)
+        found = np.zeros(self.values.shape[0], dtype=bool)
+        cap = max(1, _BATCH_ELEMS >> p)
         start, size = 0, 1
         while True:
             todo = np.flatnonzero((rank >= start) & (rank < start + size))
             todo = todo[~found[design[todo]]]
             if todo.size == 0:
                 return found
-            sizes = levels[design[todo]]
-            for p in np.flatnonzero(np.bincount(sizes)).tolist():
-                group = todo[sizes == p]
-                cap = max(1, _BATCH_ELEMS >> p)
-                for lo in range(0, group.size, cap):
-                    batch = group[lo : lo + cap]
-                    batch = batch[~found[design[batch]]]
-                    if batch.size:
-                        hit = self._has_empty_cell(design[batch], masks[batch], p)
-                        found[design[batch][hit]] = True
+            for lo in range(0, todo.size, cap):
+                batch = todo[lo : lo + cap]
+                batch = batch[~found[design[batch]]]
+                if batch.size:
+                    hit = self._has_empty_cell(design[batch], masks[batch], p)
+                    found[design[batch][hit]] = True
             start += size
             size *= 2
 
@@ -299,13 +298,13 @@ class _Projections:
 
         Levels are searched upward for all designs at once; a design drops
         out at its first deficient level (fullness at p implies fullness at
-        p - 1) and then asks for level 0, which no survivor has."""
+        p - 1)."""
         result = np.full(self.values.shape[0], self.q)
         for p in range(1, self.q + 1):
             searching = result == self.q
             if not searching.any():
                 break
-            result[self.deficient(np.where(searching, p, 0))] = p - 1
+            result[self.deficient(p, searching)] = p - 1
         return result
 
     def _has_empty_cell(
@@ -331,12 +330,11 @@ def projection_level_full(design: DesignMatrix, p: int, table: JTable | None = N
     table keeps the projection filter built from it, so later calls on the
     same table reuse the filter.
     """
-    q = design.n_factors
-    if not 1 <= p <= q:
+    if not 1 <= p <= design.n_factors:
         raise ValueError("p must lie in 1..q")
     if table is None:
         table = j_characteristics(design)
-    return not table.projections.deficient([p])[0]
+    return not table.projections.deficient(p)[0]
 
 
 def projectivity(design: DesignMatrix, table: JTable | None = None) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import drop_column
+from conftest import drop_column, scan_level_full
 from qcdesign import (
     Criterion,
     Family,
@@ -253,7 +253,8 @@ def test_criterion_9_structural_properties():
     for label in ("F2", "F3", "F4"):
         assert sorted(multisets[label], key=str) == reference
 
-    # Projectivity floor and level monotonicity.
+    # Projectivity floor, by the sort-based scan (the J-table filter holds
+    # it by construction), and level monotonicity.
     for spec in sample_specs + list(table_optima_specs()):
         design = build_design(spec)
         resolution, _ = spectrum_metrics(
@@ -261,7 +262,7 @@ def test_criterion_9_structural_properties():
         )
         floor_p = math.ceil(resolution) - 1
         if floor_p >= 1:
-            assert projection_level_full(design, floor_p), spec
+            assert scan_level_full(design, floor_p), spec
     for spec in sample_specs[:4]:
         design = build_design(spec)
         p = projectivity(design)

@@ -3,6 +3,7 @@ and the generator-side character sums."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,8 +26,9 @@ from qcdesign import (
     spectrum_bruteforce,
     spectrum_metrics,
 )
-from qcdesign.oracle import _subset_sums, _walsh_hadamard, projection_level_full
-from qcdesign.search import enumerate_profiles, u0v0_classes
+from qcdesign.oracle import _subset_sums, _walsh_hadamard, j_table_chunks, projection_level_full
+from qcdesign.search import enumerate_profiles, profile_array, u0v0_classes
+from qcdesign.theory import family_spectrum
 from reference_oracles import (
     character_sum_even,
     character_sum_odd,
@@ -365,6 +367,46 @@ def test_projectivity_matches_projection_scan_on_small_designs():
         assert projectivity(design) == scan_projectivity(design), (
             family, profile.digits, pair,
         )
+
+
+def _floor_survivors(family: Family, counts: np.ndarray, pairs: tuple) -> int:
+    """Assert that no projection filter survivor of the designs (counts[i],
+    pairs[j]) has ceil(R) - 1 or fewer columns, R from the closed-form
+    spectrum; return how many designs have a floor of 1 or more."""
+    floored = 0
+    every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+    for p, c, table in j_table_chunks(family, counts, pairs, *every):
+        q = len(table.columns)
+        floor = np.full(p.size, q)  # no words, no survivors
+        for d, (i, j) in enumerate(zip(p.tolist(), c.tolist())):
+            profile = GeneratorProfile(tuple(counts[i].tolist()))
+            resolution, _ = spectrum_metrics(family_spectrum(family, profile, pairs[j]), q)
+            if resolution is not UNBOUNDED:
+                floor[d] = math.ceil(resolution) - 1
+        projections = table.projections
+        assert (projections.sizes > floor[projections.design]).all(), (family, p, c)
+        floored += int((floor >= 1).sum())
+    return floored
+
+
+def test_no_survivor_lies_at_or_below_the_resolution_floor():
+    # Why verify needs no check of projectivity >= ceil(R) - 1: see
+    # oracle._Projections.  Every family, profile and u0v0 class at n <= 2.
+    floored = sum(
+        _floor_survivors(family, profile_array(n), u0v0_classes(family))
+        for family in Family for n in (1, 2)
+    )
+    assert floored == 1399  # of the 1690 designs; the rest have no floor
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(Family)), st.data())
+def test_no_survivor_lies_at_or_below_the_resolution_floor_at_n_3_4(family, data):
+    n = data.draw(st.sampled_from((3, 4)))
+    classes = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    counts = np.array([[classes.count(k) for k in range(10)]])
+    pair = data.draw(st.sampled_from(u0v0_classes(family)))
+    _floor_survivors(family, counts, (pair,))
 
 
 def test_projection_cells_past_int32_are_widened():
