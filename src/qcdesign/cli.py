@@ -301,17 +301,20 @@ def design_from_csv(text: str) -> DesignMatrix:
     entry is ``1``, ``+1`` or ``-1`` after stripping whitespace."""
     first = re.search(r"\S", text)
     header = first and _LINE_BREAK.search(text, first.start())
-    body = text[header.start() :] if header else ""  # starts with a line break
-    if not body or body.isspace():
+    start = header.start() if header else len(text)  # the runs start with a line break
+    if not re.compile(r"\S").search(text, start):
         raise UsageError("a CSV design needs a header line and at least one run")
-    ascii_body = body if body.isascii() else body.translate(_WIDE_SPACE)
-    pairs = _pairs((ascii_body + "\n").encode().translate(_CSV_CLASS))
-    columns = tuple(map(str.strip, text[first.start() : header.start()].split(",")))
+    # Each copy of the runs is a temporary, freed once the next one is made.
+    pairs = _pairs(
+        (text[start:] + "\n" if text.isascii() else (text[start:] + "\n").translate(_WIDE_SPACE))
+        .encode().translate(_CSV_CLASS)
+    )
+    columns = tuple(map(str.strip, text[first.start() : start].split(",")))
     fault = pairs.translate(_FAULT).find(1)
     if fault >= 0:  # the runs before its line end by the last (1, break) before it
         done = pairs.rfind(bytes((_ONE << 4 | _BREAK,)), 0, fault) + 1
         run = len(_sign_runs(pairs[:done], len(columns), "CSV"))  # a ragged one comes first
-        line = [line for line in body.splitlines() if line.strip()][run]
+        line = [line for line in text[start:].splitlines() if line.strip()][run]
         tok = next(t for t in map(str.strip, line.split(",")) if t not in ("1", "+1", "-1"))
         raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
     return DesignMatrix(columns, _sign_runs(pairs, len(columns), "CSV"))
@@ -648,6 +651,19 @@ def _verify_blocks(
     return blocks
 
 
+def _deficient_at(table: JTable, words: tuple, p: int) -> np.ndarray:
+    """``table.projections.deficient(p)``, given ``table.words()``.  A full
+    word (|J| = N) of at most p columns is a certificate: the product of its
+    columns is constant, so the projection on them, and on any p columns that
+    hold them, is a half fraction.  Only the others go to the filter."""
+    design, lengths, jabs = words
+    deficient = np.zeros(table.values.shape[0], dtype=bool)
+    deficient[design[(jabs == table.n_runs) & (lengths <= p)]] = True
+    if not deficient.all():
+        deficient |= table.projections.deficient(p, ~deficient)
+    return deficient
+
+
 def _chunk_failures(
     forms: ClosedForms, p: np.ndarray, c: np.ndarray, table: JTable, bound: int | None
 ) -> list[str | None]:
@@ -682,7 +698,7 @@ def _chunk_failures(
     # The resolution floor on projectivity needs no check: see oracle._Projections.
     exceeds = np.zeros(designs, dtype=bool)
     if bound is not None and bound + 1 <= q:
-        exceeds = ~table.projections.deficient(bound + 1)
+        exceeds = ~_deficient_at(table, (design, lengths, jabs), bound + 1)
 
     checks = (
         (differ, "theory and oracle spectra differ"),

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qc_core import DesignMatrix, Family, column_labels, design_stack, realize_profiles
+from .qc_core import GRAY, DesignMatrix, Family, column_labels, realize_profiles, z4_code
 from .spectrum import WordSpectrum
 
 #: Default cap on q.  The oracle needs about PEAK_BYTES_PER_ENTRY * 2^q
@@ -56,29 +56,31 @@ def sign_patterns(rows: np.ndarray) -> np.ndarray:
 _BUTTERFLY_WIDTH, _BLOCK_ENTRIES = 32, 1 << 16
 
 
-def _butterflies(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Yield (low, high, k) for each stage k over the power-of-two last axis
-    of the C-contiguous ``a``: views pairing the entries without bit 2^k with
-    those that have it, for the caller to update in place.  Stages below the
-    width, whose inner runs are too short for numpy's strided loops, run on
-    a transposed (width, M) copy of each block, every operand a whole row."""
+def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield (low, high, k) for each stage k >= ``first`` over the power-of-two
+    last axis of the C-contiguous ``a``: views pairing the entries without bit
+    2^k with those that have it, for the caller to update in place.  Stages
+    below the width, whose inner runs are too short for numpy's strided loops,
+    run on a transposed (width, M) copy of each block, every operand a row."""
     width = min(_BUTTERFLY_WIDTH, a.shape[-1])
+    narrow = range(first, width.bit_length() - 1)
     blocks = a.reshape(-1, width)
     for start in range(0, blocks.shape[0], _BLOCK_ENTRIES // width):
         rows = blocks[start : start + _BLOCK_ENTRIES // width].T.copy()
-        for k in range(width.bit_length() - 1):
+        for k in narrow:
             pairs = rows.reshape(-1, 2, 1 << k, rows.shape[1])
             yield pairs[:, 0], pairs[:, 1], k
         blocks[start : start + rows.shape[1]] = rows.T
-    for k in range(width.bit_length() - 1, a.shape[-1].bit_length() - 1):
+    for k in range(max(first, width.bit_length() - 1), a.shape[-1].bit_length() - 1):
         pairs = a.reshape(*a.shape[:-1], -1, 2, 1 << k)
         yield pairs[..., 0, :], pairs[..., 1, :], k
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Sylvester transform in place over the last axis, out[s] = sum_p
-    (-1)^popcount(s & p) in[p], in a dtype that holds it (see ``j_tables``)."""
-    for low, high, _ in _butterflies(a):
+def _walsh_hadamard(a: np.ndarray, first: int = 0) -> np.ndarray:
+    """Sylvester transform in place over the last axis from stage ``first`` on,
+    out[s] = sum_p (-1)^popcount(s & p) in[p] when ``first`` is 0, in a dtype
+    that holds it (see ``j_tables``)."""
+    for low, high, _ in _butterflies(a, first):
         low += high
         high *= -2
         high += low
@@ -145,9 +147,33 @@ def j_tables(rows: np.ndarray, max_factors: int = DEFAULT_MAX_FACTORS) -> np.nda
     return _walsh_hadamard(freq)
 
 
+#: Pattern bits of the Gray pair of each Z4 value, and the 16 x 16
+#: Sylvester-Hadamard matrix, whose top-left 2^k x 2^k block is the 2^k one.
+_GRAY_BITS, _SYLVESTER = sign_patterns(GRAY), _walsh_hadamard(np.eye(16, dtype=np.int32))
+
+
+def code_tables(family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0) -> np.ndarray:
+    """``j_tables`` of the designs ``qc_core.z4_code`` describes, from the code.
+
+    The shared columns (F5 and the Gray pairs of a) form a full 2^(q-k)
+    factorial, k = ``family.checks``, so the pattern table is one-hot: one run
+    per shared pattern, its check bits c below them.  The first k butterfly
+    stages turn it into row c of the 2^k Sylvester-Hadamard matrix, gathered
+    here in shared-pattern order; only stages k..q-1 remain."""
+    k, q = family.checks, family.factor_count(n)
+    check_factor_cap(q)
+    digits, tu, tv = z4_code(family, n, u, v, u0v0)
+    # F5 is the second Gray coordinate of a0 (see qc_core.build_design).
+    shared = (_GRAY_BITS[digits] << 2 * np.arange(len(digits))[:, None]).sum(axis=0)
+    checks = np.empty_like(tu)
+    checks[:, shared >> family.branched] = (_GRAY_BITS[tu] | _GRAY_BITS[tv] << 2) >> 4 - k
+    rows = _SYLVESTER[: 1 << k, : 1 << k][checks]
+    return _walsh_hadamard(rows.reshape(len(checks), 1 << q), k)
+
+
 #: J-table entries per chunk of max(1, CHUNK_ENTRIES >> q) stacked designs.
-#: ``verify --n-max 3`` takes 0.92 / 0.67 / 0.55 s and peaks at 32.7 / 33.0 /
-#: 33.7 MiB RSS with 2^14 / 2^15 / 2^16 (int32 tables, in-process, 2 cores).
+#: ``verify --n-max 3`` takes 0.44 / 0.35 / 0.27 s and peaks at 32.8 / 32.8 /
+#: 33.0 MiB RSS with 2^14 / 2^15 / 2^16 (median of 7, in-process, 2 cores).
 CHUNK_ENTRIES = 1 << 15
 
 
@@ -159,13 +185,13 @@ def j_table_chunks(
     equal-n profiles and ``pairs`` is ``(None,)`` for even-run families."""
     n = int(counts[0].sum())
     step = max(1, CHUNK_ENTRIES >> family.factor_count(n))
-    pair_rows = np.array(pairs)  # design_stack ignores it for even-run families
+    pair_rows = np.array(pairs)  # z4_code ignores it for even-run families
     columns = column_labels(family, n)
     for start in range(0, p.size, step):
         cp, cc = p[start : start + step], c[start : start + step]
         u, v = realize_profiles(counts[cp])
-        rows = design_stack(family, n, u, v, pair_rows[cc])
-        yield cp, cc, JTable(columns, family.run_count(n), j_tables(rows))
+        values = code_tables(family, n, u, v, pair_rows[cc])
+        yield cp, cc, JTable(columns, family.run_count(n), values)
 
 
 def j_characteristics(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS) -> JTable:

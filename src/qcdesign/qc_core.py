@@ -25,9 +25,8 @@ import numpy as np
 
 Z4 = (0, 1, 2, 3)
 
-# First and second Gray coordinates of k in Z4, with levels +1/-1.
-_GRAY1 = np.array([1, 1, -1, -1], dtype=np.int8)
-_GRAY2 = np.array([1, -1, -1, 1], dtype=np.int8)
+#: Gray map of Z4 with levels +1/-1: row k holds the two coordinates of k.
+GRAY = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=np.int8)
 
 
 class Family(Enum):
@@ -181,55 +180,39 @@ class DesignMatrix:
         return self.rows.shape[1]
 
 
-def design_stack(
-    family: Family,
-    n: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    u0v0: np.ndarray | None = None,
-) -> np.ndarray:
-    """The +1/-1 matrices of many designs of one family and size at once.
+def z4_code(
+    family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Z4 code of many designs of one family and size at once.
 
     ``u`` and ``v`` are (designs, n) arrays of Z4 entries, and ``u0v0`` is
-    a (designs, 2) array for the branched families.  Returns an int8 array
-    of shape (designs, N, q) with columns in ``column_labels`` order.
-
-    Rows enumerate a = (a1, ..., an) over Z4^n (even-run families), preceded
-    by a0 in {0, 1} for branched families; the row index is
-    a0*4^n + sum_j aj*4^(n-j), so an varies fastest.  Check columns carry the
-    Gray pairs of (u0*a0 +) a'u and (v0*a0 +) a'v mod 4, the branch column F5
-    is +1 exactly when a0 = 0, and each pair (Fj1, Fj2) is the Gray pair of
-    aj.  Only the check columns differ between the designs.
+    a (designs, 2) array for the branched families.  Returns the (n, N)
+    digits a = (a1, ..., an) of the runs, preceded by a row a0 in {0, 1}
+    for the branched families, and the (designs, N) values (u0*a0 +) a'u
+    and (v0*a0 +) a'v mod 4, all uint8 (whose wrapping keeps sums mod 4).
+    Run a0*4^n + sum_j aj*4^(n-j) is column i, so an varies fastest.
     """
-    base = 4**n
-    idx = np.arange(base, dtype=np.int64)
-    digits = (idx[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
-    tu = digits @ np.asarray(u, dtype=np.int64).T
-    tv = digits @ np.asarray(v, dtype=np.int64).T
-    shared: list[np.ndarray] = []
+    shape = (2,) * family.branched + (4,) * n
+    digits = np.indices(shape, dtype=np.uint8).reshape(len(shape), -1)
+    u, v = np.asarray(u, dtype=np.uint8), np.asarray(v, dtype=np.uint8)
     if family.branched:
-        pairs = np.asarray(u0v0, dtype=np.int64)
-        digits = np.vstack([digits, digits])
-        tu = np.vstack([tu, tu + pairs[:, 0]])
-        tv = np.vstack([tv, tv + pairs[:, 1]])
-        shared.append(np.repeat(np.array([1, -1], dtype=np.int8), base))
-    tu %= 4
-    tv %= 4
-    checks = [_GRAY1[tu], _GRAY2[tu], _GRAY1[tv], _GRAY2[tv]][4 - family.checks :]
-    for j in range(n):
-        shared += [_GRAY1[digits[:, j]], _GRAY2[digits[:, j]]]
-    stack = np.empty((tu.shape[1], tu.shape[0], len(checks) + len(shared)), np.int8)
-    for i, col in enumerate(checks + shared):
-        stack[:, :, i] = col.T
-    return stack
+        pairs = np.asarray(u0v0, dtype=np.uint8)
+        u, v = np.hstack([pairs[:, :1], u]), np.hstack([pairs[:, 1:], v])
+    # A sum of rows: integer matmul is slower, and einsum costs resident memory.
+    return digits, *(sum(w[:, j, None] * a for j, a in enumerate(digits)) % 4 for w in (u, v))
 
 
 def build_design(spec: GeneratorSpec) -> DesignMatrix:
-    """Materialise the design matrix for a generator spec (see
-    ``design_stack``)."""
-    u0v0 = None if spec.u0v0 is None else [spec.u0v0]
-    rows = design_stack(spec.family, spec.n, [spec.u], [spec.v], u0v0)[0]
-    return DesignMatrix(column_labels(spec.family, spec.n), rows)
+    """The design matrix of a generator spec (runs as in ``z4_code``): the Gray
+    pairs of a'u and a'v, less F1 for the eighth fractions, then F5, +1 exactly
+    when a0 = 0, the second Gray coordinate of a0, then the Gray pair of each aj."""
+    family = spec.family  # z4_code ignores [None] for the even-run families
+    digits, tu, tv = z4_code(family, spec.n, [spec.u], [spec.v], [spec.u0v0])
+    # Each Gray pair taken as one int16; then F1 of an eighth fraction and the
+    # first coordinate of a0, always +1, are dropped.
+    pairs = np.take(GRAY.view(np.int16), np.hstack([tu.T, tv.T, digits.T])).view(np.int8)
+    rows = np.hstack([pairs[:, 4 - family.checks : 4], pairs[:, 4 + family.branched :]])
+    return DesignMatrix(column_labels(family, spec.n), rows)
 
 
 # The ten (k, s) pair classes, listed with a canonical representative each.

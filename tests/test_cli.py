@@ -40,7 +40,7 @@ from qcdesign.cli import (
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.search import profile_array, u0v0_classes
 from qcdesign.spectrum import parse_fraction
-from qcdesign.theory import closed_forms, family_spectrum
+from qcdesign.theory import closed_forms, family_spectrum, projectivity_bound
 
 
 def run(capsys, *argv):
@@ -475,7 +475,7 @@ def test_verify_refuses_sizes_above_the_oracle_cap(capsys):
 
 def test_verify_reports_every_failure(capsys, monkeypatch):
     # Faults are planted upstream of the checks, one per failure message.
-    real_forms, real_tables = cli.closed_forms, oracle.j_tables
+    real_forms, real_tables = cli.closed_forms, oracle.code_tables
     real_bound = cli.projectivity_bound
 
     def odd_profiles_lengthened(family, counts, pairs):
@@ -483,8 +483,8 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
         shift = (np.argmax(counts, axis=1) % 2)[:, None]
         return dataclasses.replace(forms, lengths=forms.lengths + shift)
 
-    def empty_set_miscounted(rows):
-        values = real_tables(rows)
+    def empty_set_miscounted(*code):
+        values = real_tables(*code)
         values[:, 0] += 1
         return values
 
@@ -514,7 +514,7 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
         "theory and oracle spectra differ"
     )
 
-    monkeypatch.setattr(oracle, "j_tables", empty_set_miscounted)
+    monkeypatch.setattr(oracle, "code_tables", empty_set_miscounted)
     code, _, stderr = run(capsys, "verify", "--n-max", "1")
     monkeypatch.undo()
     assert code == EXIT_MISMATCH
@@ -539,18 +539,19 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
 @pytest.mark.parametrize("entries", [1, oracle.CHUNK_ENTRIES])
 def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
     # A chunk of 1 entry holds one design; the default chunks hold many and
-    # their borders fall inside a profile's u0v0 values.
+    # their borders fall inside a profile's u0v0 values.  At n = 3 only the
+    # default chunks' tables are compared.
     monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
     for family in Family:
         pairs = u0v0_classes(family)
-        for n in (1, 2):
+        for n in (1, 2, 3) if entries == oracle.CHUNK_ENTRIES else (1, 2):
             counts = profile_array(n)
             every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
             seen = 0
             for p, c, table in oracle.j_table_chunks(family, counts, pairs, *every):
-                levels = range(1, len(table.columns) + 1)
+                levels = range(1, len(table.columns) + 1) if n < 3 else range(0)
                 verdicts = [table.projections.deficient(level).tolist() for level in levels]
-                projs = table.projections.projectivity()
+                projs = table.projections.projectivity() if levels else None
                 for d, (i, j) in enumerate(zip(p.tolist(), c.tolist())):
                     assert i * len(pairs) + j == seen
                     seen += 1
@@ -560,6 +561,8 @@ def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
                     assert table.columns == design.columns
                     assert table.n_runs == design.n_runs
                     assert np.array_equal(table.values[d], one.values)
+                    if not levels:
+                        continue
                     assert [not v[d] for v in verdicts] == [
                         oracle.projection_level_full(design, level, table=one)
                         for level in levels
@@ -593,6 +596,57 @@ def larger_blocks(draw):
 @given(larger_blocks())
 def test_batched_verify_passes_at_n_4_and_5(block):
     assert list(cli._verify_block(*block)) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(larger_blocks())
+def test_code_tables_equal_the_matrix_tables_at_n_4_and_5(block):
+    family, counts, pairs = block
+    every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+    for p, c, table in oracle.j_table_chunks(family, counts, pairs, *every):
+        for d, (i, j) in enumerate(zip(p.tolist(), c.tolist())):
+            profile = GeneratorProfile(tuple(counts[i].tolist()))
+            design = build_design(spec_for(family, profile, pairs[j]))
+            assert np.array_equal(table.values[d], j_characteristics(design).values)
+
+
+def _check_certificates(family: Family, counts: np.ndarray, pairs: tuple) -> int:
+    """Assert that the full-word certificate plus the projection filter
+    answer ``deficient`` at the closed-form bound and one level above it,
+    and that every certified design is deficient; return how many designs
+    the certificate settles at bound + 1."""
+    n = int(counts[0].sum())
+    bound = projectivity_bound(n, family)
+    every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+    settled = 0
+    for _, _, table in oracle.j_table_chunks(family, counts, pairs, *every):
+        words = table.words()
+        design, lengths, jabs = words
+        for level in (bound, bound + 1):
+            want = table.projections.deficient(level)
+            assert np.array_equal(cli._deficient_at(table, words, level), want)
+            certified = np.unique(design[(jabs == table.n_runs) & (lengths <= level)])
+            assert want[certified].all()
+        settled += certified.size
+    return settled
+
+
+def test_full_word_certificates_at_n_up_to_3():
+    settled = sum(
+        _check_certificates(family, profile_array(n), u0v0_classes(family))
+        for family in (Family.SIXTEENTH_EVEN, Family.SIXTEENTH_ODD)
+        for n in (1, 2, 3)
+    )
+    assert settled == 3135  # every sixteenth design at n <= 3
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((Family.SIXTEENTH_EVEN, Family.SIXTEENTH_ODD)), st.data())
+def test_full_word_certificates_at_n_4(family, data):
+    classes = data.draw(st.lists(st.integers(0, 9), min_size=4, max_size=4))
+    counts = np.array([[classes.count(k) for k in range(10)]])
+    pairs = (data.draw(st.sampled_from(u0v0_classes(family))),)
+    assert _check_certificates(family, counts, pairs) == 1
 
 
 def test_verify_parseval_sums_past_int32():

@@ -445,13 +445,16 @@ def stacks(draw, high, lengths=range(11)):
 
 
 @settings(max_examples=80, deadline=None)
-@given(stacks(1 << 20), st.booleans())
-def test_walsh_hadamard_equals_the_matrix_product(a, centred):
+@given(stacks(1 << 20), st.booleans(), st.integers(0, 6))
+def test_walsh_hadamard_equals_the_matrix_product(a, centred, first):
     # Entries of at most 2^20 in magnitude keep every partial sum of up to
-    # 2^10 of them inside int32.
+    # 2^10 of them inside int32.  Stages 0..first-1 are run as transforms of
+    # 2^first entries, the rest from stage ``first`` on.
     if centred:
         a -= 1 << 19
-    assert np.array_equal(_walsh_hadamard(a.copy()), walsh_hadamard_matrix(a))
+    first = min(first, a.shape[-1].bit_length() - 1)
+    low = _walsh_hadamard(a.reshape(len(a), -1, 1 << first).copy()).reshape(a.shape)
+    assert np.array_equal(_walsh_hadamard(low, first), walsh_hadamard_matrix(a))
 
 
 @settings(max_examples=80, deadline=None)

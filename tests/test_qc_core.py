@@ -20,13 +20,13 @@ from qcdesign import (
     realize_profile,
     spec_for,
 )
-from qcdesign.qc_core import _GRAY1, _GRAY2
+from qcdesign.qc_core import GRAY
 
 ALL_FAMILIES = list(Family)
 
 
 def test_gray_map_values():
-    assert list(zip(_GRAY1.tolist(), _GRAY2.tolist())) == [GRAY_PAIRS[k] for k in range(4)]
+    assert list(map(tuple, GRAY.tolist())) == [GRAY_PAIRS[k] for k in range(4)]
 
 
 def test_family_shapes():
