@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from .oracle import check_factor_cap, j_table_chunks
-from .qc_core import Family, GeneratorProfile, _check_n
+from .qc_core import _CLASS_OF, _CLASS_PAIRS, Family, GeneratorProfile, _check_n
 from .spectrum import spectrum_metrics
 from .theory import (
     U0V0,
@@ -31,12 +30,15 @@ from .theory import (
     closed_forms,
     family_spectrum,
     projectivity_bound,
+    u0v0_class,
     u0v0_classes,
 )
 
 #: Largest n ``optimize`` accepts.  At n = 10 the whole-space theory scan
-#: of every family runs in about 0.5 s and peaks below 100 MiB; at n = 11
-#: the eighth-odd scan peaks near 155 MiB.
+#: takes 0.05-0.06 s for the even families, 0.17-0.25 s for sixteenth-odd
+#: and 0.43-0.46 s for eighth-odd, peaking at 42, 50 and 75 MiB RSS; at
+#: n = 11 the eighth-odd scan peaks at 112 MiB (2-core Xeon, Python 3.11.7,
+#: numpy 2.4.6, one fresh process per scan).
 MAX_N = 10
 
 Candidate = tuple[GeneratorProfile, U0V0 | None]
@@ -50,15 +52,55 @@ class Criterion(Enum):
 
 def profile_array(n: int) -> np.ndarray:
     """All C(n+9, 9) compositions of n into ten counts, one per row, in
-    lexicographic order.
+    lexicographic order, int16.
 
-    Row i places nine bars among n + 9 slots (the i-th 9-subset in
-    lexicographic order); the counts are the gaps between the bars.
+    Built one column at a time: a row with r left to place splits into
+    r + 1 rows, which take 0..r in the next column, in order.
     """
     n = _check_n(n)
-    bars = np.array(list(combinations(range(n + 9), 9)), dtype=np.int16)
-    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + 9))
-    return np.diff(edges, axis=1) - 1
+    rows = np.zeros((1, 0), dtype=np.int16)
+    left = np.array([n], dtype=np.int16)
+    for _ in range(9):
+        splits = left + 1
+        starts = np.cumsum(splits) - splits
+        column = np.arange(starts[-1] + splits[-1]) - np.repeat(starts, splits)
+        column = column.astype(np.int16)
+        rows = np.hstack([np.repeat(rows, splits, axis=0), column[:, None]])
+        left = np.repeat(left, splits) - column
+    return np.hstack([rows, left[:, None]])
+
+
+#: The signed permutations of (u, v) over Z4, as 2 x 2 matrices that act on
+#: every (u_j, v_j) and on (u0, v0).  Each only permutes a design's columns:
+#: Gray(-x) is Gray(x) with its coordinates swapped, so negating u and u0
+#: swaps F1 and F2, negating v and v0 swaps F3 and F4, and swapping (u, u0)
+#: with (v, v0) swaps (F1, F2) with (F3, F4).
+_SIGNED_PERMUTATIONS = np.array([
+    perm @ np.diag(signs) % 4
+    for perm in (np.eye(2, dtype=int), np.eye(2, dtype=int)[::-1])
+    for signs in ((1, 1), (3, 1), (1, 3), (3, 3))
+])
+
+
+def _isomorphisms(
+    family: Family, pairs: tuple[U0V0 | None, ...]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The family's isomorphisms, each as its matrix, the class ``perm[c]``
+    that takes profile class c, and the index in ``pairs`` of each pair's
+    image.  An eighth fraction drops F1, so it keeps the maps that fix a'u:
+    v -> -v.  Every pair of a class maps into one class, so the class's
+    first-listed pair (``_CLASS_PAIRS``) or u0v0 decides."""
+    maps = []
+    for matrix in _SIGNED_PERMUTATIONS:
+        if not family.sixteenth and matrix[0].tolist() != [1, 0]:
+            continue
+        perm = [_CLASS_OF[tuple(matrix @ members[0] % 4)] for members in _CLASS_PAIRS]
+        images = [
+            0 if pair is None else pairs.index(u0v0_class(family, tuple(matrix @ pair % 4)))
+            for pair in pairs
+        ]
+        maps.append((matrix, np.array(perm), np.array(images)))
+    return maps
 
 
 def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
@@ -162,6 +204,8 @@ def optimize(
     wordlength pattern, then resolution, then (optionally) oracle
     projectivity of the realized designs, and finally the lexicographically
     smallest (profile, u0v0).  The surviving tie set is reported in full.
+    Only one profile per orbit of ``_isomorphisms`` is scored, crossed with
+    every u0v0 class; the ties are the orbits of the scored survivors.
     When oracle projectivity is needed, the oracle's cap on q is checked
     before the theory scan.
     """
@@ -177,7 +221,15 @@ def optimize(
         )
     profiles = profile_array(n)
     pairs = u0v0_classes(family)
-    forms = closed_forms(family, profiles, pairs)
+    maps = _isomorphisms(family, pairs)
+    # Keys order profiles as profile_array lists them; a profile is scored
+    # when its key is the smallest of its images', and scores are equal
+    # across an orbit, so the extremes below are those of every candidate.
+    weights = (n + 1) ** np.arange(9, -1, -1, dtype=np.int64)
+    keys = profiles @ weights
+    image_keys = [profiles @ weights[perm] for _, perm, _ in maps]
+    scored = profiles[np.all(keys <= image_keys, axis=0)]
+    forms = closed_forms(family, scored, pairs)
     wlp_keys = _wlp_keys(forms, q)
     res = _resolution_keys(forms)
 
@@ -190,22 +242,27 @@ def optimize(
         pool = ma_set & (res == res[ma_set].max())
     elif criterion is Criterion.RESOLUTION:
         pool = _min_wlp(wlp_keys, res == max_res)
-    else:  # Criterion.PROJECTIVITY scores every candidate
-        projs = _projectivities(family, profiles, pairs, np.ones(res.shape, dtype=bool))
+    else:  # Criterion.PROJECTIVITY scores every representative
+        projs = _projectivities(family, scored, pairs, np.ones(res.shape, dtype=bool))
         pool = _min_wlp(wlp_keys, projs == projs.max())
         pool &= res == res[pool].max()
 
     # The projectivity refinement scores only the ties.
     if with_projectivity and projs is None:
-        projs = _projectivities(family, profiles, pairs, pool)
+        projs = _projectivities(family, scored, pairs, pool)
         pool &= projs == projs.max()
     best_projectivity = None if projs is None else int(projs.max())
 
-    # Profiles are lexicographic and pairs sorted, so the (profile, pair)
-    # order of the ties is their index order.
+    # The ties are the orbits of the pool, in (profile, pair) index order:
+    # profiles are lexicographic and pairs sorted.
+    p, c = np.nonzero(pool)
+    ties = np.unique(np.concatenate([
+        np.searchsorted(keys, scored[p] @ weights[perm]) * len(pairs) + images[c]
+        for _, perm, images in maps
+    ]))
     ties = [
-        (GeneratorProfile(tuple(profiles[p].tolist())), pairs[c])
-        for p, c in zip(*np.nonzero(pool))
+        (GeneratorProfile(tuple(profiles[i].tolist())), pairs[j])
+        for i, j in zip(*np.divmod(ties, len(pairs)))
     ]
     winner = ties[0]
     spectrum = family_spectrum(family, winner[0], winner[1])

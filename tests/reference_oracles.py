@@ -13,7 +13,10 @@ before it read CSV as arrays; its acceptance and its messages are the
 reference for ``design_from_csv``.  ``json_document`` is the JSON reader
 that ``qcdesign.cli`` used before it read ``rows`` as bytes: ``json.loads``
 of the whole text, then ``json_runs`` on the nested lists.  It is the
-reference for ``document_from_json``.
+reference for ``document_from_json``.  ``profile_array`` lists the
+compositions from ``itertools.combinations``, and ``optimize`` is the search
+that scores every candidate, not one per isomorphism orbit: the references
+for ``qcdesign.search.profile_array`` and ``qcdesign.search.optimize``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,8 +38,14 @@ from qcdesign.cli import (
     UsageError,
     _validate_metrics_payload,
 )
-from qcdesign.qc_core import Family
-from qcdesign.theory import normalize_u0v0
+from qcdesign.oracle import check_factor_cap
+from qcdesign.qc_core import Family, GeneratorProfile
+from qcdesign.search import (
+    _REGULAR_REFERENCE, MAX_N, Criterion, SearchResult, _min_wlp, _projectivities,
+    _resolution_keys, _wlp_keys,
+)
+from qcdesign.spectrum import spectrum_metrics
+from qcdesign.theory import closed_forms, family_spectrum, normalize_u0v0, u0v0_classes
 
 _G1 = tuple(GRAY_PAIRS[k][0] for k in range(4))
 _G2 = tuple(GRAY_PAIRS[k][1] for k in range(4))
@@ -256,3 +265,64 @@ def json_document(text: str) -> DesignDocument:
     if metrics is not None:
         metrics = _validate_metrics_payload(metrics)
     return DesignDocument(spec, design, metrics)
+
+
+def profile_array(n: int) -> np.ndarray:
+    """The C(n+9, 9) compositions of n into ten counts, int16, in
+    lexicographic order: row i places nine bars among n + 9 slots (the i-th
+    9-subset in lexicographic order), and the counts are the gaps."""
+    bars = np.array(list(combinations(range(n + 9), 9)), dtype=np.int16)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + 9))
+    return np.diff(edges, axis=1) - 1
+
+
+def optimize(
+    n: int, family: Family, criterion: Criterion, with_projectivity: bool = True
+) -> SearchResult:
+    """``qcdesign.search.optimize`` scoring every (profile, u0v0 class)."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must lie in 1..{MAX_N}")
+    q = family.factor_count(n)
+    if criterion is Criterion.PROJECTIVITY or with_projectivity:
+        check_factor_cap(q)
+    profiles = profile_array(n)
+    pairs = u0v0_classes(family)
+    forms = closed_forms(family, profiles, pairs)
+    wlp_keys = _wlp_keys(forms, q)
+    res = _resolution_keys(forms)
+
+    ma_set = _min_wlp(wlp_keys, np.ones(res.shape, dtype=bool))
+    max_res = res.max()
+    criteria_coincide = bool((res[ma_set] == max_res).any())
+
+    projs = None
+    if criterion is Criterion.ABERRATION:
+        pool = ma_set & (res == res[ma_set].max())
+    elif criterion is Criterion.RESOLUTION:
+        pool = _min_wlp(wlp_keys, res == max_res)
+    else:
+        projs = _projectivities(family, profiles, pairs, np.ones(res.shape, dtype=bool))
+        pool = _min_wlp(wlp_keys, projs == projs.max())
+        pool &= res == res[pool].max()
+    if with_projectivity and projs is None:
+        projs = _projectivities(family, profiles, pairs, pool)
+        pool &= projs == projs.max()
+
+    ties = [
+        (GeneratorProfile(tuple(profiles[p].tolist())), pairs[c])
+        for p, c in zip(*np.nonzero(pool))
+    ]
+    resolution, wlp = spectrum_metrics(family_spectrum(family, *ties[0]), q)
+    return SearchResult(
+        family=family,
+        n=n,
+        criterion=criterion,
+        profile=ties[0][0],
+        u0v0=ties[0][1],
+        resolution=resolution,
+        wlp=wlp,
+        projectivity=None if projs is None else int(projs.max()),
+        criteria_coincide=criteria_coincide,
+        ties=tuple(ties),
+        regular_reference=_REGULAR_REFERENCE.get((family, n)),
+    )

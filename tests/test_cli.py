@@ -1062,6 +1062,16 @@ GOLDEN_COMMANDS = {
         ("search", "--n", "3", "--family", f.value, "--criterion", "projectivity",
          "--report", "json")]
        for f in Family},
+    # Tie-heavy searches: the ties are the orbits of the scored candidates.
+    "search_sixteenth-odd_n4_projectivity.json": [
+        ("search", "--n", "4", "--family", "sixteenth-odd", "--criterion", "projectivity",
+         "--report", "json")],
+    "search_eighth-odd_n5_resolution.json": [
+        ("search", "--n", "5", "--family", "eighth-odd", "--criterion", "resolution",
+         "--skip-projectivity", "--report", "json")],
+    "search_sixteenth-odd_n6.json": [
+        ("search", "--n", "6", "--family", "sixteenth-odd", "--skip-projectivity",
+         "--report", "json")],
     **{f"metrics_{f.value}.json": [
         ("metrics", "--family", f.value, "--n", "2", "--u", "1,2", "--v", "2,1",
          *(["--u0v0", "12"] if f.branched else []), "--method", "both", "--report", "json")]

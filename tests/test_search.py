@@ -4,13 +4,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_oracles
 from conftest import compositions_count, scan_projectivity
 from qcdesign import (
     Criterion,
     Family,
     GeneratorProfile,
+    GeneratorSpec,
     build_design,
     optimize,
     orthogonal_array_ceiling,
@@ -19,13 +23,16 @@ from qcdesign import (
 )
 from qcdesign import oracle, search
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
+from qcdesign.qc_core import _CLASS_OF, _CLASS_PAIRS
 from qcdesign.search import (
     EIGHTH_ROWS,
     MAX_N,
     SIXTEENTH_ROWS,
     enumerate_profiles,
+    profile_array,
     u0v0_classes,
 )
+from qcdesign.theory import U0V0_PAIRS, closed_forms, u0v0_class
 
 
 def test_enumerate_profiles_counts():
@@ -39,6 +46,148 @@ def test_enumerate_profiles_order_and_uniqueness():
     assert profiles == sorted(profiles)
     assert len(set(profiles)) == len(profiles)
     assert all(sum(c) == 2 for c in profiles)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_profile_array_matches_combinations(n):
+    got, want = profile_array(n), reference_oracles.profile_array(n)
+    assert got.dtype == want.dtype == np.int16
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The isomorphisms: maps of the generator data that only permute columns.
+# ---------------------------------------------------------------------------
+
+
+#: The profile class permutations written out: the swap (0 1)(2 3)(6 7) and
+#: a sign flip (4 5).  They commute; an eighth fraction has the flip alone.
+_SWAP = (1, 0, 3, 2, 4, 5, 7, 6, 8, 9)
+_FLIP = (0, 1, 2, 3, 5, 4, 6, 7, 8, 9)
+
+
+def _profile_group(family: Family) -> set[tuple[int, ...]]:
+    group = {tuple(range(10)), _FLIP}
+    if family.sixteenth:
+        group |= {_SWAP, tuple(_SWAP[i] for i in _FLIP)}
+    return group
+
+
+def _image_spec(spec: GeneratorSpec, matrix: np.ndarray) -> GeneratorSpec:
+    """The map applied to every (u_j, v_j) and to (u0, v0)."""
+    u, v = (matrix @ np.array([spec.u, spec.v]) % 4).tolist()
+    u0v0 = (None, None) if spec.u0v0 is None else (matrix @ spec.u0v0 % 4).tolist()
+    return GeneratorSpec(spec.family, spec.n, tuple(u), tuple(v), *u0v0)
+
+
+def _check_sources(family: Family, matrix: np.ndarray) -> list[int]:
+    """The design column each check column of the image comes from.
+
+    The image's (a'u, a'v) is matrix @ (a'u, a'v) on every run, a signed
+    permutation, and Gray(-t) is Gray(t) with its two coordinates swapped."""
+    sources = []
+    for row in matrix:
+        j = int(np.flatnonzero(row)[0])
+        sources += [2 * j + 1, 2 * j] if row[j] == 3 else [2 * j, 2 * j + 1]
+    dropped = 4 - family.checks  # F1 of an eighth fraction stays dropped
+    assert sources[:dropped] == list(range(dropped))
+    return [source - dropped for source in sources[dropped:]]
+
+
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """The runs as sorted bit patterns: equal exactly up to run order."""
+    return np.sort(((rows < 0) << np.arange(rows.shape[1])).sum(axis=1))
+
+
+def _assert_column_permutation(spec: GeneratorSpec) -> None:
+    design = build_design(spec)
+    shared = list(range(spec.family.checks, design.n_factors))
+    for matrix, _, _ in search._isomorphisms(spec.family, u0v0_classes(spec.family)):
+        image = build_design(_image_spec(spec, matrix))
+        order = _check_sources(spec.family, matrix) + shared
+        assert np.array_equal(_runs(design.rows[:, order]), _runs(image.rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", list(Family))
+def test_isomorphisms_permute_columns(family, n):
+    for profile in enumerate_profiles(n):
+        for pair in u0v0_classes(family):
+            _assert_column_permutation(spec_for(family, profile, pair))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Family)), st.sampled_from((4, 5)), st.data())
+def test_isomorphisms_permute_columns_sampled(family, n, data):
+    u, v = (data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in "uv")
+    u0v0 = data.draw(st.sampled_from(U0V0_PAIRS)) if family.branched else (None, None)
+    _assert_column_permutation(GeneratorSpec(family, n, tuple(u), tuple(v), *u0v0))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_isomorphisms_map_classes_to_classes(family):
+    # Expansion maps each scored class to one class: every member of a
+    # profile class, and every pair of a merged u0v0 class, must land in
+    # the class the first-listed member lands in.
+    pairs = u0v0_classes(family)
+    maps = search._isomorphisms(family, pairs)
+    assert len(maps) == (8 if family.sixteenth else 2)
+    for matrix, perm, images in maps:
+        for c, members in enumerate(_CLASS_PAIRS):
+            assert {_CLASS_OF[tuple(matrix @ pair % 4)] for pair in members} == {perm[c]}
+        for pair in U0V0_PAIRS if family.branched else ():
+            image = u0v0_class(family, tuple(matrix @ pair % 4))
+            assert image == pairs[images[pairs.index(u0v0_class(family, pair))]]
+    perms = {tuple(perm.tolist()) for _, perm, _ in maps}
+    assert perms == _profile_group(family)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("family", list(Family))
+def test_closed_form_keys_are_equal_across_orbits(family, n):
+    profiles = profile_array(n)
+    pairs = u0v0_classes(family)
+    forms = closed_forms(family, profiles, pairs)
+    wlp = search._wlp_keys(forms, family.factor_count(n))
+    res = search._resolution_keys(forms)
+    index = {row: i for i, row in enumerate(map(tuple, profiles.tolist()))}
+    for _, perm, images in search._isomorphisms(family, pairs):
+        image = np.empty_like(profiles)
+        image[:, perm] = profiles
+        p = np.array([index[row] for row in map(tuple, image.tolist())])
+        assert np.array_equal(res[p][:, images], res)
+        assert np.array_equal(wlp[p][:, :, images], wlp)
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("family", list(Family))
+def test_orbit_search_matches_reference(family, criterion):
+    reference = reference_oracles.optimize
+    for n in (1, 2, 3):
+        assert optimize(n, family, criterion) == reference(n, family, criterion)
+    if criterion is not Criterion.PROJECTIVITY:
+        for n in (4, 5):
+            got = optimize(n, family, criterion, with_projectivity=False)
+            assert got == reference(n, family, criterion, with_projectivity=False)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_projectivity_search_builds_one_design_per_representative(monkeypatch, family):
+    built = []
+    code_tables = oracle.code_tables
+
+    def counted(family, n, u, v, u0v0):
+        built.append(len(u))
+        return code_tables(family, n, u, v, u0v0)
+
+    monkeypatch.setattr(oracle, "code_tables", counted)
+    optimize(3, family, Criterion.PROJECTIVITY)
+    # The profile orbits, one smallest member each, by brute force.
+    orbits = {
+        min(tuple(profile.counts[i] for i in perm) for perm in _profile_group(family))
+        for profile in enumerate_profiles(3)
+    }
+    assert sum(built) == len(orbits) * len(u0v0_classes(family))
 
 
 def test_optimize_min_aberration_even():
