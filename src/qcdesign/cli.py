@@ -651,25 +651,12 @@ def _verify_blocks(
     return blocks
 
 
-def _deficient_at(table: JTable, words: tuple, p: int) -> np.ndarray:
-    """``table.projections.deficient(p)``, given ``table.words()``.  A full
-    word (|J| = N) of at most p columns is a certificate: the product of its
-    columns is constant, so the projection on them, and on any p columns that
-    hold them, is a half fraction.  Only the others go to the filter."""
-    design, lengths, jabs = words
-    deficient = np.zeros(table.values.shape[0], dtype=bool)
-    deficient[design[(jabs == table.n_runs) & (lengths <= p)]] = True
-    if not deficient.all():
-        deficient |= table.projections.deficient(p, ~deficient)
-    return deficient
-
-
 def _chunk_failures(
     forms: ClosedForms, p: np.ndarray, c: np.ndarray, table: JTable, bound: int | None
 ) -> list[str | None]:
     """The first failing check of each design in a chunk, or None."""
     n_runs, q, designs = table.n_runs, len(table.columns), p.size
-    design, lengths, jabs = table.words()
+    design, lengths, jabs = table.words
     t_lengths, t_exps, t_counts = forms.words(p, c)
     t_design = np.broadcast_to(np.arange(designs)[:, None], t_lengths.shape)
     words = t_counts != 0
@@ -695,10 +682,10 @@ def _chunk_failures(
     values = table.values
     parseval = np.einsum("dj,dj->d", values, values, dtype=np.int64) != n_runs << q
 
-    # The resolution floor on projectivity needs no check: see oracle._Projections.
+    # The resolution floor on projectivity needs no check: see oracle.JTable.
     exceeds = np.zeros(designs, dtype=bool)
     if bound is not None and bound + 1 <= q:
-        exceeds = ~_deficient_at(table, (design, lengths, jabs), bound + 1)
+        exceeds = ~table.deficient(bound + 1)
 
     checks = (
         (differ, "theory and oracle spectra differ"),

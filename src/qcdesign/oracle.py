@@ -79,7 +79,7 @@ def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np
 def _walsh_hadamard(a: np.ndarray, first: int = 0) -> np.ndarray:
     """Sylvester transform in place over the last axis from stage ``first`` on,
     out[s] = sum_p (-1)^popcount(s & p) in[p] when ``first`` is 0, in a dtype
-    that holds it (see ``j_tables``)."""
+    that holds it (see ``j_characteristics``)."""
     for low, high, _ in _butterflies(a, first):
         low += high
         high *= -2
@@ -100,12 +100,31 @@ def _subset_sums(a: np.ndarray, cap: int) -> np.ndarray:
     return a
 
 
+#: Cap on the entries one batch of exact projection checks gathers.
+_BATCH_ELEMS = 1 << 20
+
+
 @dataclass(frozen=True, eq=False)
 class JTable:
-    """All 2^q J-characteristics of a design, indexed by column-subset mask.
+    """All 2^q J-characteristics of a design, indexed by column-subset mask,
+    and the projection questions they answer.
 
-    ``values`` (int32, see ``j_tables``) is (2^q,) for one design, or
-    (designs, 2^q) for a stack of designs sharing columns and run count.
+    ``values`` (int32, see ``j_characteristics``) is (2^q,) for one design,
+    or (designs, 2^q) for a stack of designs sharing columns and run count
+    (see ``code_tables``).
+
+    A full word S (|J(S)| = N) settles every level p >= |S|: the product of
+    its columns is constant, so the projection on any p columns that hold S
+    is a half fraction.  Other column sets go through a filter.  The runs'
+    frequencies on the 2^p level combinations of a p-set P are 2^-p *
+    sum_{S subset of P} J(S) (-1)^popcount(S & x), with J(empty) = N.  A
+    combination is missing only if the nonempty terms sum to -N there, which
+    needs sum_{nonempty S subset of P} |J(S)| >= N.  One subset-sum transform
+    of |J| gives that sum for every P of every design at once; the sets that
+    reach N are the survivors, and only they need the exact check.  No P of
+    ceil(R) - 1 or fewer columns survives (Deng & Tang 1999): ceil(R) - 1 =
+    r - [top == N] for the shortest word length r and its largest |J| top,
+    so P holds no word, or only itself with |J| <= top < N.
     """
 
     columns: tuple[str, ...]
@@ -113,10 +132,6 @@ class JTable:
     values: np.ndarray
 
     @cached_property
-    def projections(self) -> "_Projections":
-        """The projection filter of this table, built on first use."""
-        return _Projections(self)
-
     def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Design index, length and |J| of every word: each nonempty column
         set S with J(S) != 0, ordered by design, then by mask."""
@@ -126,25 +141,87 @@ class JTable:
         lengths = np.bitwise_count(flat & ((1 << q) - 1)).astype(np.int64)
         return flat >> q, lengths, np.abs(self.values.ravel()[flat])
 
+    @cached_property
+    def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Design index, mask and size of every column set the filter keeps,
+        ordered by design, then by mask; built on first use."""
+        q = len(self.columns)
+        sums = np.abs(self.values.reshape(-1, 1 << q))
+        sums[:, 0] = 0
+        flat = np.flatnonzero(_subset_sums(sums, self.n_runs) >= self.n_runs)
+        del sums  # the 2^q sums go before the survivors are listed
+        masks = flat & ((1 << q) - 1)
+        return flat >> q, masks, np.bitwise_count(masks)
 
-def j_tables(rows: np.ndarray, max_factors: int = DEFAULT_MAX_FACTORS) -> np.ndarray:
-    """J(S) for every column subset S of each design in a (designs, N, q)
-    stack, as a (designs, 2^q) int32 array.
+    def deficient(self, p: int, designs: np.ndarray | None = None) -> np.ndarray:
+        """Whether some p-column projection of each design misses a level
+        combination; False for the designs the boolean mask ``designs`` omits.
 
-    The sign patterns of each design's runs are tallied into its own 2^q
-    slice of one int32 table (bincount's int64 one would double the peak)
-    and transformed, so J(S) = sum_p freq[p] (-1)^popcount(p & S), the sum
-    over runs of the product of the columns in S.  int32 is exact: each
-    partial sum is the J-value of a sub-table, at most N (2^16 at q = 20).
-    """
-    designs, _, q = rows.shape
-    check_factor_cap(q, max_factors=max_factors)
-    patterns = sign_patterns(rows)
-    patterns += (np.arange(designs, dtype=np.int64) << q)[:, None]
-    cells, counts = np.unique(patterns, return_counts=True)
-    freq = np.zeros((designs, 1 << q), dtype=np.int32)
-    freq.reshape(-1)[cells] = counts
-    return _walsh_hadamard(freq)
+        A full word of at most p columns settles a design.  The p-set
+        survivors of the others are checked exactly in rounds of 1, 2, 4, ...
+        sets, and a design leaves the rounds at its first deficient set.  A
+        round's checks run in batches of at most about _BATCH_ELEMS gathered
+        entries, skipping the designs an earlier batch resolved.  The filter
+        is built only when some design is left to check.
+        """
+        design, lengths, jabs = self.words
+        found = np.zeros(self.values.size >> len(self.columns), dtype=bool)
+        found[design[(jabs == self.n_runs) & (lengths <= p)]] = True
+        if designs is not None:
+            found &= designs
+        left = ~found if designs is None else designs & ~found
+        if not left.any():
+            return found
+        design, masks, sizes = self.survivors
+        pick = (sizes == p) & left[design]
+        design, masks = design[pick], masks[pick]
+        rank = np.arange(design.size) - np.searchsorted(design, design)
+        cap = max(1, _BATCH_ELEMS >> p)
+        start, size = 0, 1
+        while True:
+            todo = np.flatnonzero((rank >= start) & (rank < start + size))
+            todo = todo[~found[design[todo]]]
+            if todo.size == 0:
+                return found
+            for lo in range(0, todo.size, cap):
+                batch = todo[lo : lo + cap]
+                batch = batch[~found[design[batch]]]
+                if batch.size:
+                    hit = self._has_empty_cell(design[batch], masks[batch], p)
+                    found[design[batch][hit]] = True
+            start += size
+            size *= 2
+
+    def projectivity(self) -> np.ndarray:
+        """Largest p with every p-column projection full, per design.
+
+        A design is deficient at the length of its shortest full word, so
+        only the levels below it are searched, upward for all designs at
+        once; a design drops out at its first deficient level (fullness at p
+        implies fullness at p - 1)."""
+        q = len(self.columns)
+        design, lengths, jabs = self.words
+        full = jabs == self.n_runs
+        result = np.full(self.values.size >> q, q)
+        np.minimum.at(result, design[full], lengths[full] - 1)
+        for p in range(1, int(result.max()) + 1):
+            result[self.deficient(p, result >= p)] = p - 1
+        return result
+
+    def _has_empty_cell(
+        self, design: np.ndarray, masks: np.ndarray, p: int
+    ) -> np.ndarray:
+        """Exact check of p-sets: gather J over each set's 2^p submasks; their
+        transform (int64 where it can pass int32) is 2^p times the projected
+        frequencies, and the set misses a level combination iff one is 0."""
+        bits = (masks[:, None] >> np.arange(len(self.columns))) & 1
+        columns = np.nonzero(bits)[1].reshape(masks.size, p)
+        submasks = np.zeros((masks.size, 1), dtype=np.int64)
+        for bit in (np.int64(1) << columns).T:
+            submasks = np.concatenate([submasks, submasks + bit[:, None]], axis=1)
+        cells = self.values.reshape(-1, self.values.shape[-1])[design[:, None], submasks]
+        wide = self.n_runs << p > np.iinfo(np.int32).max
+        return ~_walsh_hadamard(cells.astype(np.int64) if wide else cells).all(axis=1)
 
 
 #: Pattern bits of the Gray pair of each Z4 value, and the 16 x 16
@@ -153,7 +230,8 @@ _GRAY_BITS, _SYLVESTER = sign_patterns(GRAY), _walsh_hadamard(np.eye(16, dtype=n
 
 
 def code_tables(family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0) -> np.ndarray:
-    """``j_tables`` of the designs ``qc_core.z4_code`` describes, from the code.
+    """The stacked J-tables of the designs ``qc_core.z4_code`` describes,
+    worked from the code.
 
     The shared columns (F5 and the Gray pairs of a) form a full 2^(q-k)
     factorial, k = ``family.checks``, so the pattern table is one-hot: one run
@@ -195,10 +273,21 @@ def j_table_chunks(
 
 
 def j_characteristics(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS) -> JTable:
-    """J(S) for every column subset S of one design (see ``j_tables``).
-    The functions below take this table to run above the default cap."""
-    values = j_tables(design.rows[None], max_factors)[0]
-    return JTable(design.columns, design.n_runs, values)
+    """J(S) for every column subset S of one design.
+
+    The sign patterns of the runs are tallied into a 2^q int32 table
+    (bincount's int64 one would double the peak) and transformed, so J(S) =
+    sum_p freq[p] (-1)^popcount(p & S), the sum over runs of the product of
+    the columns in S.  int32 is exact: each partial sum is the J-value of a
+    sub-table, at most N (2^16 at q = 20).  The functions below take this
+    table to run above the default cap.
+    """
+    q = design.n_factors
+    check_factor_cap(q, max_factors=max_factors)
+    cells, counts = np.unique(sign_patterns(design.rows), return_counts=True)
+    freq = np.zeros(1 << q, dtype=np.int32)
+    freq[cells] = counts
+    return JTable(design.columns, design.n_runs, _walsh_hadamard(freq))
 
 
 def spectrum_bruteforce(design: DesignMatrix, table: JTable | None = None) -> WordSpectrum:
@@ -208,7 +297,7 @@ def spectrum_bruteforce(design: DesignMatrix, table: JTable | None = None) -> Wo
     """
     if table is None:
         table = j_characteristics(design)
-    _, lengths, jabs = table.words()
+    _, lengths, jabs = table.words
     n = design.n_runs
     uniq, counts = np.unique(lengths * (n + 1) + jabs, return_counts=True)
     return WordSpectrum.from_entries(
@@ -259,108 +348,17 @@ def _first_deficient(
     return None
 
 
-#: Cap on the entries one batch of exact projection checks gathers.
-_BATCH_ELEMS = 1 << 20
-
-
-class _Projections:
-    """Which column sets P could miss a level combination, from the J-table.
-
-    The runs' frequencies on the 2^p level combinations of a p-set P are
-    2^-p * sum_{S subset of P} J(S) (-1)^popcount(S & x), with J(empty) = N.
-    A combination is missing only if the nonempty terms sum to -N there,
-    which needs sum_{nonempty S subset of P} |J(S)| >= N.  One subset-sum
-    transform of |J| gives that sum for every P of every design at once;
-    the sets that reach N are the survivors, and only they need the exact
-    check.  No P of ceil(R) - 1 or fewer columns survives (Deng & Tang 1999):
-    ceil(R) - 1 = r - [top == N] for the shortest word length r and its largest
-    |J| top, so P holds no word, or only itself with |J| <= top < N.
-    """
-
-    def __init__(self, table: JTable) -> None:
-        self.values = table.values.reshape(-1, table.values.shape[-1])
-        self.q, self.n_runs = len(table.columns), table.n_runs
-        sums = np.abs(self.values)
-        sums[:, 0] = 0
-        # Survivors ordered by design, then by mask; the 2^q sums go first.
-        flat = np.flatnonzero(_subset_sums(sums, self.n_runs) >= self.n_runs)
-        del sums
-        self.design, self.survivors = flat >> self.q, flat & ((1 << self.q) - 1)
-        self.sizes = np.bitwise_count(self.survivors)
-
-    def deficient(self, p: int, designs: np.ndarray | None = None) -> np.ndarray:
-        """Whether some p-column projection of each design misses a level
-        combination; False for the designs the boolean mask ``designs`` omits.
-
-        Each design's p-set survivors are checked exactly in rounds of 1, 2,
-        4, ... sets, and a design leaves the rounds at its first deficient
-        set.  A round's checks run in batches of at most about _BATCH_ELEMS
-        gathered entries, skipping the designs an earlier batch resolved.
-        """
-        pick = self.sizes == p
-        if designs is not None:
-            pick &= designs[self.design]
-        design, masks = self.design[pick], self.survivors[pick]
-        rank = np.arange(design.size) - np.searchsorted(design, design)
-        found = np.zeros(self.values.shape[0], dtype=bool)
-        cap = max(1, _BATCH_ELEMS >> p)
-        start, size = 0, 1
-        while True:
-            todo = np.flatnonzero((rank >= start) & (rank < start + size))
-            todo = todo[~found[design[todo]]]
-            if todo.size == 0:
-                return found
-            for lo in range(0, todo.size, cap):
-                batch = todo[lo : lo + cap]
-                batch = batch[~found[design[batch]]]
-                if batch.size:
-                    hit = self._has_empty_cell(design[batch], masks[batch], p)
-                    found[design[batch][hit]] = True
-            start += size
-            size *= 2
-
-    def projectivity(self) -> np.ndarray:
-        """Largest p with every p-column projection full, per design.
-
-        Levels are searched upward for all designs at once; a design drops
-        out at its first deficient level (fullness at p implies fullness at
-        p - 1)."""
-        result = np.full(self.values.shape[0], self.q)
-        for p in range(1, self.q + 1):
-            searching = result == self.q
-            if not searching.any():
-                break
-            result[self.deficient(p, searching)] = p - 1
-        return result
-
-    def _has_empty_cell(
-        self, design: np.ndarray, masks: np.ndarray, p: int
-    ) -> np.ndarray:
-        """Exact check of p-sets: gather J over each set's 2^p submasks; their
-        transform (int64 where it can pass int32) is 2^p times the projected
-        frequencies, and the set misses a level combination iff one is 0."""
-        bits = (masks[:, None] >> np.arange(self.q)) & 1
-        columns = np.nonzero(bits)[1].reshape(masks.size, p)
-        submasks = np.zeros((masks.size, 1), dtype=np.int64)
-        for bit in (np.int64(1) << columns).T:
-            submasks = np.concatenate([submasks, submasks + bit[:, None]], axis=1)
-        cells = self.values[design[:, None], submasks]
-        wide = self.n_runs << p > np.iinfo(np.int32).max
-        return ~_walsh_hadamard(cells.astype(np.int64) if wide else cells).all(axis=1)
-
-
 def projection_level_full(design: DesignMatrix, p: int, table: JTable | None = None) -> bool:
     """True when every p-column projection contains all 2^p level combos.
 
-    ``table`` is the design's J-table when the caller already has it; the
-    table keeps the projection filter built from it, so later calls on the
-    same table reuse the filter.
+    ``table`` is the design's J-table when the caller already has it; it
+    keeps its words and projection filter for later calls.
     """
     if not 1 <= p <= design.n_factors:
         raise ValueError("p must lie in 1..q")
     if table is None:
         table = j_characteristics(design)
-    return not table.projections.deficient(p)[0]
+    return not table.deficient(p)[0]
 
 
 def projectivity(design: DesignMatrix, table: JTable | None = None) -> int:
@@ -372,4 +370,4 @@ def projectivity(design: DesignMatrix, table: JTable | None = None) -> int:
     """
     if table is None:
         table = j_characteristics(design)
-    return int(table.projections.projectivity()[0])
+    return int(table.projectivity()[0])

@@ -188,7 +188,7 @@ def _projectivities(
     ``pool``, scored as stacked J-tables; -1 outside the pool."""
     projs = np.full(pool.shape, -1)
     for p, c, table in j_table_chunks(family, profiles, pairs, *np.nonzero(pool)):
-        projs[p, c] = table.projections.projectivity()
+        projs[p, c] = table.projectivity()
     return projs
 
 

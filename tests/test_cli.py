@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from conftest import scan_level_full
 from reference_oracles import csv_rows, json_document
 
 from qcdesign import (
@@ -550,8 +551,8 @@ def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
             seen = 0
             for p, c, table in oracle.j_table_chunks(family, counts, pairs, *every):
                 levels = range(1, len(table.columns) + 1) if n < 3 else range(0)
-                verdicts = [table.projections.deficient(level).tolist() for level in levels]
-                projs = table.projections.projectivity() if levels else None
+                verdicts = [table.deficient(level).tolist() for level in levels]
+                projs = table.projectivity() if levels else None
                 for d, (i, j) in enumerate(zip(p.tolist(), c.tolist())):
                     assert i * len(pairs) + j == seen
                     seen += 1
@@ -610,43 +611,54 @@ def test_code_tables_equal_the_matrix_tables_at_n_4_and_5(block):
             assert np.array_equal(table.values[d], j_characteristics(design).values)
 
 
-def _check_certificates(family: Family, counts: np.ndarray, pairs: tuple) -> int:
-    """Assert that the full-word certificate plus the projection filter
-    answer ``deficient`` at the closed-form bound and one level above it,
-    and that every certified design is deficient; return how many designs
-    the certificate settles at bound + 1."""
-    n = int(counts[0].sum())
-    bound = projectivity_bound(n, family)
-    every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+def _filter_alone(table: oracle.JTable) -> oracle.JTable:
+    """The table with no cached words, so that ``deficient`` answers from
+    the projection filter alone, without the full-word certificate."""
+    bare = oracle.JTable(table.columns, table.n_runs, table.values)
+    bare.__dict__["words"] = (np.empty(0, dtype=np.int64),) * 3
+    return bare
+
+
+def test_verify_query_builds_no_filter_at_n_up_to_3(monkeypatch):
+    # Every sixteenth design at n <= 3 has a full word (|J| = N) of at most
+    # bound + 1 columns, so verify's one projection query never builds the
+    # filter; the certificate agrees with the filter at both levels.
+    real, calls = oracle._subset_sums, []
+    monkeypatch.setattr(oracle, "_subset_sums", lambda *a: calls.append(a) or real(*a))
     settled = 0
-    for _, _, table in oracle.j_table_chunks(family, counts, pairs, *every):
-        words = table.words()
-        design, lengths, jabs = words
-        for level in (bound, bound + 1):
-            want = table.projections.deficient(level)
-            assert np.array_equal(cli._deficient_at(table, words, level), want)
-            certified = np.unique(design[(jabs == table.n_runs) & (lengths <= level)])
-            assert want[certified].all()
-        settled += certified.size
-    return settled
-
-
-def test_full_word_certificates_at_n_up_to_3():
-    settled = sum(
-        _check_certificates(family, profile_array(n), u0v0_classes(family))
-        for family in (Family.SIXTEENTH_EVEN, Family.SIXTEENTH_ODD)
-        for n in (1, 2, 3)
-    )
+    for family in (Family.SIXTEENTH_EVEN, Family.SIXTEENTH_ODD):
+        pairs = u0v0_classes(family)
+        for n in (1, 2, 3):
+            bound = projectivity_bound(n, family)
+            counts = profile_array(n)
+            every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+            for _, _, table in oracle.j_table_chunks(family, counts, pairs, *every):
+                built = len(calls)
+                above = table.deficient(bound + 1)
+                assert len(calls) == built, (family, n)
+                settled += int(above.sum())
+                bare = _filter_alone(table)
+                assert np.array_equal(above, bare.deficient(bound + 1))
+                assert np.array_equal(table.deficient(bound), bare.deficient(bound))
     assert settled == 3135  # every sixteenth design at n <= 3
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from((Family.SIXTEENTH_EVEN, Family.SIXTEENTH_ODD)), st.data())
-def test_full_word_certificates_at_n_4(family, data):
+def test_verify_query_matches_the_projection_scan_at_n_4(family, data):
     classes = data.draw(st.lists(st.integers(0, 9), min_size=4, max_size=4))
     counts = np.array([[classes.count(k) for k in range(10)]])
-    pairs = (data.draw(st.sampled_from(u0v0_classes(family))),)
-    assert _check_certificates(family, counts, pairs) == 1
+    pair = data.draw(st.sampled_from(u0v0_classes(family)))
+    design = build_design(spec_for(family, GeneratorProfile(tuple(counts[0].tolist())), pair))
+    bound = projectivity_bound(4, family)
+    one = np.zeros(1, dtype=int)
+    [(_, _, table)] = oracle.j_table_chunks(family, counts, (pair,), one, one)
+    for level in (bound, bound + 1):
+        want = not scan_level_full(design, level)
+        assert table.deficient(level)[0] == want
+        assert _filter_alone(table).deficient(level)[0] == want
+    _, lengths, jabs = table.words
+    assert ((jabs == table.n_runs) & (lengths <= bound + 1)).any()  # certified
 
 
 def test_verify_parseval_sums_past_int32():
@@ -1063,9 +1075,9 @@ GOLDEN_COMMANDS = {
          "--report", "json")]
        for f in Family},
     # Tie-heavy searches: the ties are the orbits of the scored candidates.
-    "search_sixteenth-odd_n4_projectivity.json": [
-        ("search", "--n", "4", "--family", "sixteenth-odd", "--criterion", "projectivity",
-         "--report", "json")],
+    **{f"search_{f}_n4_projectivity.json": [
+        ("search", "--n", "4", "--family", f, "--criterion", "projectivity", "--report", "json")]
+       for f in ("sixteenth-odd", "eighth-odd")},
     "search_eighth-odd_n5_resolution.json": [
         ("search", "--n", "5", "--family", "eighth-odd", "--criterion", "resolution",
          "--skip-projectivity", "--report", "json")],

@@ -342,6 +342,33 @@ def test_projectivity_matches_projection_scan(design):
     ]
 
 
+@st.composite
+def sign_matrices(draw):
+    """Arbitrary +1/-1 matrices with q <= 8, not QC designs: random runs, a
+    run count that need not be a power of two, repeated runs, a constant
+    column, or a full factorial, which has no word."""
+    q = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        codes = list(range(1 << q))
+    else:
+        codes = draw(st.lists(st.integers(0, (1 << q) - 1), min_size=1, max_size=48))
+    codes += draw(st.lists(st.sampled_from(codes), max_size=8))
+    rows = 1 - 2 * ((np.array(codes)[:, None] >> np.arange(q)) & 1)
+    if draw(st.booleans()):
+        rows[:, draw(st.integers(0, q - 1))] = draw(st.sampled_from((1, -1)))
+    return DesignMatrix(tuple(f"X{i}" for i in range(q)), rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sign_matrices())
+def test_projectivity_matches_projection_scan_on_sign_matrices(design):
+    # Full words certify deficient levels of loaded documents too.
+    assert projectivity(design) == scan_projectivity(design)
+    assert _levels(design) == [
+        scan_level_full(design, level) for level in range(1, design.n_factors + 1)
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(designs((1, 2, 3)), st.data())
 def test_spectrum_invariant_under_column_permutation_and_sign_flips(design, data):
@@ -383,15 +410,15 @@ def _floor_survivors(family: Family, counts: np.ndarray, pairs: tuple) -> int:
             resolution, _ = spectrum_metrics(family_spectrum(family, profile, pairs[j]), q)
             if resolution is not UNBOUNDED:
                 floor[d] = math.ceil(resolution) - 1
-        projections = table.projections
-        assert (projections.sizes > floor[projections.design]).all(), (family, p, c)
+        design, _, sizes = table.survivors
+        assert (sizes > floor[design]).all(), (family, p, c)
         floored += int((floor >= 1).sum())
     return floored
 
 
 def test_no_survivor_lies_at_or_below_the_resolution_floor():
     # Why verify needs no check of projectivity >= ceil(R) - 1: see
-    # oracle._Projections.  Every family, profile and u0v0 class at n <= 2.
+    # oracle.JTable.  Every family, profile and u0v0 class at n <= 2.
     floored = sum(
         _floor_survivors(family, profile_array(n), u0v0_classes(family))
         for family in Family for n in (1, 2)
