@@ -342,20 +342,11 @@ def load_design(path: str) -> DesignDocument:
 
 
 def _spectrum_payload(spectrum: WordSpectrum) -> list[dict]:
-    return [
-        {
-            "length": e.length,
-            "ai": str(e.ai),
-            "ai_decimal": float(e.ai),
-            "count": e.count,
-        }
-        for e in spectrum
-    ]
+    return [{"length": e.length, "ai": str(e.ai), "ai_decimal": float(e.ai), "count": e.count}
+            for e in spectrum]
 
 
-def _metrics_payload(
-    spectrum: WordSpectrum, q: int, proj: int | None = None
-) -> dict:
+def _metrics_payload(spectrum: WordSpectrum, q: int, proj: int | None = None) -> dict:
     resolution, wlp = spectrum_metrics(spectrum, q)
     unbounded = resolution is UNBOUNDED
     payload = {
@@ -653,31 +644,26 @@ def _verify_blocks(
 
 def _chunk_failures(
     forms: ClosedForms, p: np.ndarray, c: np.ndarray, table: JTable, bound: int | None
-) -> list[str | None]:
-    """The first failing check of each design in a chunk, or None."""
+) -> list[tuple[int, str]]:
+    """The failing designs of a chunk, each with its first failing check."""
     n_runs, q, designs = table.n_runs, len(table.columns), p.size
+    log_n = n_runs.bit_length() - 1
+    # Each design's words are tallied by (length, e), |J| = N >> e: +1 per
+    # oracle word, less the theory counts; the spectra agree iff every tally
+    # nets to zero.  Bucket log2 N + 1 holds the oracle |J| that are no power
+    # of two and bucket log2 N + 2 the theory e outside 0..log2 N, so neither
+    # side's misfits can cancel the other's.  Theory lengths are clipped to
+    # 0..q+1; no oracle word lies outside 1..q.
+    e_of = np.full(n_runs + 2, log_n + 1)
+    e_of[n_runs >> np.arange(log_n + 1)] = np.arange(log_n + 1)
     design, lengths, jabs = table.words
+    keys = (design * (q + 2) + lengths) * (log_n + 3) + e_of[np.minimum(jabs, n_runs + 1)]
+    net = np.bincount(keys, minlength=designs * (q + 2) * (log_n + 3))
     t_lengths, t_exps, t_counts = forms.words(p, c)
-    t_design = np.broadcast_to(np.arange(designs)[:, None], t_lengths.shape)
-    words = t_counts != 0
-    # Theory words of index 2^-e count +1 each at |J| = N >> e, oracle words
-    # -1 each at their |J|.  N is a power of two, so the spectra agree, with
-    # |J| * 2^e == N, iff every (design, length, |J|) nets to zero.  Theory
-    # lengths are clipped to 0..q+1 and an e beyond log2 N gives |J| = 0;
-    # no oracle word lies there.
-    keys = np.concatenate([
-        (design * (q + 2) + lengths) * (n_runs + 1) + jabs,
-        (t_design[words] * (q + 2) + np.clip(t_lengths[words], 0, q + 1))
-        * (n_runs + 1)
-        + (n_runs >> t_exps[words]),
-    ])
-    net = np.concatenate([-np.ones_like(jabs), t_counts[words]])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    differ = np.zeros(designs, dtype=bool)
-    bad = np.add.reduceat(net[order], starts) != 0
-    differ[keys[starts][bad] // ((q + 2) * (n_runs + 1))] = True
+    t_exps[(t_exps < 0) | (t_exps > log_n)] = log_n + 2
+    keys = (np.arange(designs)[:, None] * (q + 2) + np.clip(t_lengths, 0, q + 1)) * (log_n + 3)
+    np.subtract.at(net, keys + t_exps, t_counts)
+    differ = net.reshape(designs, -1).any(axis=1)
 
     values = table.values
     parseval = np.einsum("dj,dj->d", values, values, dtype=np.int64) != n_runs << q
@@ -693,8 +679,8 @@ def _chunk_failures(
         (exceeds, "projectivity exceeds the closed-form bound"),
     )
     return [
-        next((msg for failed, msg in checks if failed[d]), None)
-        for d in range(designs)
+        (d, next(msg for failed, msg in checks if failed[d]))
+        for d in np.flatnonzero(differ | parseval | exceeds).tolist()
     ]
 
 
@@ -706,11 +692,9 @@ def _verify_block(family: Family, counts: np.ndarray, pairs: tuple) -> Iterator[
     bound = projectivity_bound(n, family)
     every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
     for p, c, table in j_table_chunks(family, counts, pairs, *every):
-        messages = _chunk_failures(forms, p, c, table, bound)
-        for i, j, msg in zip(p.tolist(), c.tolist(), messages):
-            if msg is not None:
-                profile = GeneratorProfile(tuple(counts[i].tolist()))
-                yield f"{family.value} profile={profile.digits} u0v0={pairs[j]}: {msg}"
+        for d, msg in _chunk_failures(forms, p, c, table, bound):
+            profile = GeneratorProfile(tuple(counts[p[d]].tolist()))
+            yield f"{family.value} profile={profile.digits} u0v0={pairs[c[d]]}: {msg}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
-from .qc_core import GRAY, DesignMatrix, Family, column_labels, realize_profiles, z4_code
+from .qc_core import (
+    GRAY, DesignMatrix, Family, column_labels, realize_profiles, run_digits, z4_code,
+)
 from .spectrum import WordSpectrum
 
 #: Default cap on q.  The oracle needs about PEAK_BYTES_PER_ENTRY * 2^q
@@ -35,6 +37,12 @@ def check_factor_cap(q: int, subject: str = "design has", use: str = "",
             f"{subject} {q} factors, above the cap of {max_factors}; the oracle"
             f"{use} needs q <= {max_factors}, about {PEAK_BYTES_PER_ENTRY} * 2^q bytes"
         )
+
+
+def _table_dtype(n_runs: int) -> np.dtype:
+    """int16 for the J-table of N < 2^14 runs, else int32: the transform's
+    partial sums stay within N, and the butterfly's ``high *= -2`` within 2N."""
+    return np.dtype(np.int16 if n_runs < 1 << 14 else np.int32)
 
 
 def sign_patterns(rows: np.ndarray) -> np.ndarray:
@@ -79,7 +87,7 @@ def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np
 def _walsh_hadamard(a: np.ndarray, first: int = 0) -> np.ndarray:
     """Sylvester transform in place over the last axis from stage ``first`` on,
     out[s] = sum_p (-1)^popcount(s & p) in[p] when ``first`` is 0, in a dtype
-    that holds it (see ``j_characteristics``)."""
+    that holds it (see ``_table_dtype``)."""
     for low, high, _ in _butterflies(a, first):
         low += high
         high *= -2
@@ -109,7 +117,7 @@ class JTable:
     """All 2^q J-characteristics of a design, indexed by column-subset mask,
     and the projection questions they answer.
 
-    ``values`` (int32, see ``j_characteristics``) is (2^q,) for one design,
+    ``values`` (dtype ``_table_dtype(n_runs)``) is (2^q,) for one design,
     or (designs, 2^q) for a stack of designs sharing columns and run count
     (see ``code_tables``).
 
@@ -150,8 +158,9 @@ class JTable:
         sums[:, 0] = 0
         flat = np.flatnonzero(_subset_sums(sums, self.n_runs) >= self.n_runs)
         del sums  # the 2^q sums go before the survivors are listed
-        masks = flat & ((1 << q) - 1)
-        return flat >> q, masks, np.bitwise_count(masks)
+        design = flat >> q
+        flat &= (1 << q) - 1  # the masks, in place of a third list
+        return design, flat, np.bitwise_count(flat)
 
     def deficient(self, p: int, designs: np.ndarray | None = None) -> np.ndarray:
         """Whether some p-column projection of each design misses a level
@@ -195,38 +204,51 @@ class JTable:
     def projectivity(self) -> np.ndarray:
         """Largest p with every p-column projection full, per design.
 
-        A design is deficient at the length of its shortest full word, so
-        only the levels below it are searched, upward for all designs at
-        once; a design drops out at its first deficient level (fullness at p
-        implies fullness at p - 1)."""
+        Only the levels above a design's floor r - [top == N] (see the class
+        docstring) and below its shortest full word's length are searched,
+        upward for all designs at once; a design drops out at its first
+        deficient level (fullness at p implies fullness at p - 1)."""
         q = len(self.columns)
         design, lengths, jabs = self.words
         full = jabs == self.n_runs
-        result = np.full(self.values.size >> q, q)
+        result, floor = np.full((2, self.values.size >> q), q)
         np.minimum.at(result, design[full], lengths[full] - 1)
-        for p in range(1, int(result.max()) + 1):
-            result[self.deficient(p, result >= p)] = p - 1
+        np.minimum.at(floor, design, lengths - full)
+        for p in range(int(floor.min()) + 1, int(result.max()) + 1):
+            result[self.deficient(p, (result >= p) & (floor < p))] = p - 1
         return result
 
     def _has_empty_cell(
         self, design: np.ndarray, masks: np.ndarray, p: int
     ) -> np.ndarray:
         """Exact check of p-sets: gather J over each set's 2^p submasks; their
-        transform (int64 where it can pass int32) is 2^p times the projected
-        frequencies, and the set misses a level combination iff one is 0."""
+        transform (widened where N * 2^p can pass the table's dtype) is 2^p
+        times the projected frequencies, and the set misses a level
+        combination iff one is 0."""
         bits = (masks[:, None] >> np.arange(len(self.columns))) & 1
         columns = np.nonzero(bits)[1].reshape(masks.size, p)
         submasks = np.zeros((masks.size, 1), dtype=np.int64)
         for bit in (np.int64(1) << columns).T:
             submasks = np.concatenate([submasks, submasks + bit[:, None]], axis=1)
         cells = self.values.reshape(-1, self.values.shape[-1])[design[:, None], submasks]
-        wide = self.n_runs << p > np.iinfo(np.int32).max
-        return ~_walsh_hadamard(cells.astype(np.int64) if wide else cells).all(axis=1)
+        wide = np.promote_types(cells.dtype, np.min_scalar_type(-1 - (self.n_runs << p)))
+        return ~_walsh_hadamard(cells.astype(wide, copy=False)).all(axis=1)
 
 
 #: Pattern bits of the Gray pair of each Z4 value, and the 16 x 16
 #: Sylvester-Hadamard matrix, whose top-left 2^k x 2^k block is the 2^k one.
-_GRAY_BITS, _SYLVESTER = sign_patterns(GRAY), _walsh_hadamard(np.eye(16, dtype=np.int32))
+_GRAY_BITS = sign_patterns(GRAY).astype(np.uint8)
+_SYLVESTER = _walsh_hadamard(np.eye(16, dtype=np.int16))
+
+
+@cache
+def _shared_slots(family: Family, n: int) -> np.ndarray:
+    """The shared pattern of each run of ``qc_core.z4_code``, read-only."""
+    digits = run_digits(family, n)  # F5 is the second Gray coordinate of a0
+    shared = (_GRAY_BITS[digits] << 2 * np.arange(len(digits))[:, None]).sum(axis=0)
+    shared >>= family.branched
+    shared.flags.writeable = False
+    return shared
 
 
 def code_tables(family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0) -> np.ndarray:
@@ -240,19 +262,17 @@ def code_tables(family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0) -> n
     here in shared-pattern order; only stages k..q-1 remain."""
     k, q = family.checks, family.factor_count(n)
     check_factor_cap(q)
-    digits, tu, tv = z4_code(family, n, u, v, u0v0)
-    # F5 is the second Gray coordinate of a0 (see qc_core.build_design).
-    shared = (_GRAY_BITS[digits] << 2 * np.arange(len(digits))[:, None]).sum(axis=0)
+    _, tu, tv = z4_code(family, n, u, v, u0v0)
     checks = np.empty_like(tu)
-    checks[:, shared >> family.branched] = (_GRAY_BITS[tu] | _GRAY_BITS[tv] << 2) >> 4 - k
-    rows = _SYLVESTER[: 1 << k, : 1 << k][checks]
-    return _walsh_hadamard(rows.reshape(len(checks), 1 << q), k)
+    checks[:, _shared_slots(family, n)] = (_GRAY_BITS[tu] | _GRAY_BITS[tv] << 2) >> 4 - k
+    sylvester = _SYLVESTER[: 1 << k, : 1 << k].astype(_table_dtype(family.run_count(n)))
+    return _walsh_hadamard(sylvester[checks].reshape(len(checks), 1 << q), k)
 
 
-#: J-table entries per chunk of max(1, CHUNK_ENTRIES >> q) stacked designs.
-#: ``verify --n-max 3`` takes 0.44 / 0.35 / 0.27 s and peaks at 32.8 / 32.8 /
-#: 33.0 MiB RSS with 2^14 / 2^15 / 2^16 (median of 7, in-process, 2 cores).
-CHUNK_ENTRIES = 1 << 15
+#: J-table bytes per chunk of stacked designs (one design at least).  With
+#: 2^16 / 2^17 / 2^18 / 2^19, ``verify --n-max 3`` takes 0.29 / 0.23 / 0.19 /
+#: 0.17 s at 32.4 / 32.3 / 32.7 / 33.4 MiB RSS (median of 7, in-process, 2 cores).
+CHUNK_BYTES = 1 << 18
 
 
 def j_table_chunks(
@@ -262,30 +282,30 @@ def j_table_chunks(
     designs (counts[p[i]], pairs[c[i]]), in order; ``counts`` holds
     equal-n profiles and ``pairs`` is ``(None,)`` for even-run families."""
     n = int(counts[0].sum())
-    step = max(1, CHUNK_ENTRIES >> family.factor_count(n))
+    n_runs = family.run_count(n)
+    step = max(1, CHUNK_BYTES // (_table_dtype(n_runs).itemsize << family.factor_count(n)))
     pair_rows = np.array(pairs)  # z4_code ignores it for even-run families
     columns = column_labels(family, n)
     for start in range(0, p.size, step):
         cp, cc = p[start : start + step], c[start : start + step]
         u, v = realize_profiles(counts[cp])
         values = code_tables(family, n, u, v, pair_rows[cc])
-        yield cp, cc, JTable(columns, family.run_count(n), values)
+        yield cp, cc, JTable(columns, n_runs, values)
 
 
 def j_characteristics(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS) -> JTable:
     """J(S) for every column subset S of one design.
 
-    The sign patterns of the runs are tallied into a 2^q int32 table
-    (bincount's int64 one would double the peak) and transformed, so J(S) =
-    sum_p freq[p] (-1)^popcount(p & S), the sum over runs of the product of
-    the columns in S.  int32 is exact: each partial sum is the J-value of a
-    sub-table, at most N (2^16 at q = 20).  The functions below take this
+    The sign patterns of the runs are tallied into a 2^q table of dtype
+    ``_table_dtype(N)`` (bincount's int64 one would double the peak) and
+    transformed, so J(S) = sum_p freq[p] (-1)^popcount(p & S), the sum over
+    runs of the product of the columns in S.  The functions below take this
     table to run above the default cap.
     """
     q = design.n_factors
     check_factor_cap(q, max_factors=max_factors)
     cells, counts = np.unique(sign_patterns(design.rows), return_counts=True)
-    freq = np.zeros(1 << q, dtype=np.int32)
+    freq = np.zeros(1 << q, dtype=_table_dtype(design.n_runs))
     freq[cells] = counts
     return JTable(design.columns, design.n_runs, _walsh_hadamard(freq))
 

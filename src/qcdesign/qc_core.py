@@ -180,6 +180,12 @@ class DesignMatrix:
         return self.rows.shape[1]
 
 
+def run_digits(family: Family, n: int) -> np.ndarray:
+    """The digits of ``z4_code``'s runs (see there)."""
+    shape = (2,) * family.branched + (4,) * n
+    return np.indices(shape, dtype=np.uint8).reshape(len(shape), -1)
+
+
 def z4_code(
     family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,8 +198,7 @@ def z4_code(
     and (v0*a0 +) a'v mod 4, all uint8 (whose wrapping keeps sums mod 4).
     Run a0*4^n + sum_j aj*4^(n-j) is column i, so an varies fastest.
     """
-    shape = (2,) * family.branched + (4,) * n
-    digits = np.indices(shape, dtype=np.uint8).reshape(len(shape), -1)
+    digits = run_digits(family, n)
     u, v = np.asarray(u, dtype=np.uint8), np.asarray(v, dtype=np.uint8)
     if family.branched:
         pairs = np.asarray(u0v0, dtype=np.uint8)

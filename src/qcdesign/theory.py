@@ -290,15 +290,10 @@ class ClosedForms:
     def row(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lengths (profiles,), exponents and doubled weights (profiles,
         pairs) of table row r."""
-        return (
-            self.lengths[:, r],
-            self.tokens[:, :, self.table.token[r]],
-            self.table.weights[self.gates, :, r],
-        )
+        token, weights = self.table.token[r], self.table.weights[self.gates, :, r]
+        return self.lengths[:, r], self.tokens[:, :, token], weights
 
-    def words(
-        self, p: np.ndarray, c: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def words(self, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lengths, exponents e and word counts w * 4^e / 2 of every row of
         the candidates (p[i], c[i]), as (candidates, rows) int64 arrays."""
         exps = self.tokens[p, c][:, self.table.token].astype(np.int64)
@@ -344,9 +339,7 @@ def closed_forms(
 
 
 def _raw_family(
-    family: Family,
-    profile: GeneratorProfile,
-    u0v0: U0V0 | str | None = None,
+    family: Family, profile: GeneratorProfile, u0v0: U0V0 | str | None = None
 ) -> RawSpectrum:
     """The (length, e, count) table rows of one design with a nonzero
     count, unmerged."""
@@ -356,9 +349,7 @@ def _raw_family(
 
 
 def family_spectrum(
-    family: Family,
-    profile: GeneratorProfile,
-    u0v0: U0V0 | str | None = None,
+    family: Family, profile: GeneratorProfile, u0v0: U0V0 | str | None = None
 ) -> WordSpectrum:
     """Closed-form spectrum of one design of any family."""
     return WordSpectrum.from_entries(

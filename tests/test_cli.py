@@ -537,15 +537,61 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
     assert stderr.endswith(": projectivity exceeds the closed-form bound\n")
 
 
-@pytest.mark.parametrize("entries", [1, oracle.CHUNK_ENTRIES])
-def test_verify_chunks_match_one_row_calls(monkeypatch, entries):
-    # A chunk of 1 entry holds one design; the default chunks hold many and
-    # their borders fall inside a profile's u0v0 values.  At n = 3 only the
-    # default chunks' tables are compared.
-    monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
+def test_spectrum_check_keeps_the_two_misfits_apart():
+    # An oracle |J| that is no power of two and a theory e above log2 N have
+    # buckets of their own: planted once each at the same (design, length),
+    # they must not cancel.  Designs 1 and 2 get only one of them.
+    family = Family.SIXTEENTH_ODD
+    counts, pairs = profile_array(1), u0v0_classes(family)
+    every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+    forms = closed_forms(family, counts, pairs)
+    [(p, c, table)] = oracle.j_table_chunks(family, counts, pairs, *every)
+    log_n, length = table.n_runs.bit_length() - 1, 3
+    values = table.values.copy()
+    sizes = np.bitwise_count(np.arange(values.shape[1]))
+    for d in (0, 1):
+        values[d, np.flatnonzero((values[d] == 0) & (sizes == length))[0]] = 3
+    planted = oracle.JTable(table.columns, table.n_runs, values)
+
+    class PlantedForms:
+        def words(self, p, c):
+            extra = np.zeros((p.size, 1), dtype=np.int64)
+            count = extra.copy()
+            count[[0, 2]] = 1
+            return tuple(
+                np.hstack([column, more])
+                for column, more in zip(
+                    forms.words(p, c), (extra + length, extra + log_n + 1, count)
+                )
+            )
+
+    assert cli._chunk_failures(PlantedForms(), p, c, planted, None) == [
+        (d, "theory and oracle spectra differ") for d in (0, 1, 2)
+    ]
+
+
+def test_verify_n_3_takes_few_chunks(capsys, monkeypatch):
+    # Chunks are sized in bytes, so the small designs share few chunks; with
+    # chunks of 2^15 int32 entries the 7,410 designs took 268.
+    real, sizes = oracle.code_tables, []
+    monkeypatch.setattr(
+        oracle, "code_tables", lambda *code: sizes.append(len(code[2])) or real(*code)
+    )
+    code, _, _ = run(capsys, "verify", "--n-max", "3")
+    assert code == EXIT_OK
+    assert sum(sizes) == 7410 and len(sizes) <= 80
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 15, oracle.CHUNK_BYTES])
+def test_verify_chunks_match_one_row_calls(monkeypatch, budget):
+    # A budget of 1 byte gives one design per chunk.  2^15 bytes give several
+    # at n <= 2, where the default takes a whole block; both larger budgets
+    # put chunk borders inside a profile's u0v0 values.  At n = 3 only their
+    # tables are compared.
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", budget)
     for family in Family:
         pairs = u0v0_classes(family)
-        for n in (1, 2, 3) if entries == oracle.CHUNK_ENTRIES else (1, 2):
+        for n in (1, 2, 3) if budget > 1 else (1, 2):
             counts = profile_array(n)
             every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
             seen = 0

@@ -3,10 +3,12 @@ and the generator-side character sums."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,16 @@ from qcdesign import (
     spectrum_bruteforce,
     spectrum_metrics,
 )
-from qcdesign.oracle import _subset_sums, _walsh_hadamard, j_table_chunks, projection_level_full
+from qcdesign import oracle
+from qcdesign.oracle import (
+    _subset_sums,
+    _table_dtype,
+    _walsh_hadamard,
+    j_table_chunks,
+    projection_level_full,
+)
 from qcdesign.search import enumerate_profiles, profile_array, u0v0_classes
-from qcdesign.theory import family_spectrum
+from qcdesign.theory import family_spectrum, normalize_u0v0
 from reference_oracles import (
     character_sum_even,
     character_sum_odd,
@@ -446,6 +455,91 @@ def test_projection_cells_past_int32_are_widened():
     assert design.n_runs << 16 > np.iinfo(np.int32).max
     assert projection_level_full(design, 16)
     assert projectivity(design) == 16
+    # The same past int16: a full 2^8 factorial plus 255 more all-+1 runs
+    # keeps N = 511 and an int16 table, and the all-+1 cell, 2^8 times the
+    # frequency 2^8, would wrap to 0.
+    full = full_factorial(8)
+    rows = np.concatenate([full.rows, np.ones((255, 8), dtype=np.int8)])
+    design = DesignMatrix(full.columns, rows)
+    assert j_characteristics(design).values.dtype == np.int16
+    assert design.n_runs << 8 > np.iinfo(np.int16).max
+    assert projection_level_full(design, 8)
+    assert projectivity(design) == 8
+
+
+@pytest.mark.parametrize("n_runs", [1 << 13, (1 << 14) - 1])
+def test_one_hot_tables_transform_to_plus_minus_n_in_int16(n_runs):
+    # All N runs on one pattern x: every J is (-1)^popcount(s & x) N, and the
+    # butterfly's high *= -2 reaches 2N, the most an int16 table must hold.
+    assert _table_dtype(n_runs) == np.int16 and _table_dtype(1 << 14) == np.int32
+    q, x = 16, 0b1011_0110_0101_1001
+    freq = np.zeros(1 << q, dtype=_table_dtype(n_runs))
+    freq[x] = n_runs
+    signs = 1 - 2 * (np.bitwise_count(np.arange(1 << q) & x) & 1).astype(np.int64)
+    assert np.array_equal(_walsh_hadamard(freq), n_runs * signs)
+
+
+@pytest.mark.parametrize(
+    "family, n, dtype",
+    [(Family.EIGHTH_ODD, 6, np.int16), (Family.SIXTEENTH_EVEN, 7, np.int32)],
+)
+def test_code_tables_match_the_matrix_tables_at_the_int16_border(family, n, dtype):
+    # N = 2^13 and 2^14, the run counts on both sides of the dtype border.
+    classes = [1, 2, 3, 4, 5, 6, 2][:n]
+    counts = np.array([[classes.count(k) for k in range(10)]])
+    pair = u0v0_classes(family)[-1]
+    one = np.zeros(1, dtype=int)
+    [(_, _, table)] = j_table_chunks(family, counts, (pair,), one, one)
+    design = build_design(spec_for(family, GeneratorProfile(tuple(counts[0].tolist())), pair))
+    matrix = j_characteristics(design)
+    assert table.values.dtype == matrix.values.dtype == dtype
+    assert np.array_equal(table.values[0], matrix.values)
+
+
+def _filter_builds(monkeypatch) -> list:
+    """The calls of the projection filter's subset-sum transform, from now on."""
+    real, calls = oracle._subset_sums, []
+    monkeypatch.setattr(oracle, "_subset_sums", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_projectivity_builds_no_filter_when_the_shortest_word_is_full(monkeypatch):
+    # A shortest word of length r with |J| = N bounds projectivity by r - 1
+    # from above and from below (the floor r - [top == N]), so no level is
+    # searched.  The designs are those of the benchmark's oracle pools.
+    path = Path(__file__).parents[1] / "perfbench" / "reference" / "oracle_docs.json"
+    calls, settled = _filter_builds(monkeypatch), 0
+    one = np.zeros(1, dtype=int)
+    for size in json.loads(path.read_text())["sizes"]:
+        family = Family.from_label(size["family"])
+        for member in size["pool"]:
+            r = min(length for length, _, _ in member["spectrum"])
+            if [r, "1"] not in [entry[:2] for entry in member["spectrum"]]:
+                continue
+            counts = np.array([GeneratorProfile.from_digits(member["profile"]).counts])
+            pair = member["u0v0"] and normalize_u0v0(member["u0v0"])
+            [(_, _, table)] = j_table_chunks(family, counts, (pair,), one, one)
+            assert table.projectivity().tolist() == [r - 1]
+            assert member["projectivity"] in (None, r - 1)
+            settled += 1
+    assert (settled, calls) == (15, [])
+
+
+def test_stacked_projectivity_matches_the_projection_scan_at_n_up_to_3():
+    for family in Family:
+        pairs = u0v0_classes(family)
+        for n in (1, 2, 3):
+            counts = profile_array(n)
+            every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+            for p, c, table in j_table_chunks(family, counts, pairs, *every):
+                got = table.projectivity().tolist()
+                want = [
+                    scan_projectivity(build_design(spec_for(
+                        family, GeneratorProfile(tuple(counts[i].tolist())), pairs[j]
+                    )))
+                    for i, j in zip(p.tolist(), c.tolist())
+                ]
+                assert got == want, (family, n)
 
 
 def test_shared_table_gives_the_same_answers():
@@ -489,6 +583,20 @@ def test_walsh_hadamard_equals_the_matrix_product(a, centred, first):
 def test_subset_sums_equal_the_submask_sums(a):
     cap = int(a.max()) * 2 + 1
     got, want = _subset_sums(a.copy(), cap), subset_sums_direct(a)
+    assert np.array_equal(np.minimum(got, cap), np.minimum(want, cap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_subset_sums_stay_exact_in_int16_below_cap_2_14(rows, k, seed):
+    # The largest int16 table's cap, N = 2^14 - 1: clipping before every
+    # stage keeps each sum at most 2 * cap = 32766.
+    cap = (1 << 14) - 1
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, cap, size=(rows, 1 << k), endpoint=True).astype(np.int16)
+    a[rng.random(a.shape) < 0.5] = 0
+    got, want = _subset_sums(a.copy(), cap), subset_sums_direct(a)
+    assert np.array_equal(got >= cap, want >= cap)
     assert np.array_equal(np.minimum(got, cap), np.minimum(want, cap))
 
 

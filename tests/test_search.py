@@ -213,13 +213,13 @@ def test_optimize_max_resolution_branched():
     assert result.resolution == Fraction(11, 2)
 
 
-@pytest.mark.parametrize("entries", [1, oracle.CHUNK_ENTRIES])
+@pytest.mark.parametrize("budget", [1, 1 << 15, oracle.CHUNK_BYTES])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("family", list(Family))
-def test_optimize_max_projectivity_small(monkeypatch, family, n, entries):
-    # Chunks of 1 entry score one candidate at a time; the default chunks
-    # score many at once.
-    monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
+def test_optimize_max_projectivity_small(monkeypatch, family, n, budget):
+    # A budget of 1 byte scores one candidate per chunk; 2^15 bytes and the
+    # default score many at once.
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", budget)
     result = optimize(n, family, Criterion.PROJECTIVITY)
     pairs = u0v0_classes(family)
     scanned = {
