@@ -582,12 +582,9 @@ def _table_row_payload(row: ReportRow, which: int) -> dict:
 def cmd_tables(args: argparse.Namespace) -> int:
     rows = reproduce_table(args.which)
     payloads = [_table_row_payload(r, args.which) for r in rows]
-    if args.report == "json":
-        print(json.dumps(payloads, indent=2))
-    else:
-        columns = list(payloads[0].keys())
-        columns.remove("checks")
-        print(_render_rows(payloads, args.report, columns))
+    columns = list(payloads[0].keys())
+    columns.remove("checks")
+    print(_render_rows(payloads, args.report, columns))
     failed = [r for r in rows if not r.passed]
     if failed:
         for row in failed:

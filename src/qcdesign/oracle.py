@@ -20,10 +20,10 @@ from .qc_core import (
 )
 from .spectrum import WordSpectrum
 
-#: Default cap on q.  The oracle needs about PEAK_BYTES_PER_ENTRY * 2^q
-#: bytes: tracemalloc measures 10.5 to 14.1 MiB for ``metrics --method
-#: oracle`` on the q = 20 designs of perfbench/reference/oracle_docs.json
-#: (8.1 MiB with --skip-projectivity).
+#: Default cap on q.  The oracle needs about PEAK_BYTES_PER_ENTRY * 2^q bytes: on
+#: the q = 20 designs of perfbench/reference/oracle_docs.json, tracemalloc measures 5.5
+#: to 9.0 MiB for its table, spectrum and projectivity, and 14.3 to 14.5 MiB (14.3 with
+#: --skip-projectivity) for ``metrics --method oracle``, whose JSON load sets the peak.
 DEFAULT_MAX_FACTORS, PEAK_BYTES_PER_ENTRY = 20, 14
 
 
@@ -114,12 +114,11 @@ _BATCH_ELEMS = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class JTable:
-    """All 2^q J-characteristics of a design, indexed by column-subset mask,
-    and the projection questions they answer.
+    """All 2^q J-characteristics of a stack of designs sharing columns and
+    run count, by column-subset mask, and the projection questions they answer.
 
-    ``values`` (dtype ``_table_dtype(n_runs)``) is (2^q,) for one design,
-    or (designs, 2^q) for a stack of designs sharing columns and run count
-    (see ``code_tables``).
+    ``values`` (dtype ``_table_dtype(n_runs)``) is (designs, 2^q); one
+    design is a stack of one.
 
     A full word S (|J(S)| = N) settles every level p >= |S|: the product of
     its columns is constant, so the projection on any p columns that hold S
@@ -128,10 +127,10 @@ class JTable:
     sum_{S subset of P} J(S) (-1)^popcount(S & x), with J(empty) = N.  A
     combination is missing only if the nonempty terms sum to -N there, which
     needs sum_{nonempty S subset of P} |J(S)| >= N.  One subset-sum transform
-    of |J| gives that sum for every P of every design at once; the sets that
-    reach N are the survivors, and only they need the exact check.  No P of
-    ceil(R) - 1 or fewer columns survives (Deng & Tang 1999): ceil(R) - 1 =
-    r - [top == N] for the shortest word length r and its largest |J| top,
+    of |J| gives that sum for every P of every design at once; ``reach``
+    marks the sets that reach N, and only they need the exact check.  No P
+    of ceil(R) - 1 or fewer columns reaches N (Deng & Tang 1999): ceil(R) - 1
+    = r - [top == N] for the shortest word length r and its largest |J| top,
     so P holds no word, or only itself with |J| <= top < N.
     """
 
@@ -150,40 +149,37 @@ class JTable:
         return flat >> q, lengths, np.abs(self.values.ravel()[flat])
 
     @cached_property
-    def survivors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Design index, mask and size of every column set the filter keeps,
-        ordered by design, then by mask; built on first use."""
-        q = len(self.columns)
-        sums = np.abs(self.values.reshape(-1, 1 << q))
+    def reach(self) -> np.ndarray:
+        """Whether the |J| of each column set's nonempty subsets sum to N or
+        more, per design and mask: the filter, built on first use."""
+        sums = np.abs(self.values)
         sums[:, 0] = 0
-        flat = np.flatnonzero(_subset_sums(sums, self.n_runs) >= self.n_runs)
-        del sums  # the 2^q sums go before the survivors are listed
-        design = flat >> q
-        flat &= (1 << q) - 1  # the masks, in place of a third list
-        return design, flat, np.bitwise_count(flat)
+        return _subset_sums(sums, self.n_runs) >= self.n_runs
 
     def deficient(self, p: int, designs: np.ndarray | None = None) -> np.ndarray:
         """Whether some p-column projection of each design misses a level
         combination; False for the designs the boolean mask ``designs`` omits.
 
-        A full word of at most p columns settles a design.  The p-set
-        survivors of the others are checked exactly in rounds of 1, 2, 4, ...
-        sets, and a design leaves the rounds at its first deficient set.  A
-        round's checks run in batches of at most about _BATCH_ELEMS gathered
-        entries, skipping the designs an earlier batch resolved.  The filter
-        is built only when some design is left to check.
+        A full word of at most p columns settles a design.  The p-sets of
+        the others that ``reach`` marks are checked exactly in rounds of 1,
+        2, 4, ... sets, and a design leaves the rounds at its first deficient
+        set.  A round's checks run in batches of at most about _BATCH_ELEMS
+        gathered entries, skipping the designs an earlier batch resolved.
+        The filter is built only when some design is left to check.
         """
+        q = len(self.columns)
         design, lengths, jabs = self.words
-        found = np.zeros(self.values.size >> len(self.columns), dtype=bool)
+        found = np.zeros(len(self.values), dtype=bool)
         found[design[(jabs == self.n_runs) & (lengths <= p)]] = True
         if designs is not None:
             found &= designs
         left = ~found if designs is None else designs & ~found
         if not left.any():
             return found
-        design, masks, sizes = self.survivors
-        pick = (sizes == p) & left[design]
-        design, masks = design[pick], masks[pick]
+        rows = np.flatnonzero(left)
+        flat = np.flatnonzero(self.reach[rows])
+        flat = flat[np.bitwise_count(flat & ((1 << q) - 1)) == p]
+        design, masks = rows[flat >> q], flat & ((1 << q) - 1)
         rank = np.arange(design.size) - np.searchsorted(design, design)
         cap = max(1, _BATCH_ELEMS >> p)
         start, size = 0, 1
@@ -211,7 +207,7 @@ class JTable:
         q = len(self.columns)
         design, lengths, jabs = self.words
         full = jabs == self.n_runs
-        result, floor = np.full((2, self.values.size >> q), q)
+        result, floor = np.full((2, len(self.values)), q)
         np.minimum.at(result, design[full], lengths[full] - 1)
         np.minimum.at(floor, design, lengths - full)
         for p in range(int(floor.min()) + 1, int(result.max()) + 1):
@@ -230,7 +226,7 @@ class JTable:
         submasks = np.zeros((masks.size, 1), dtype=np.int64)
         for bit in (np.int64(1) << columns).T:
             submasks = np.concatenate([submasks, submasks + bit[:, None]], axis=1)
-        cells = self.values.reshape(-1, self.values.shape[-1])[design[:, None], submasks]
+        cells = self.values[design[:, None], submasks]
         wide = np.promote_types(cells.dtype, np.min_scalar_type(-1 - (self.n_runs << p)))
         return ~_walsh_hadamard(cells.astype(wide, copy=False)).all(axis=1)
 
@@ -307,7 +303,7 @@ def j_characteristics(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTO
     cells, counts = np.unique(sign_patterns(design.rows), return_counts=True)
     freq = np.zeros(1 << q, dtype=_table_dtype(design.n_runs))
     freq[cells] = counts
-    return JTable(design.columns, design.n_runs, _walsh_hadamard(freq))
+    return JTable(design.columns, design.n_runs, _walsh_hadamard(freq[None]))
 
 
 def spectrum_bruteforce(design: DesignMatrix, table: JTable | None = None) -> WordSpectrum:
@@ -372,7 +368,7 @@ def projection_level_full(design: DesignMatrix, p: int, table: JTable | None = N
     """True when every p-column projection contains all 2^p level combos.
 
     ``table`` is the design's J-table when the caller already has it; it
-    keeps its words and projection filter for later calls.
+    keeps its words and its filter, ``reach``, for later calls.
     """
     if not 1 <= p <= design.n_factors:
         raise ValueError("p must lie in 1..q")

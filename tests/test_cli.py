@@ -25,6 +25,7 @@ from qcdesign import (
     j_characteristics,
     oracle,
     profile_of,
+    search,
     spec_for,
 )
 from qcdesign.cli import (
@@ -226,6 +227,29 @@ def test_metrics_full_factorial_csv(tmp_path, capsys):
     assert payload["oracle"]["resolution"] == "unbounded"
     assert payload["oracle"]["spectrum"] == []
     assert payload["oracle"]["projectivity"] == 3
+    code, stdout, _ = run(capsys, "spectrum", "--design", str(path), "--method", "oracle")
+    assert (code, stdout) == (EXIT_OK, "empty spectrum\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("metrics", "--family", "sixteenth-even", "--n", "2", "--u", "1,x", "--v", "2,1"),
+     "error: --u and --v must be comma-separated Z4 digits\n"),
+    (("metrics", "--method", "oracle"),
+     "error: provide --design PATH or --family/--n/--u/--v flags\n"),
+], ids=["u-not-digits", "no-design"])
+def test_design_flag_errors_end_in_one_error_line(capsys, argv, message):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (EXIT_USAGE, "", message)
+
+
+def test_build_into_a_missing_directory_ends_in_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "design.json"
+    code, stdout, err = run(
+        capsys, "build", "--family", "sixteenth-even", "--n", "1",
+        "--u", "0", "--v", "0", "--out", str(out),
+    )
+    assert code == EXIT_USAGE and stdout == "" and not out.parent.exists()
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
 
 
 def test_metrics_theory_on_csv_is_usage_error(tmp_path, capsys):
@@ -382,6 +406,18 @@ def test_tables_commands_pass(capsys):
         payload = json.loads(stdout)
         assert len(payload) == 7
         assert all(row["status"] == "PASS" for row in payload)
+
+
+def test_tables_report_a_failing_row(capsys, monkeypatch):
+    # One expected row changed: the table still prints with that row FAIL,
+    # and stderr names the row and its failing check.
+    first, *rest = search.SIXTEENTH_ROWS
+    monkeypatch.setattr(search, "SIXTEENTH_ROWS",
+                        (dataclasses.replace(first, qc_projectivity=4), *rest))
+    code, stdout, err = run(capsys, "tables", "--which", "5")
+    assert code == EXIT_MISMATCH
+    assert err == "FAIL 2^{8-4}: projectivity\n"
+    assert stdout.count("FAIL") == 1 and stdout.count("PASS") == 6
 
 
 def test_tables_six_projectivities(capsys):
@@ -607,7 +643,7 @@ def test_verify_chunks_match_one_row_calls(monkeypatch, budget):
                     one = j_characteristics(design)
                     assert table.columns == design.columns
                     assert table.n_runs == design.n_runs
-                    assert np.array_equal(table.values[d], one.values)
+                    assert np.array_equal(table.values[d], one.values[0])
                     if not levels:
                         continue
                     assert [not v[d] for v in verdicts] == [
@@ -654,7 +690,7 @@ def test_code_tables_equal_the_matrix_tables_at_n_4_and_5(block):
         for d, (i, j) in enumerate(zip(p.tolist(), c.tolist())):
             profile = GeneratorProfile(tuple(counts[i].tolist()))
             design = build_design(spec_for(family, profile, pairs[j]))
-            assert np.array_equal(table.values[d], j_characteristics(design).values)
+            assert np.array_equal(table.values[d], j_characteristics(design).values[0])
 
 
 def _filter_alone(table: oracle.JTable) -> oracle.JTable:
@@ -1110,11 +1146,14 @@ N10_FLAGS = {
 #: Each file in ``tests/golden`` holds the stdout of its commands, run one
 #: after another.  A refactor keeps these bytes unless it says why.
 GOLDEN_COMMANDS = {
-    **{f"tables_{w}.json": [("tables", "--which", str(w), "--report", "json")]
-       for w in (3, 4, 5, 6)},
+    **{f"tables_{w}.{fmt}": [("tables", "--which", str(w), "--report", fmt)]
+       for w in (3, 4, 5, 6) for fmt in ("json", "md", "csv")},
     **{f"bound_{f.value}.txt": [("bound", "--family", f.value, "--n", str(n))
                                 for n in range(1, 11)] for f in Family},
     **{f"search_{f.value}_n2.md": [("search", "--n", "2", "--family", f.value)]
+       for f in Family},
+    **{f"search_{f.value}_n2.csv": [("search", "--n", "2", "--family", f.value,
+                                     "--report", "csv")]
        for f in Family},
     **{f"search_{f.value}_n3_projectivity.json": [
         ("search", "--n", "3", "--family", f.value, "--criterion", "projectivity",
@@ -1133,6 +1172,10 @@ GOLDEN_COMMANDS = {
     **{f"metrics_{f.value}.json": [
         ("metrics", "--family", f.value, "--n", "2", "--u", "1,2", "--v", "2,1",
          *(["--u0v0", "12"] if f.branched else []), "--method", "both", "--report", "json")]
+       for f in Family},
+    **{f"metrics_{f.value}.txt": [
+        ("metrics", "--family", f.value, "--n", "2", "--u", "1,2", "--v", "2,1",
+         *(["--u0v0", "12"] if f.branched else []), "--method", "both")]
        for f in Family},
     "verify_n3_sample20_seed1.txt": [
         ("verify", "--n-max", "3", "--sample", "20", "--seed", "1")],

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -62,7 +63,7 @@ def labels_of(design: DesignMatrix, mask: int) -> tuple[str, ...]:
 
 def words(design: DesignMatrix):
     """(labels, J) of every nonempty column subset."""
-    values = j_characteristics(design).values.tolist()
+    values = j_characteristics(design).values[0].tolist()
     return [(labels_of(design, mask), values[mask]) for mask in range(1, len(values))]
 
 
@@ -82,13 +83,13 @@ def full_factorial(k: int) -> DesignMatrix:
 def test_full_factorial_has_zero_j_characteristics():
     design = full_factorial(3)
     table = j_characteristics(design)
-    assert not table.values[1:].any()
+    assert not table.values[0, 1:].any()
 
 
 def test_constant_column_j_equals_run_count():
     design = build_design(GeneratorSpec(Family.SIXTEENTH_EVEN, 1, (0,), (0,)))
     table = j_characteristics(design)
-    assert table.values[mask_of(design, ["F1"])] == 4
+    assert table.values[0, mask_of(design, ["F1"])] == 4
 
 
 def test_example_design_complete_words():
@@ -111,7 +112,7 @@ def test_transform_equals_direct_product_sum(design):
     table = j_characteristics(design)
     for size in range(1, design.n_factors + 1):
         for subset in combinations(design.columns, size):
-            assert table.values[mask_of(design, subset)] == j_direct(design, subset)
+            assert table.values[0, mask_of(design, subset)] == j_direct(design, subset)
 
 
 def test_spectrum_reference_cases():
@@ -406,9 +407,10 @@ def test_projectivity_matches_projection_scan_on_small_designs():
 
 
 def _floor_survivors(family: Family, counts: np.ndarray, pairs: tuple) -> int:
-    """Assert that no projection filter survivor of the designs (counts[i],
-    pairs[j]) has ceil(R) - 1 or fewer columns, R from the closed-form
-    spectrum; return how many designs have a floor of 1 or more."""
+    """Assert that no column set the projection filter keeps (``reach``) of
+    the designs (counts[i], pairs[j]) has ceil(R) - 1 or fewer columns, R
+    from the closed-form spectrum; return how many designs have a floor of 1
+    or more."""
     floored = 0
     every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
     for p, c, table in j_table_chunks(family, counts, pairs, *every):
@@ -419,8 +421,8 @@ def _floor_survivors(family: Family, counts: np.ndarray, pairs: tuple) -> int:
             resolution, _ = spectrum_metrics(family_spectrum(family, profile, pairs[j]), q)
             if resolution is not UNBOUNDED:
                 floor[d] = math.ceil(resolution) - 1
-        design, _, sizes = table.survivors
-        assert (sizes > floor[design]).all(), (family, p, c)
+        design, masks = np.nonzero(table.reach)
+        assert (np.bitwise_count(masks) > floor[design]).all(), (family, p, c)
         floored += int((floor >= 1).sum())
     return floored
 
@@ -443,6 +445,47 @@ def test_no_survivor_lies_at_or_below_the_resolution_floor_at_n_3_4(family, data
     counts = np.array([[classes.count(k) for k in range(10)]])
     pair = data.draw(st.sampled_from(u0v0_classes(family)))
     _floor_survivors(family, counts, (pair,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 10),
+    st.sampled_from((1, 12, 1 << 13, (1 << 14) - 1)),
+    st.sampled_from((np.int16, np.int32)),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_reach_marks_the_sets_whose_subset_sums_reach_n(rows, k, n_runs, dtype, shift, seed):
+    # The filter sums in the table's own dtype; at N = 2^13 and 2^14 - 1 the
+    # int16 sums clip before every stage.  Smaller entries (shift) leave
+    # sets on both sides of N.
+    rng = np.random.default_rng(seed)
+    high = n_runs >> min(shift, n_runs.bit_length() - 1)
+    values = rng.integers(-high, high, size=(rows, 1 << k), endpoint=True)
+    values[rng.random(values.shape) < 0.5] = 0
+    table = oracle.JTable(tuple(f"X{i}" for i in range(k)), n_runs, values.astype(dtype))
+    sums = np.abs(values)
+    sums[:, 0] = 0  # J(empty) = N is no term of the filter
+    assert table.reach.shape == values.shape
+    assert np.array_equal(table.reach, subset_sums_direct(sums) >= n_runs)
+
+
+def test_projectivity_peak_stays_small_on_sixteenth_odd_n_4():
+    # The filter is one bool per column set; only the sets of the level in
+    # question are listed, one level at a time.
+    family = Family.SIXTEENTH_ODD
+    counts, pairs = profile_array(4), u0v0_classes(family)
+    every = np.divmod(np.arange(len(counts) * len(pairs)), len(pairs))
+    peak = 0
+    for _, _, table in j_table_chunks(family, counts, pairs, *every):
+        tracemalloc.start()
+        try:
+            table.projectivity()
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.1 * 2**20
 
 
 def test_projection_cells_past_int32_are_widened():
@@ -493,7 +536,7 @@ def test_code_tables_match_the_matrix_tables_at_the_int16_border(family, n, dtyp
     design = build_design(spec_for(family, GeneratorProfile(tuple(counts[0].tolist())), pair))
     matrix = j_characteristics(design)
     assert table.values.dtype == matrix.values.dtype == dtype
-    assert np.array_equal(table.values[0], matrix.values)
+    assert np.array_equal(table.values, matrix.values)
 
 
 def _filter_builds(monkeypatch) -> list:
@@ -540,6 +583,13 @@ def test_stacked_projectivity_matches_the_projection_scan_at_n_up_to_3():
                     for i, j in zip(p.tolist(), c.tolist())
                 ]
                 assert got == want, (family, n)
+
+
+def test_projection_level_refuses_p_outside_1_to_q():
+    design = full_factorial(3)
+    for p in (0, 4):
+        with pytest.raises(ValueError, match=r"^p must lie in 1\.\.q$"):
+            projection_level_full(design, p)
 
 
 def test_shared_table_gives_the_same_answers():
