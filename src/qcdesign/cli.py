@@ -398,6 +398,8 @@ def _resolve_design(args: argparse.Namespace, build: bool) -> DesignDocument:
     if not (args.family and args.u and args.v) or args.n is None:
         raise UsageError("provide --design PATH or --family/--n/--u/--v flags")
     spec = _spec_from_flags(args)
+    if build:  # refused before a matrix of 4^n runs or more is built
+        check_factor_cap(spec.family.factor_count(spec.n), max_factors=args.max_factors)
     return DesignDocument(spec, build_design(spec) if build else None)
 
 
@@ -430,8 +432,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _theory_spectrum_for(doc: DesignDocument) -> WordSpectrum:
     if doc.spec is None:
         raise UsageError("theory metrics need generator data; this design has none")
-    profile = profile_of(doc.spec.u, doc.spec.v)
-    return family_spectrum(doc.spec.family, profile, doc.spec.u0v0)
+    try:
+        return family_spectrum(doc.spec.family, profile_of(doc.spec.u, doc.spec.v), doc.spec.u0v0)
+    except ValueError as exc:  # n past the closed forms
+        raise UsageError(str(exc))
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -662,8 +666,9 @@ def _chunk_failures(
     np.subtract.at(net, keys + t_exps, t_counts)
     differ = net.reshape(designs, -1).any(axis=1)
 
-    values = table.values
-    parseval = np.einsum("dj,dj->d", values, values, dtype=np.int64) != n_runs << q
+    squares = table.values[:, 0].astype(np.int64) ** 2  # Parseval: J(empty)^2 and
+    np.add.at(squares, design, jabs.astype(np.int64) ** 2)  # each word's |J|^2 sum to N 2^q
+    parseval = squares != n_runs << q
 
     # The resolution floor on projectivity needs no check: see oracle.JTable.
     exceeds = np.zeros(designs, dtype=bool)

@@ -1,8 +1,8 @@
-"""Brute-force, exact analysis of explicit design matrices.
+"""Brute-force, exact analysis of design matrices, with no closed form.
 
-Everything here works from the +1/-1 matrix alone (no generator theory):
-J-characteristics through a subset-parity transform of the sign-pattern
-frequency table, word spectra, and projectivity from the same J-table.
+J-characteristics transform a sign-pattern frequency table, tallied from
+the +1/-1 matrix (``j_characteristics``) or the Z4 code (``code_tables``,
+``j_table_chunks``); word spectra and projectivity read the same J-table.
 """
 
 from __future__ import annotations

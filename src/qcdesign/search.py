@@ -23,12 +23,10 @@ import numpy as np
 
 from .oracle import check_factor_cap, j_table_chunks
 from .qc_core import _CLASS_OF, _CLASS_PAIRS, Family, GeneratorProfile, _check_n
-from .spectrum import spectrum_metrics
 from .theory import (
     U0V0,
     ClosedForms,
     closed_forms,
-    family_spectrum,
     projectivity_bound,
     u0v0_class,
     u0v0_classes,
@@ -264,17 +262,16 @@ def optimize(
         (GeneratorProfile(tuple(profiles[i].tolist())), pairs[j])
         for i, j in zip(*np.divmod(ties, len(pairs)))
     ]
-    winner = ties[0]
-    spectrum = family_spectrum(family, winner[0], winner[1])
-    resolution, wlp = spectrum_metrics(spectrum, q)
+    # The pool and its orbits share one WLP and one key r << 8 | e: R = r + 1 - 2^-e.
+    r, e = divmod(int(res[p[0], c[0]]), 1 << 8)
     return SearchResult(
         family=family,
         n=n,
         criterion=criterion,
-        profile=winner[0],
-        u0v0=winner[1],
-        resolution=resolution,
-        wlp=wlp,
+        profile=ties[0][0],
+        u0v0=ties[0][1],
+        resolution=r + 1 - Fraction(1, 1 << e),
+        wlp=tuple(Fraction(int(a), 2) for a in wlp_keys[p[0], :, c[0]]),
         projectivity=best_projectivity,
         criteria_coincide=criteria_coincide,
         ties=tuple(ties),

@@ -6,7 +6,8 @@ import names from ``qcdesign``.  The benchmark's own tests
 arithmetic and the workload plumbing, not the names the benchmark takes
 from the library.  These checks do, so that a library change cannot break
 the benchmark: a missing tracer target would crash a traced run with an
-``AttributeError``.
+``AttributeError``.  Its search workloads pass only when stdout equals the
+files under ``perfbench/reference``, and the last test holds them to that.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import runpy
 import types
 from pathlib import Path
 
+import pytest
+
+from qcdesign.cli import main
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEARCH_COMMANDS = runpy.run_path(str(PERFBENCH / "workloads.py"))["SEARCH_COMMANDS"]
 
 
 def _lookup(module: str, name: str) -> object:
@@ -71,3 +77,11 @@ def test_names_the_benchmark_takes_from_qcdesign_exist():
                 if _lookup(module.__name__, node.attr) is None:
                     missing.append(f"{path.name}: {module.__name__}.{node.attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("reference, argv", SEARCH_COMMANDS, ids=[r for r, _ in SEARCH_COMMANDS])
+def test_search_commands_print_the_benchmark_references(capsys, reference, argv):
+    # The benchmark counts a search whose stdout differs from its reference
+    # file as a failed operation; this catches the drift first.
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == (PERFBENCH / "reference" / reference).read_text()

@@ -231,12 +231,19 @@ def test_metrics_full_factorial_csv(tmp_path, capsys):
     assert (code, stdout) == (EXIT_OK, "empty spectrum\n")
 
 
+#: Generator flags of a sixteenth-even design past the closed forms' n <= 126.
+N200_FLAGS = ("--family", "sixteenth-even", "--n", "200", "--u", ",".join("1" * 200),
+              "--v", ",".join("2" * 200), "--method", "theory")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("metrics", "--family", "sixteenth-even", "--n", "2", "--u", "1,x", "--v", "2,1"),
      "error: --u and --v must be comma-separated Z4 digits\n"),
     (("metrics", "--method", "oracle"),
      "error: provide --design PATH or --family/--n/--u/--v flags\n"),
-], ids=["u-not-digits", "no-design"])
+    (("metrics", *N200_FLAGS), "error: closed forms are evaluated for n <= 126\n"),
+    (("spectrum", *N200_FLAGS), "error: closed forms are evaluated for n <= 126\n"),
+], ids=["u-not-digits", "no-design", "metrics-theory-n200", "spectrum-theory-n200"])
 def test_design_flag_errors_end_in_one_error_line(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (EXIT_USAGE, "", message)
@@ -390,6 +397,22 @@ def test_max_factors_sets_the_oracle_cap(capsys):
         assert code == EXIT_OK
         with pytest.raises(ValueError, match="above the cap of 7"):
             main([command, *flags, "--max-factors", "7"])
+
+
+def test_oracle_commands_refuse_over_cap_flags_unbuilt(monkeypatch):
+    # Every n = 10 design has q >= 23 and 2^20 runs or more, and sixteenth-even
+    # n = 2 has q = 8, above --max-factors 7: the cap refuses them unbuilt.
+    def build_design(spec):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(cli, "build_design", build_design)
+    n2 = ("--family", "sixteenth-even", "--n", "2", "--u", "1,2", "--v", "2,1",
+          "--max-factors", "7")
+    for flags, cap in (*((flags, 20) for flags in N10_FLAGS.values()), (n2, 7)):
+        for command, method in (("metrics", "oracle"), ("metrics", "both"),
+                                ("spectrum", "oracle")):
+            with pytest.raises(ValueError, match=f"above the cap of {cap}"):
+                main([command, *flags, "--method", method])
 
 
 def test_metrics_refuses_design_format(capsys):
@@ -921,6 +944,38 @@ def test_malformed_json_ends_in_one_error_line(tmp_path, capsys, monkeypatch, sp
         with monkeypatch.context() as patch:  # undone before the next example
             patch.setattr(cli, "document_from_json", json_document)
             assert run(capsys, *argv) == (code, out, err)
+
+
+#: Small JSON values: scalars, and lists and objects of a few of them.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@fuzzed
+@given(specs(max_n=2), st.data())
+def test_one_replaced_field_ends_in_one_error_line(tmp_path, capsys, spec, data):
+    # Any top-level field of a valid document replaced by any other small
+    # JSON value: one error line and exit 1 or 2, never a traceback, unless
+    # the reader takes the new value for an equal one (metrics null or {},
+    # other column labels, u0v0 [1, 2] for "12"): then the output is the same.
+    payload = _payload(spec)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(payload))
+    argv = ("metrics", "--design", str(path))
+    untouched = run(capsys, *argv)
+    key = data.draw(st.sampled_from(sorted(payload)))
+    path.write_text(json.dumps({**payload, key: data.draw(
+        json_values.filter(lambda value: value != payload[key]))}))
+    code, out, err = run(capsys, *argv)
+    if code != EXIT_OK:
+        assert code in (EXIT_USAGE, EXIT_MISMATCH) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert (code, out, err) == untouched
 
 
 @st.composite
