@@ -42,6 +42,7 @@ from .qc_core import (
     profile_of,
 )
 from .search import (
+    MAX_N,
     Criterion,
     ReportRow,
     SearchResult,
@@ -412,6 +413,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.with_metrics and args.format == "csv":
         raise UsageError("--with-metrics needs --format json; a CSV design has no metrics")
     spec = _spec_from_flags(args)
+    if spec.n > MAX_N:  # refused before a matrix of 4^n runs or more is allocated
+        raise UsageError(f"build takes n <= {MAX_N}, got n = {spec.n}")
     design = build_design(spec)
     doc = DesignDocument(spec, design)
     if args.with_metrics:

@@ -58,28 +58,35 @@ def sign_patterns(rows: np.ndarray) -> np.ndarray:
 
 
 #: Butterfly stages with h below the width run on transposed blocks of at
-#: most _BLOCK_ENTRIES entries.  A (64, 512) int32 stack, as ``verify``
-#: transforms, takes 1.10 ms in place and 0.47 / 0.37 / 0.34 ms with width
-#: 8 / 16 / 32; (1, 2^20) 40.3 ms and 20.4 / 17.0 / 16.5 ms (best of 9).
+#: most _BLOCK_ENTRIES entries.  From stage 0, a (1, 2^20) int32 table, as
+#: ``j_characteristics`` transforms, takes 18.0 ms in place and 14.8 / 11.3 /
+#: 11.4 / 11.9 ms with width 8 / 16 / 32 / 64; a (2048, 256) int16 batch, as
+#: ``JTable._has_empty_cell`` transforms, 5.30 ms and 3.56 / 2.14 / 1.98 /
+#: 2.36 ms (best of 11, 2-core Xeon).  ``code_tables`` gathers every stage
+#: below the width.
 _BUTTERFLY_WIDTH, _BLOCK_ENTRIES = 32, 1 << 16
 
 
-def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+def _butterflies(
+    a: np.ndarray, first: int = 0, stop: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield (low, high, k) for each stage k >= ``first`` over the power-of-two
-    last axis of the C-contiguous ``a``: views pairing the entries without bit
-    2^k with those that have it, for the caller to update in place.  Stages
-    below the width, whose inner runs are too short for numpy's strided loops,
-    run on a transposed (width, M) copy of each block, every operand a row."""
+    last axis of the C-contiguous ``a``, those at and above the width only
+    below ``stop`` if given: views pairing the entries without bit 2^k with
+    those that have it, for the caller to update in place.  Stages below the
+    width, whose inner runs are too short for numpy's strided loops, run on a
+    transposed (width, M) copy of each block, every operand a row."""
     width = min(_BUTTERFLY_WIDTH, a.shape[-1])
+    stop = a.shape[-1].bit_length() - 1 if stop is None else stop
     narrow = range(first, width.bit_length() - 1)
     blocks = a.reshape(-1, width)
-    for start in range(0, blocks.shape[0], _BLOCK_ENTRIES // width):
+    for start in range(0, blocks.shape[0] if narrow else 0, _BLOCK_ENTRIES // width):
         rows = blocks[start : start + _BLOCK_ENTRIES // width].T.copy()
         for k in narrow:
             pairs = rows.reshape(-1, 2, 1 << k, rows.shape[1])
             yield pairs[:, 0], pairs[:, 1], k
         blocks[start : start + rows.shape[1]] = rows.T
-    for k in range(max(first, width.bit_length() - 1), a.shape[-1].bit_length() - 1):
+    for k in range(max(first, width.bit_length() - 1), stop):
         pairs = a.reshape(*a.shape[:-1], -1, 2, 1 << k)
         yield pairs[..., 0, :], pairs[..., 1, :], k
 
@@ -87,11 +94,36 @@ def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np
 def _walsh_hadamard(a: np.ndarray, first: int = 0) -> np.ndarray:
     """Sylvester transform in place over the last axis from stage ``first`` on,
     out[s] = sum_p (-1)^popcount(s & p) in[p] when ``first`` is 0, in a dtype
-    that holds it (see ``_table_dtype``)."""
-    for low, high, _ in _butterflies(a, first):
+    that holds it (see ``_table_dtype``).
+
+    The stages at and above the width run in pairs (k, k + 1), radix 4, on
+    the quarters x0..x3 of one block of at most _BLOCK_ENTRIES entries at a
+    time, x1 and x3 having bit 2^k and x2 and x3 bit 2^(k+1): nine
+    quarter-size operations, two temporaries, where two radix-2 stages take
+    six half-size ones.  When the number of those stages is odd, the first
+    runs radix 2.  Integer wrap-around leaves the exact result wherever the
+    dtype holds it."""
+    top = a.shape[-1].bit_length() - 1
+    wide = max(first, min(_BUTTERFLY_WIDTH, a.shape[-1]).bit_length() - 1)
+    wide += (top - wide) % 2
+    for low, high, _ in _butterflies(a, first, wide):
         low += high
         high *= -2
         high += low
+    for k in range(wide, top, 2):
+        quads = a.reshape(-1, 4, 1 << k)
+        rows, cols = max(1, _BLOCK_ENTRIES >> k + 2), min(1 << k, _BLOCK_ENTRIES >> 2)
+        for r in range(0, len(quads), rows):
+            for c in range(0, 1 << k, cols):
+                x0, x1, x2, x3 = quads[r : r + rows, :, c : c + cols].transpose(1, 0, 2)
+                t, u = x0 + x1, x2 + x3
+                np.subtract(x0, x1, out=x1)
+                np.subtract(x2, x3, out=x3)
+                np.add(t, u, out=x0)
+                np.subtract(t, u, out=x2)
+                np.add(x1, x3, out=t)
+                np.subtract(x1, x3, out=x3)
+                x1[...] = t
     return a
 
 
@@ -143,10 +175,14 @@ class JTable:
         """Design index, length and |J| of every word: each nonempty column
         set S with J(S) != 0, ordered by design, then by mask."""
         q = len(self.columns)
-        flat = np.flatnonzero(self.values)  # several times faster than a 2-D nonzero
-        flat = flat[(flat & ((1 << q) - 1)) != 0]  # J(empty) = N is no word
+        # Scanning a bool mask takes 0.13 ms, the table 0.29 ms and a 2-D
+        # nonzero 0.53 ms on a (64, 2048) int16 chunk with 5 % nonzero;
+        # 0.58 / 2.1 / 3.6 ms on 2^20 int32 entries with 1 % (best of 31).
+        nonzero = self.values != 0
+        nonzero[:, 0] = False  # J(empty) = N is no word
+        flat = np.flatnonzero(nonzero)
         lengths = np.bitwise_count(flat & ((1 << q) - 1)).astype(np.int64)
-        return flat >> q, lengths, np.abs(self.values.ravel()[flat])
+        return flat >> q, lengths, np.abs(np.take(self.values, flat))
 
     @cached_property
     def reach(self) -> np.ndarray:
@@ -221,20 +257,19 @@ class JTable:
         transform (widened where N * 2^p can pass the table's dtype) is 2^p
         times the projected frequencies, and the set misses a level
         combination iff one is 0."""
-        bits = (masks[:, None] >> np.arange(len(self.columns))) & 1
+        q = len(self.columns)
+        bits = (masks[:, None] & (1 << np.arange(q))) != 0
         columns = np.nonzero(bits)[1].reshape(masks.size, p)
         submasks = np.zeros((masks.size, 1), dtype=np.int64)
         for bit in (np.int64(1) << columns).T:
             submasks = np.concatenate([submasks, submasks + bit[:, None]], axis=1)
-        cells = self.values[design[:, None], submasks]
+        cells = np.take(self.values, design[:, None] << q | submasks)
         wide = np.promote_types(cells.dtype, np.min_scalar_type(-1 - (self.n_runs << p)))
         return ~_walsh_hadamard(cells.astype(wide, copy=False)).all(axis=1)
 
 
-#: Pattern bits of the Gray pair of each Z4 value, and the 16 x 16
-#: Sylvester-Hadamard matrix, whose top-left 2^k x 2^k block is the 2^k one.
+#: Pattern bits of the Gray pair of each Z4 value.
 _GRAY_BITS = sign_patterns(GRAY).astype(np.uint8)
-_SYLVESTER = _walsh_hadamard(np.eye(16, dtype=np.int16))
 
 
 @cache
@@ -247,27 +282,51 @@ def _shared_slots(family: Family, n: int) -> np.ndarray:
     return shared
 
 
+@cache
+def _group_rows(k: int, m: int, dtype: np.dtype) -> np.ndarray:
+    """The first k + m butterfly stages of the one-hot pattern table of 2^m
+    consecutive shared patterns i, whose runs have check bits c_i: the sum of
+    rows i 2^k + c_i of the order 2^(k+m) Sylvester-Hadamard matrix, by
+    c_0, ..., c_{2^m - 1} packed k bits each, c_0 highest: 2^(k 2^m) rows,
+    4096 for k = 3 and 256 for k = 4 at the width of 2^5.  Read-only."""
+    sylvester = _walsh_hadamard(np.eye(1 << k + m, dtype=dtype))
+    blocks = sylvester.reshape(1 << m, 1 << k, 1 << k + m)  # block i: rows i 2^k + c
+    rows = blocks[0]
+    for block in blocks[1:]:
+        rows = (rows[:, None] + block).reshape(-1, 1 << k + m)
+    rows.flags.writeable = False
+    return rows
+
+
 def code_tables(family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0) -> np.ndarray:
     """The stacked J-tables of the designs ``qc_core.z4_code`` describes,
     worked from the code.
 
     The shared columns (F5 and the Gray pairs of a) form a full 2^(q-k)
     factorial, k = ``family.checks``, so the pattern table is one-hot: one run
-    per shared pattern, its check bits c below them.  The first k butterfly
-    stages turn it into row c of the 2^k Sylvester-Hadamard matrix, gathered
-    here in shared-pattern order; only stages k..q-1 remain."""
+    per shared pattern, its check bits c below them.  The stages below the
+    butterfly width, k + m of them, mix only groups of 2^m consecutive shared
+    patterns, so their output is gathered by the checks of each group (see
+    ``_group_rows``); only stages k + m..q-1 remain."""
     k, q = family.checks, family.factor_count(n)
     check_factor_cap(q)
+    m = _BUTTERFLY_WIDTH.bit_length() - 1 - k
     _, tu, tv = z4_code(family, n, u, v, u0v0)
     checks = np.empty_like(tu)
-    checks[:, _shared_slots(family, n)] = (_GRAY_BITS[tu] | _GRAY_BITS[tv] << 2) >> 4 - k
-    sylvester = _SYLVESTER[: 1 << k, : 1 << k].astype(_table_dtype(family.run_count(n)))
-    return _walsh_hadamard(sylvester[checks].reshape(len(checks), 1 << q), k)
+    checks[:, _shared_slots(family, n)] = (
+        np.take(_GRAY_BITS, tu) | np.take(_GRAY_BITS, tv) << 2) >> 4 - k
+    groups = checks.reshape(len(checks), -1, 1 << m).astype(np.intp)
+    index = groups[..., 0]
+    for i in range(1, 1 << m):
+        index = index << k | groups[..., i]
+    rows = _group_rows(k, m, _table_dtype(family.run_count(n)))
+    return _walsh_hadamard(np.take(rows, index, axis=0).reshape(len(checks), 1 << q), k + m)
 
 
 #: J-table bytes per chunk of stacked designs (one design at least).  With
-#: 2^16 / 2^17 / 2^18 / 2^19, ``verify --n-max 3`` takes 0.29 / 0.23 / 0.19 /
-#: 0.17 s at 32.4 / 32.3 / 32.7 / 33.4 MiB RSS (median of 7, in-process, 2 cores).
+#: 2^16 / 2^17 / 2^18 / 2^19, ``verify --n-max 3`` takes 0.128 / 0.093 /
+#: 0.072 / 0.071 s at 33.3 / 33.3 / 33.6 / 34.4 MiB peak RSS (median of 15,
+#: in-process, median of three processes, 2-core Xeon).
 CHUNK_BYTES = 1 << 18
 
 

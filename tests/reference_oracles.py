@@ -60,14 +60,19 @@ def j_direct(design: DesignMatrix, labels: Iterable[str]) -> int:
 
 
 def walsh_hadamard_matrix(a: np.ndarray) -> np.ndarray:
-    """The Sylvester transform over the last axis as an explicit product
-    with the +1/-1 matrix H[s, p] = (-1)^popcount(s & p), in int64."""
-    index = np.arange(a.shape[-1])
-    common = index[:, None] & index[None, :]
-    parity = np.zeros_like(common)
-    for bit in range(max(1, a.shape[-1].bit_length())):
-        parity ^= (common >> bit) & 1
-    return a.astype(np.int64) @ (1 - 2 * parity)
+    """The Sylvester transform over the last axis as explicit products with
+    the +1/-1 matrices H_k[s, p] = (-1)^popcount(s & p) of order 2^k, in
+    int64.  H_(i+j) is the Kronecker product of H_i and H_j, so each row,
+    laid out as a 2^i x 2^j matrix X, goes to H_i X H_j, and rows of 2^k
+    entries need matrices of order 2^ceil(k/2) at most."""
+    k = a.shape[-1].bit_length() - 1
+
+    def sylvester(order: int) -> np.ndarray:
+        index = np.arange(1 << order)
+        return 1 - 2 * (np.bitwise_count(index[:, None] & index[None, :]) & 1).astype(np.int64)
+
+    x = a.astype(np.int64).reshape(*a.shape[:-1], 1 << k // 2, 1 << k - k // 2)
+    return (sylvester(k // 2) @ x @ sylvester(k - k // 2)).reshape(a.shape)
 
 
 def subset_sums_direct(a: np.ndarray) -> np.ndarray:

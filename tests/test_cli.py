@@ -415,6 +415,22 @@ def test_oracle_commands_refuse_over_cap_flags_unbuilt(monkeypatch):
                 main([command, *flags, "--method", method])
 
 
+def test_build_refuses_n_above_the_search_limit_unbuilt(capsys, monkeypatch):
+    # n = 11 has 4^11 runs or more and n = 40 more than numpy can allocate:
+    # both are one error line, refused before the matrix is built.
+    def build_design(spec):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(cli, "build_design", build_design)
+    for n in (11, 40):
+        digits = ",".join("1" * n)
+        for fmt in ("json", "csv"):
+            code, stdout, err = run(capsys, "build", "--family", "sixteenth-even", "--n",
+                                    str(n), "--u", digits, "--v", digits, "--format", fmt)
+            assert code == EXIT_USAGE and stdout == ""
+            assert err == f"error: build takes n <= 10, got n = {n}\n"
+
+
 def test_metrics_refuses_design_format(capsys):
     code, stdout, err = run(capsys, "metrics", "--family", "sixteenth-even", "--n", "1",
                             "--u", "1", "--v", "2", "--design-format", "csv")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SCAN_MAX_FACTORS, drop_column, scan_level_full, scan_projectivity
 from qcdesign import (
@@ -604,28 +604,63 @@ def test_shared_table_gives_the_same_answers():
 
 
 @st.composite
-def stacks(draw, high, lengths=range(11)):
-    """A stack of 1 to 5 rows of 2^k integers drawn from 0..high, int32 or
-    int64, with k in ``lengths`` (lengths below the transposed block width
-    included)."""
+def stacks(draw, high, lengths=range(11), dtypes=(np.int32, np.int64)):
+    """A stack of 1 to 5 rows of 2^k integers drawn from 0..high, of a dtype
+    in ``dtypes``, with k in ``lengths`` (lengths below the transposed block
+    width included)."""
     k = draw(st.sampled_from(lengths))
     rows = draw(st.integers(1, 5))
-    dtype = draw(st.sampled_from((np.int32, np.int64)))
+    dtype = draw(st.sampled_from(dtypes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.integers(0, high, size=(rows, 1 << k), endpoint=True).astype(dtype)
 
 
-@settings(max_examples=80, deadline=None)
-@given(stacks(1 << 20), st.booleans(), st.integers(0, 6))
+def _example_stack(k: int, rows: int = 3, dtype: type = np.int16) -> np.ndarray:
+    return np.random.default_rng(k).integers(0, 3, size=(rows, 1 << k), endpoint=True).astype(dtype)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(stacks(1 << 20), stacks(3, range(14), (np.int16,))), st.booleans(),
+       st.integers(0, 4))
+# From stage 4, 2^13 and 2^12 entries leave an even and an odd number of
+# stages at and above the width of 2^5; 2^3 entries are narrower than the
+# width, and 2^6 leave one stage above it.  16 x 2^13 entries take two
+# blocks of 2^16 per stage pair, and 2^17 entries split their top quarters.
+@example(_example_stack(13), True, 4)
+@example(_example_stack(12), False, 4)
+@example(_example_stack(12), True, 3)
+@example(_example_stack(3), False, 1)
+@example(_example_stack(6), True, 0)
+@example(_example_stack(13, rows=16), True, 4)
+@example(_example_stack(17, rows=1, dtype=np.int32), True, 0)
 def test_walsh_hadamard_equals_the_matrix_product(a, centred, first):
     # Entries of at most 2^20 in magnitude keep every partial sum of up to
-    # 2^10 of them inside int32.  Stages 0..first-1 are run as transforms of
-    # 2^first entries, the rest from stage ``first`` on.
+    # 2^10 of them inside int32, and int16 entries of at most 3 every partial
+    # sum of up to 2^13 inside int16.  Stages 0..first-1 are run as
+    # transforms of 2^first entries, the rest from stage ``first`` on.
     if centred:
-        a -= 1 << 19
+        a -= a.max() // 2
     first = min(first, a.shape[-1].bit_length() - 1)
     low = _walsh_hadamard(a.reshape(len(a), -1, 1 << first).copy()).reshape(a.shape)
     assert np.array_equal(_walsh_hadamard(low, first), walsh_hadamard_matrix(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10), st.sampled_from((np.int16, np.int32)),
+       st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_words_equal_a_two_dimensional_nonzero(designs, q, dtype, density, seed):
+    # Signed entries of either table dtype, a share ``density`` of them
+    # nonzero; column 0, J(empty), is no word.
+    rng = np.random.default_rng(seed)
+    top = np.iinfo(dtype).max
+    values = rng.integers(-top, top, size=(designs, 1 << q), endpoint=True).astype(dtype)
+    values[rng.random(values.shape) >= density] = 0
+    table = oracle.JTable(tuple(f"X{i}" for i in range(q)), 1 << 13, values)
+    design, masks = np.nonzero(values)
+    design, masks = design[masks != 0], masks[masks != 0]
+    want = (design, np.bitwise_count(masks), np.abs(values[design, masks].astype(np.int64)))
+    got = table.words
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 @settings(max_examples=80, deadline=None)
