@@ -67,17 +67,13 @@ def sign_patterns(rows: np.ndarray) -> np.ndarray:
 _BUTTERFLY_WIDTH, _BLOCK_ENTRIES = 32, 1 << 16
 
 
-def _butterflies(
-    a: np.ndarray, first: int = 0, stop: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield (low, high, k) for each stage k >= ``first`` over the power-of-two
-    last axis of the C-contiguous ``a``, those at and above the width only
-    below ``stop`` if given: views pairing the entries without bit 2^k with
-    those that have it, for the caller to update in place.  Stages below the
-    width, whose inner runs are too short for numpy's strided loops, run on a
-    transposed (width, M) copy of each block, every operand a row."""
+    last axis of the C-contiguous ``a``: views pairing the entries without bit
+    2^k with those that have it, for the caller to update in place.  Stages
+    below the width, whose inner runs are too short for numpy's strided loops,
+    run on a transposed (width, M) copy of each block, every operand a row."""
     width = min(_BUTTERFLY_WIDTH, a.shape[-1])
-    stop = a.shape[-1].bit_length() - 1 if stop is None else stop
     narrow = range(first, width.bit_length() - 1)
     blocks = a.reshape(-1, width)
     for start in range(0, blocks.shape[0] if narrow else 0, _BLOCK_ENTRIES // width):
@@ -86,7 +82,7 @@ def _butterflies(
             pairs = rows.reshape(-1, 2, 1 << k, rows.shape[1])
             yield pairs[:, 0], pairs[:, 1], k
         blocks[start : start + rows.shape[1]] = rows.T
-    for k in range(max(first, width.bit_length() - 1), stop):
+    for k in range(max(first, width.bit_length() - 1), a.shape[-1].bit_length() - 1):
         pairs = a.reshape(*a.shape[:-1], -1, 2, 1 << k)
         yield pairs[..., 0, :], pairs[..., 1, :], k
 
@@ -101,12 +97,14 @@ def _walsh_hadamard(a: np.ndarray, first: int = 0) -> np.ndarray:
     time, x1 and x3 having bit 2^k and x2 and x3 bit 2^(k+1): nine
     quarter-size operations, two temporaries, where two radix-2 stages take
     six half-size ones.  When the number of those stages is odd, the first
-    runs radix 2.  Integer wrap-around leaves the exact result wherever the
-    dtype holds it."""
+    runs radix 2 after the narrow ones.  Integer wrap-around leaves the exact
+    result wherever the dtype holds it."""
     top = a.shape[-1].bit_length() - 1
     wide = max(first, min(_BUTTERFLY_WIDTH, a.shape[-1]).bit_length() - 1)
     wide += (top - wide) % 2
-    for low, high, _ in _butterflies(a, first, wide):
+    for low, high, k in _butterflies(a, first):
+        if k == wide:  # every narrow block is written back by now
+            break
         low += high
         high *= -2
         high += low

@@ -619,30 +619,49 @@ def _example_stack(k: int, rows: int = 3, dtype: type = np.int16) -> np.ndarray:
     return np.random.default_rng(k).integers(0, 3, size=(rows, 1 << k), endpoint=True).astype(dtype)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.one_of(stacks(1 << 20), stacks(3, range(14), (np.int16,))), st.booleans(),
-       st.integers(0, 4))
+def _walsh_hadamard_from(a: np.ndarray, first: int) -> np.ndarray:
+    """Stages 0..first-1 run as transforms of 2^first entries, the rest from
+    stage ``first`` on."""
+    first = min(first, a.shape[-1].bit_length() - 1)
+    low = _walsh_hadamard(a.reshape(len(a), -1, 1 << first).copy()).reshape(a.shape)
+    return _walsh_hadamard(low, first)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks(1 << 20), st.booleans(), st.integers(0, 6))
+# From stage 5, where code_tables starts every table, 2^10 and 2^11 entries
+# leave an odd and an even number of stages at and above the width of 2^5
+# and none below it; 2^17 entries split their top quarters.
+@example(_example_stack(10, dtype=np.int32), True, 5)
+@example(_example_stack(11, dtype=np.int32), True, 5)
+@example(_example_stack(17, rows=1, dtype=np.int32), False, 0)
+def test_walsh_hadamard_equals_the_matrix_product(a, centred, first):
+    # Entries of at most 2^20 in magnitude keep every partial sum of up to
+    # 2^10 of them inside int32, and the examples' entries, at most 2^19,
+    # every partial sum of up to 2^11.
+    if centred:
+        a -= 1 << 19
+    assert np.array_equal(_walsh_hadamard_from(a, first), walsh_hadamard_matrix(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks(3, range(14), (np.int16,)), st.booleans(), st.integers(0, 6))
 # From stage 4, 2^13 and 2^12 entries leave an even and an odd number of
 # stages at and above the width of 2^5; 2^3 entries are narrower than the
 # width, and 2^6 leave one stage above it.  16 x 2^13 entries take two
-# blocks of 2^16 per stage pair, and 2^17 entries split their top quarters.
+# blocks of 2^16 per stage pair.
 @example(_example_stack(13), True, 4)
 @example(_example_stack(12), False, 4)
 @example(_example_stack(12), True, 3)
 @example(_example_stack(3), False, 1)
 @example(_example_stack(6), True, 0)
 @example(_example_stack(13, rows=16), True, 4)
-@example(_example_stack(17, rows=1, dtype=np.int32), True, 0)
-def test_walsh_hadamard_equals_the_matrix_product(a, centred, first):
-    # Entries of at most 2^20 in magnitude keep every partial sum of up to
-    # 2^10 of them inside int32, and int16 entries of at most 3 every partial
-    # sum of up to 2^13 inside int16.  Stages 0..first-1 are run as
-    # transforms of 2^first entries, the rest from stage ``first`` on.
+def test_walsh_hadamard_equals_the_matrix_product_on_int16_stacks(a, centred, first):
+    # Entries of at most 3 in magnitude keep every partial sum of up to 2^13
+    # of them inside int16.
     if centred:
-        a -= a.max() // 2
-    first = min(first, a.shape[-1].bit_length() - 1)
-    low = _walsh_hadamard(a.reshape(len(a), -1, 1 << first).copy()).reshape(a.shape)
-    assert np.array_equal(_walsh_hadamard(low, first), walsh_hadamard_matrix(a))
+        a -= 1
+    assert np.array_equal(_walsh_hadamard_from(a, first), walsh_hadamard_matrix(a))
 
 
 @settings(max_examples=80, deadline=None)
