@@ -18,6 +18,7 @@ import sys
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -760,6 +761,7 @@ def _add_design_source(p: _Parser) -> None:
                    help="cap on q for the 2^q pattern table (memory guard)")
 
 
+@cache  # parsing never changes the parser or a default in place
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="qcdesign",

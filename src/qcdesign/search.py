@@ -33,9 +33,9 @@ from .theory import (
 )
 
 #: Largest n ``optimize`` accepts.  At n = 10 the whole-space theory scan
-#: takes 0.05-0.06 s for the even families, 0.17-0.25 s for sixteenth-odd
-#: and 0.43-0.46 s for eighth-odd, peaking at 42, 50 and 75 MiB RSS; at
-#: n = 11 the eighth-odd scan peaks at 112 MiB (2-core Xeon, Python 3.11.7,
+#: takes 0.04-0.07 s for the even families, 0.07-0.11 s for sixteenth-odd
+#: and 0.10-0.17 s for eighth-odd, peaking at 47, 48 and 58 MiB RSS; at
+#: n = 11 the eighth-odd scan peaks at 79 MiB (2-core Xeon, Python 3.11.7,
 #: numpy 2.4.6, one fresh process per scan).
 MAX_N = 10
 
@@ -108,44 +108,34 @@ def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
 
 
 def _wlp_keys(forms: ClosedForms, q: int) -> np.ndarray:
-    """Doubled wordlength patterns, (profiles, q, pairs) int8.
-
-    Entry [p, k - 1, c] is 2 A_k of candidate (p, c), the sum of the
-    doubled table weights of its rows of length k; no exponent enters,
-    because (2 * count) >> 2e is the doubled weight.  The table's weights
-    sum to at most 127 per candidate, so int8 holds every entry.
+    """Doubled wordlength patterns, (profiles, q, pairs) int8, of the profiles
+    ``optimize`` holds (``_min_wlp``): entry [p, k - 1, c] is 2 A_k of candidate
+    (p, c), the sum of the doubled table weights of its rows of length k; no
+    exponent enters, because (2 * count) >> 2e is the doubled weight.  They sum
+    to at most 127 per candidate (``theory._table``), so int8 holds every entry.
     """
-    n_profiles, n_pairs = forms.tokens.shape[:2]
-    wlp = np.zeros((n_profiles, q + 1, n_pairs), dtype=np.int8)
-    profiles = np.arange(n_profiles)
-    for r in range(forms.lengths.shape[1]):
-        lengths, _, weights = forms.row(r)
-        wlp[profiles, lengths] += weights
+    weights = forms.table.weights[forms.gates].transpose(0, 2, 1)  # (profiles, rows, pairs)
+    wlp = np.zeros((len(weights), q + 1, weights.shape[2]), dtype=np.int8)
+    np.add.at(wlp, (np.arange(len(weights))[:, None], forms.lengths), weights)
     return wlp[:, 1:, :]
 
 
 def _resolution_keys(forms: ClosedForms) -> np.ndarray:
-    """Keys increasing with resolution, (profiles, pairs) int32.
-
-    A key packs (minimum word length r, minimum exponent at length r) as
-    r << 8 | e; a larger e is a smaller aliasing index at r.
-    """
-    n_rows = forms.lengths.shape[1]
-    shortest = np.full(forms.tokens.shape[:2], np.iinfo(np.int16).max, dtype=np.int16)
-    for r in range(n_rows):
-        lengths, _, weights = forms.row(r)
-        np.minimum(shortest, np.where(weights != 0, lengths[:, None], shortest), out=shortest)
-    top = np.full(shortest.shape, np.iinfo(np.int8).max, dtype=np.int8)
-    for r in range(n_rows):
+    """Keys r << 8 | e increasing with resolution R = r + 1 - 2^-e, (profiles,
+    pairs) int16: one pass takes the least length << 8 | e over the rows with a
+    nonzero weight.  Lengths, at most 2n + 5, stay below 2^7 for n <= MAX_N."""
+    keys = np.full(forms.tokens.shape[:2], np.iinfo(np.int16).max, dtype=np.int16)
+    for r in range(forms.lengths.shape[1]):
         lengths, exps, weights = forms.row(r)
-        at_shortest = (weights != 0) & (lengths[:, None] == shortest)
-        np.minimum(top, np.where(at_shortest, exps, top), out=top)
-    return (shortest.astype(np.int32) << 8) | top
+        np.minimum(keys, np.where(weights != 0, lengths[:, None] << 8 | exps, keys), out=keys)
+    return keys
 
 
 def _min_wlp(wlp_keys: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """The candidates of ``alive`` whose wordlength pattern is the
-    lexicographically smallest among them, filtered one length at a time."""
+    lexicographically smallest among them, filtered one length at a time.
+    They have the longest shortest word in ``alive``: no weight is negative, so
+    a shorter shortest word r gives A_r > 0 where they have A_1..A_r = 0."""
     for k in range(wlp_keys.shape[1]):
         column = wlp_keys[:, k, :]
         alive = alive & (column == column[alive].min())
@@ -228,20 +218,26 @@ def optimize(
     image_keys = [profiles @ weights[perm] for _, perm, _ in maps]
     scored = profiles[np.all(keys <= image_keys, axis=0)]
     forms = closed_forms(family, scored, pairs)
-    wlp_keys = _wlp_keys(forms, q)
     res = _resolution_keys(forms)
-
-    ma_set = _min_wlp(wlp_keys, np.ones(res.shape, dtype=bool))
     max_res = res.max()
+    projs = None
+    if criterion is Criterion.PROJECTIVITY:  # scores every representative
+        projs = _projectivities(family, scored, pairs, np.ones(res.shape, dtype=bool))
+    # The sets minimised below lie in the held profiles (see ``_min_wlp``).
+    top = res >> 8 == max_res >> 8
+    held = (top if projs is None else top | (projs == projs.max())).any(axis=1)
+    scored, res, top = scored[held], res[held], top[held]
+    projs = None if projs is None else projs[held]
+    wlp_keys = _wlp_keys(closed_forms(family, scored, pairs), q)
+
+    ma_set = _min_wlp(wlp_keys, top)
     criteria_coincide = bool((res[ma_set] == max_res).any())
 
-    projs = None
     if criterion is Criterion.ABERRATION:
         pool = ma_set & (res == res[ma_set].max())
     elif criterion is Criterion.RESOLUTION:
         pool = _min_wlp(wlp_keys, res == max_res)
-    else:  # Criterion.PROJECTIVITY scores every representative
-        projs = _projectivities(family, scored, pairs, np.ones(res.shape, dtype=bool))
+    else:
         pool = _min_wlp(wlp_keys, projs == projs.max())
         pool &= res == res[pool].max()
 

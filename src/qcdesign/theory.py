@@ -259,8 +259,9 @@ def _table(family: Family, pairs: tuple[U0V0, ...]) -> _Table:
                 weights[gate, j, r] = doubled[entries[col]]
     kept = weights.any(axis=(0, 1))
     weights, rows = weights[:, :, kept], [row for row, k in zip(rows, kept) if k]
-    # A doubled wordlength-pattern entry sums weights of one candidate.
+    # A doubled WLP entry sums one candidate's weights, none negative (search prunes by it).
     assert int(weights.astype(np.int64).sum(axis=2).max()) <= np.iinfo(np.int8).max
+    assert int(weights.min()) >= 0
     weights.flags.writeable = False
     return _Table(
         l_index=np.array([row[0] - 1 for row in rows]),
@@ -331,7 +332,7 @@ def closed_forms(
         gates=_gates(counts),
         table=table,
     )
-    for r in range(table.offset.size):
+    for r in np.flatnonzero((table.weights & 1).any(axis=(0, 1))):
         _, exps, weights = forms.row(r)
         if np.any((weights & 1).astype(bool) & (exps == 0)):
             raise AssertionError("half-integer weight with unit aliasing index")

@@ -15,8 +15,10 @@ that ``qcdesign.cli`` used before it read ``rows`` as bytes: ``json.loads``
 of the whole text, then ``json_runs`` on the nested lists.  It is the
 reference for ``document_from_json``.  ``profile_array`` lists the
 compositions from ``itertools.combinations``, and ``optimize`` is the search
-that scores every candidate, not one per isomorphism orbit: the references
-for ``qcdesign.search.profile_array`` and ``qcdesign.search.optimize``.
+that scores every candidate, not one per isomorphism orbit, and keys the
+wordlength pattern of each, not only of those at the highest resolution: the
+references for ``qcdesign.search.profile_array`` and
+``qcdesign.search.optimize``.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from qcdesign.cli import (
 from qcdesign.oracle import check_factor_cap
 from qcdesign.qc_core import Family, GeneratorProfile
 from qcdesign.search import (
-    _REGULAR_REFERENCE, MAX_N, Criterion, SearchResult, _min_wlp, _projectivities,
-    _resolution_keys, _wlp_keys,
+    _REGULAR_REFERENCE, MAX_N, Criterion, SearchResult, _projectivities, _resolution_keys,
 )
 from qcdesign.spectrum import spectrum_metrics
-from qcdesign.theory import closed_forms, family_spectrum, normalize_u0v0, u0v0_classes
+from qcdesign.theory import (
+    ClosedForms, closed_forms, family_spectrum, normalize_u0v0, u0v0_classes,
+)
 
 _G1 = tuple(GRAY_PAIRS[k][0] for k in range(4))
 _G2 = tuple(GRAY_PAIRS[k][1] for k in range(4))
@@ -281,10 +284,33 @@ def profile_array(n: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
+def _wlp_keys(forms: ClosedForms, q: int) -> np.ndarray:
+    """Doubled wordlength patterns of every candidate, (profiles, q, pairs)
+    int8: entry [p, k - 1, c] sums the doubled weights of the rows of
+    length k."""
+    n_profiles, n_pairs = forms.tokens.shape[:2]
+    wlp = np.zeros((n_profiles, q + 1, n_pairs), dtype=np.int8)
+    profiles = np.arange(n_profiles)
+    for r in range(forms.lengths.shape[1]):
+        lengths, _, weights = forms.row(r)
+        wlp[profiles, lengths] += weights
+    return wlp[:, 1:, :]
+
+
+def _min_wlp(wlp_keys: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The candidates of ``alive`` with the lexicographically smallest
+    wordlength pattern among them, filtered one length at a time."""
+    for k in range(wlp_keys.shape[1]):
+        column = wlp_keys[:, k, :]
+        alive = alive & (column == column[alive].min())
+    return alive
+
+
 def optimize(
     n: int, family: Family, criterion: Criterion, with_projectivity: bool = True
 ) -> SearchResult:
-    """``qcdesign.search.optimize`` scoring every (profile, u0v0 class)."""
+    """``qcdesign.search.optimize`` scoring every (profile, u0v0 class), with
+    the full wordlength pattern of every candidate keyed and minimised."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must lie in 1..{MAX_N}")
     q = family.factor_count(n)

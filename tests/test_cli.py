@@ -389,6 +389,20 @@ def test_max_factors_defaults_to_the_oracle_cap():
     assert args.max_factors == DEFAULT_MAX_FACTORS
 
 
+def test_the_parser_is_built_once_and_every_call_reads_the_same(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (
+        ("verify", "--n-max", "1"),
+        ("verify", "--n-max", "1", "--families", "eighth-odd", "eighth-odd"),
+        ("search", "--n", "2", "--family", "eighth-odd", "--report", "json"),
+        ("search", "--n", "0", "--family", "eighth-odd"),
+    ):
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+    # --families shares its default list between calls; no command changes it.
+    assert cli.build_parser().parse_args(["verify"]).families == [f.value for f in Family]
+
+
 def test_max_factors_sets_the_oracle_cap(capsys):
     flags = ("--family", "sixteenth-even", "--n", "2", "--u", "1,2", "--v", "2,1",
              "--method", "oracle")  # q = 8

@@ -166,9 +166,27 @@ def test_orbit_search_matches_reference(family, criterion):
     for n in (1, 2, 3):
         assert optimize(n, family, criterion) == reference(n, family, criterion)
     if criterion is not Criterion.PROJECTIVITY:
-        for n in (4, 5):
+        for n in range(4, 9):
             got = optimize(n, family, criterion, with_projectivity=False)
             assert got == reference(n, family, criterion, with_projectivity=False)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_projectivity_search_keys_the_most_projective_off_the_top_resolution(
+    monkeypatch, family
+):
+    # A stand-in projectivity, equal across orbits, that is highest where the
+    # shortest word is shortest: no winner has the longest shortest word.
+    def shortest_first(family, profiles, pairs, pool):
+        res = search._resolution_keys(closed_forms(family, profiles, pairs))
+        return np.where(pool, 100 - (res >> 8), -1)
+
+    monkeypatch.setattr(search, "_projectivities", shortest_first)
+    monkeypatch.setattr(reference_oracles, "_projectivities", shortest_first)
+    for n in (3, 4, 5):
+        got = optimize(n, family, Criterion.PROJECTIVITY)
+        assert got == reference_oracles.optimize(n, family, Criterion.PROJECTIVITY)
+        assert got.resolution < optimize(n, family, Criterion.RESOLUTION, False).resolution
 
 
 @pytest.mark.parametrize("family", list(Family))

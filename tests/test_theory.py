@@ -3,6 +3,7 @@ and the projectivity bounds."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from qcdesign import (
     spec_for,
     spectrum_bruteforce,
     spectrum_metrics,
+    theory,
 )
 from qcdesign.search import (
     _resolution_keys,
@@ -213,6 +215,21 @@ def test_theory_counts_are_positive_integers():
                 for entry in family_spectrum(family, profile, pair):
                     assert entry.count >= 1
                     assert entry.ai.denominator & (entry.ai.denominator - 1) == 0
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_half_integer_check_reads_a_planted_odd_weight(monkeypatch, family):
+    """``closed_forms`` checks only the rows with an odd doubled weight; an
+    odd weight planted on a row whose exponent is always 0 is still caught."""
+    pairs = u0v0_classes(family)
+    table = theory._table(family, tuple(pair or (0, 0) for pair in pairs))
+    unit = np.flatnonzero(table.token == theory._TOKENS.index(theory._ONE))[0]
+    weights = table.weights.copy()
+    weights[:, :, unit] |= 1
+    planted = dataclasses.replace(table, weights=weights)
+    monkeypatch.setattr(theory, "_table", lambda *_: planted)
+    with pytest.raises(AssertionError, match="half-integer weight"):
+        closed_forms(family, profile_array(2), pairs)
 
 
 def test_master_equivalence_exhaustive_n2():
