@@ -594,12 +594,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
     columns.remove("checks")
     print(_render_rows(payloads, args.report, columns))
     failed = [r for r in rows if not r.passed]
-    if failed:
-        for row in failed:
-            bad = [k for k, ok in row.flags.items() if not ok]
-            print(f"FAIL {row.label}: {', '.join(bad)}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    for row in failed:
+        bad = [k for k, ok in row.flags.items() if not ok]
+        print(f"FAIL {row.label}: {', '.join(bad)}", file=sys.stderr)
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

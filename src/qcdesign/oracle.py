@@ -20,11 +20,10 @@ from .qc_core import (
 )
 from .spectrum import WordSpectrum
 
-#: Default cap on q.  The oracle needs about PEAK_BYTES_PER_ENTRY * 2^q bytes: on
-#: the q = 20 designs of perfbench/reference/oracle_docs.json, tracemalloc measures 5.5
-#: to 9.0 MiB for its table, spectrum and projectivity, and 14.3 to 14.5 MiB (14.3 with
-#: --skip-projectivity) for ``metrics --method oracle``, whose JSON load sets the peak.
-DEFAULT_MAX_FACTORS, PEAK_BYTES_PER_ENTRY = 20, 14
+#: Default cap on q.  On the q = 20 designs of perfbench/reference/oracle_docs.json,
+#: tracemalloc measures 5.5 to 9.0 MiB for the oracle's table, spectrum and
+#: projectivity, and 14.3 to 14.5 MiB for ``metrics --method oracle``, set by its JSON load.
+DEFAULT_MAX_FACTORS = 20
 
 
 def check_factor_cap(q: int, subject: str = "design has", use: str = "",
@@ -35,7 +34,7 @@ def check_factor_cap(q: int, subject: str = "design has", use: str = "",
     if q > max_factors:
         raise ValueError(
             f"{subject} {q} factors, above the cap of {max_factors}; the oracle"
-            f"{use} needs q <= {max_factors}, about {PEAK_BYTES_PER_ENTRY} * 2^q bytes"
+            f"{use} needs q <= {max_factors}"
         )
 
 

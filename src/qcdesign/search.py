@@ -107,17 +107,16 @@ def enumerate_profiles(n: int) -> Iterator[GeneratorProfile]:
         yield GeneratorProfile(tuple(counts))
 
 
-def _wlp_keys(forms: ClosedForms, q: int) -> np.ndarray:
-    """Doubled wordlength patterns, (profiles, q, pairs) int8, of the profiles
-    ``optimize`` holds (``_min_wlp``): entry [p, k - 1, c] is 2 A_k of candidate
-    (p, c), the sum of the doubled table weights of its rows of length k; no
-    exponent enters, because (2 * count) >> 2e is the doubled weight.  They sum
-    to at most 127 per candidate (``theory._table``), so int8 holds every entry.
-    """
-    weights = forms.table.weights[forms.gates].transpose(0, 2, 1)  # (profiles, rows, pairs)
-    wlp = np.zeros((len(weights), q + 1, weights.shape[2]), dtype=np.int8)
-    np.add.at(wlp, (np.arange(len(weights))[:, None], forms.lengths), weights)
-    return wlp[:, 1:, :]
+def _wlp_keys(forms: ClosedForms, q: int, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Doubled wordlength patterns of the candidates (p[i], c[i]), (candidates,
+    q) int8: entry [i, k - 1] is 2 A_k, the sum of the doubled weights
+    (2 * count) >> 2e of the candidate's rows of length k, exact as
+    ``closed_forms`` refuses an odd weight at e = 0.  They sum to at most 127
+    per candidate (``theory._table``), so int8 holds every entry."""
+    lengths, exps, counts = forms.words(p, c)
+    wlp = np.zeros((len(p), q + 1), dtype=np.int8)
+    np.add.at(wlp, (np.arange(len(p))[:, None], lengths), (counts << 1) >> 2 * exps)
+    return wlp[:, 1:]
 
 
 def _resolution_keys(forms: ClosedForms) -> np.ndarray:
@@ -131,14 +130,19 @@ def _resolution_keys(forms: ClosedForms) -> np.ndarray:
     return keys
 
 
-def _min_wlp(wlp_keys: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """The candidates of ``alive`` whose wordlength pattern is the
-    lexicographically smallest among them, filtered one length at a time.
-    They have the longest shortest word in ``alive``: no weight is negative, so
-    a shorter shortest word r gives A_r > 0 where they have A_1..A_r = 0."""
-    for k in range(wlp_keys.shape[1]):
-        column = wlp_keys[:, k, :]
-        alive = alive & (column == column[alive].min())
+def _min_wlp(forms: ClosedForms, q: int, res: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The candidates of the (profiles, pairs) mask ``alive`` whose wordlength
+    pattern is the lexicographically smallest among them.  They have the
+    longest shortest word in ``alive`` (``res >> 8``): no weight is negative,
+    so a shorter shortest word r gives A_r > 0 where they have A_1..A_r = 0.
+    Only those are keyed, and filtered one length at a time."""
+    shortest = res >> 8
+    alive = alive & (shortest == shortest[alive].max())
+    p, c = np.divmod(np.flatnonzero(alive), alive.shape[1])  # np.nonzero is slower
+    best = np.ones(len(p), dtype=bool)
+    for column in _wlp_keys(forms, q, p, c).T:
+        best &= column == column[best].min()
+    alive[p[~best], c[~best]] = False
     return alive
 
 
@@ -193,20 +197,18 @@ def optimize(
     projectivity of the realized designs, and finally the lexicographically
     smallest (profile, u0v0).  The surviving tie set is reported in full.
     Only one profile per orbit of ``_isomorphisms`` is scored, crossed with
-    every u0v0 class; the ties are the orbits of the scored survivors.
-    When oracle projectivity is needed, the oracle's cap on q is checked
-    before the theory scan.
+    every u0v0 class; the ties are the orbits of the scored survivors.  Each
+    wordlength-pattern minimum is ``_min_wlp``'s, which keys only the
+    candidates it can keep.  The oracle's cap on q, when oracle projectivity
+    is needed, is checked before the theory scan.
     """
     if _check_n(n) > MAX_N:
         raise ValueError(f"n must lie in 1..{MAX_N}")
     q = family.factor_count(n)
-    size = f"{family.value} designs at n = {n} have"
-    if criterion is Criterion.PROJECTIVITY:
-        check_factor_cap(q, size, " for --criterion projectivity")
-    elif with_projectivity:
-        check_factor_cap(
-            q, size, " for the projectivity refinement, which --skip-projectivity skips,"
-        )
+    if criterion is Criterion.PROJECTIVITY or with_projectivity:
+        use = "--criterion projectivity" if criterion is Criterion.PROJECTIVITY else (
+            "the projectivity refinement, which --skip-projectivity skips,")
+        check_factor_cap(q, f"{family.value} designs at n = {n} have", f" for {use}")
     profiles = profile_array(n)
     pairs = u0v0_classes(family)
     maps = _isomorphisms(family, pairs)
@@ -220,36 +222,28 @@ def optimize(
     forms = closed_forms(family, scored, pairs)
     res = _resolution_keys(forms)
     max_res = res.max()
-    projs = None
-    if criterion is Criterion.PROJECTIVITY:  # scores every representative
-        projs = _projectivities(family, scored, pairs, np.ones(res.shape, dtype=bool))
-    # The sets minimised below lie in the held profiles (see ``_min_wlp``).
-    top = res >> 8 == max_res >> 8
-    held = (top if projs is None else top | (projs == projs.max())).any(axis=1)
-    scored, res, top = scored[held], res[held], top[held]
-    projs = None if projs is None else projs[held]
-    wlp_keys = _wlp_keys(closed_forms(family, scored, pairs), q)
 
-    ma_set = _min_wlp(wlp_keys, top)
+    ma_set = _min_wlp(forms, q, res, np.ones(res.shape, dtype=bool))
     criteria_coincide = bool((res[ma_set] == max_res).any())
 
+    projs = None
     if criterion is Criterion.ABERRATION:
         pool = ma_set & (res == res[ma_set].max())
     elif criterion is Criterion.RESOLUTION:
-        pool = _min_wlp(wlp_keys, res == max_res)
-    else:
-        pool = _min_wlp(wlp_keys, projs == projs.max())
+        pool = _min_wlp(forms, q, res, res == max_res)
+    else:  # scores every representative
+        projs = _projectivities(family, scored, pairs, np.ones(res.shape, dtype=bool))
+        pool = _min_wlp(forms, q, res, projs == projs.max())
         pool &= res == res[pool].max()
 
     # The projectivity refinement scores only the ties.
     if with_projectivity and projs is None:
         projs = _projectivities(family, scored, pairs, pool)
         pool &= projs == projs.max()
-    best_projectivity = None if projs is None else int(projs.max())
 
     # The ties are the orbits of the pool, in (profile, pair) index order:
     # profiles are lexicographic and pairs sorted.
-    p, c = np.nonzero(pool)
+    p, c = np.divmod(np.flatnonzero(pool), len(pairs))
     ties = np.unique(np.concatenate([
         np.searchsorted(keys, scored[p] @ weights[perm]) * len(pairs) + images[c]
         for _, perm, images in maps
@@ -267,8 +261,8 @@ def optimize(
         profile=ties[0][0],
         u0v0=ties[0][1],
         resolution=r + 1 - Fraction(1, 1 << e),
-        wlp=tuple(Fraction(int(a), 2) for a in wlp_keys[p[0], :, c[0]]),
-        projectivity=best_projectivity,
+        wlp=tuple(Fraction(int(a), 2) for a in _wlp_keys(forms, q, p[:1], c[:1])[0]),
+        projectivity=None if projs is None else int(projs.max()),
         criteria_coincide=criteria_coincide,
         ties=tuple(ties),
         regular_reference=_REGULAR_REFERENCE.get((family, n)),

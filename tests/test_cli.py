@@ -553,13 +553,28 @@ def test_verify_usage_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone, as with ``qcdesign ... | head -0``."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+
+def test_main_exits_ok_when_stdout_is_closed(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["bound", "--n", "2", "--family", "sixteenth-odd"]) == EXIT_OK
+
+
 def test_verify_refuses_sizes_above_the_oracle_cap(capsys):
     # Refused before any block runs, not after the smaller ones.
     code, _, err = run(capsys, "verify", "--n-max", "6", "--sample", "1")
     assert code == EXIT_USAGE
     assert err == (
         "error: sixteenth-odd designs at n = 8 have 21 factors, above the cap of 20; "
-        "the oracle needs q <= 20, about 14 * 2^q bytes\n"
+        "the oracle needs q <= 20\n"
     )
 
 

@@ -186,11 +186,20 @@ def test_generator_profile_refuses_non_integer_counts():
     assert all(type(x) is int for x in profile.counts)
 
 
+def test_generator_profile_refuses_wrong_lengths_and_negative_counts():
+    with pytest.raises(ValueError, match="profile must have 10 entries"):
+        GeneratorProfile((0,) * 9)
+    with pytest.raises(ValueError, match="profile entries must be nonnegative"):
+        GeneratorProfile((0, 0, 1, -1, 0, 0, 0, 0, 0, 0))
+
+
 def test_design_matrix_validates_entries():
     with pytest.raises(ValueError):
         DesignMatrix(("A", "B"), [[1, 0], [1, -1]])
     with pytest.raises(ValueError):
         DesignMatrix(("A",), [[1, -1]])
+    with pytest.raises(ValueError, match="rows must be a 2-d array"):
+        DesignMatrix(("A", "B"), [1, -1])
 
 
 def test_profile_reference_cases():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -148,7 +149,9 @@ def test_closed_form_keys_are_equal_across_orbits(family, n):
     profiles = profile_array(n)
     pairs = u0v0_classes(family)
     forms = closed_forms(family, profiles, pairs)
-    wlp = search._wlp_keys(forms, family.factor_count(n))
+    every = np.nonzero(np.ones((len(profiles), len(pairs)), dtype=bool))
+    wlp = search._wlp_keys(forms, family.factor_count(n), *every)
+    wlp = wlp.reshape(len(profiles), len(pairs), -1)
     res = search._resolution_keys(forms)
     index = {row: i for i, row in enumerate(map(tuple, profiles.tolist()))}
     for _, perm, images in search._isomorphisms(family, pairs):
@@ -156,7 +159,32 @@ def test_closed_form_keys_are_equal_across_orbits(family, n):
         image[:, perm] = profiles
         p = np.array([index[row] for row in map(tuple, image.tolist())])
         assert np.array_equal(res[p][:, images], res)
-        assert np.array_equal(wlp[p][:, :, images], wlp)
+        assert np.array_equal(wlp[p][:, images], wlp)
+
+
+@functools.cache
+def _resolution_scan(family: Family, n: int):
+    forms = closed_forms(family, profile_array(n), u0v0_classes(family))
+    return forms, search._resolution_keys(forms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(list(Family)),
+    st.integers(1, 4),
+    st.sampled_from((0.0, 0.001, 0.01, 0.1, 0.5, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_min_wlp_keeps_the_least_pattern_of_any_set(family, n, density, seed):
+    # _min_wlp keys only the longest shortest word of its set; on any
+    # nonempty set that must give the minimum over every pattern.
+    forms, res = _resolution_scan(family, n)
+    rng = np.random.default_rng(seed)
+    alive = rng.random(res.shape) < density
+    alive.flat[rng.integers(alive.size)] = True
+    q = family.factor_count(n)
+    expected = reference_oracles._min_wlp(reference_oracles._wlp_keys(forms, q), alive)
+    assert np.array_equal(search._min_wlp(forms, q, res, alive), expected)
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))

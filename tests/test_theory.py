@@ -16,6 +16,7 @@ from qcdesign import (
     Family,
     GeneratorProfile,
     UNBOUNDED,
+    WordEntry,
     WordSpectrum,
     build_design,
     family_spectrum,
@@ -201,6 +202,27 @@ def test_spectrum_metrics_reference_cases():
 
     with pytest.raises(ValueError):
         spectrum_metrics(spectrum, 5)
+    with pytest.raises(ValueError, match="q must be positive"):
+        spectrum_metrics(spectrum, 0)
+
+
+@pytest.mark.parametrize("length, ai, count, message", [
+    (0, Fraction(1), 1, "word length must be positive"),
+    (3, Fraction(0), 1, "aliasing index must lie in"),
+    (3, Fraction(3, 2), 1, "aliasing index must lie in"),
+    (3, Fraction(1), 0, "word count must be positive"),
+])
+def test_word_entry_refuses_out_of_range_fields(length, ai, count, message):
+    with pytest.raises(ValueError, match=message):
+        WordEntry(length, ai, count)
+
+
+def test_word_spectrum_refuses_unsorted_or_unmerged_entries():
+    a, b = WordEntry(3, Fraction(1, 2), 1), WordEntry(4, Fraction(1), 2)
+    for entries in ((b, a), (a, a)):
+        with pytest.raises(ValueError, match="sorted by .* and merged"):
+            WordSpectrum(entries)
+    assert WordSpectrum((a, b)).word_count == 3
 
 
 def test_theory_counts_are_positive_integers():
@@ -359,7 +381,8 @@ def test_array_path_matches_scalar_reference(family):
         q = family.factor_count(n)
         profiles = profile_array(n)
         forms = closed_forms(family, profiles, pairs)
-        wlp = _wlp_keys(forms, q).tolist()
+        every = np.nonzero(np.ones((len(profiles), len(pairs)), dtype=bool))
+        wlp = _wlp_keys(forms, q, *every).reshape(len(profiles), len(pairs), q).tolist()
         res = _resolution_keys(forms).tolist()
         for p, counts in enumerate(profiles.tolist()):
             profile = GeneratorProfile(tuple(counts))
@@ -371,7 +394,7 @@ def test_array_path_matches_scalar_reference(family):
                 rows = forms.words(np.array([p]), np.array([c]))
                 merged = scalar_theory.merge(zip(*(a[0].tolist() for a in rows)))
                 assert merged == ref, (family, profile.digits, pair)
-                assert tuple(row[c] for row in wlp[p]) == scalar_theory.wlp_key(ref, q)
+                assert tuple(wlp[p][c]) == scalar_theory.wlp_key(ref, q)
                 key = res[p][c]
                 assert (key >> 8, key & 255) == scalar_theory.resolution_key(ref)
 
