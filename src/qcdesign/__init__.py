@@ -15,7 +15,6 @@ from .qc_core import (
     build_design,
     column_labels,
     profile_of,
-    realize_profile,
     spec_for,
 )
 from .spectrum import (

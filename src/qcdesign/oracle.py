@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -394,29 +394,15 @@ def _first_deficient(
     full = 1 << p
     if patterns.size < full:
         return tuple(range(p))
+    combos = combinations(range(q), p)
     chunk = max(1, chunk_elems // patterns.size)
-    buf: list[tuple[int, ...]] = []
-
-    def scan(combos: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-        masks = np.array(
-            [sum(1 << c for c in combo) for combo in combos], dtype=np.int64
-        )
+    while batch := list(islice(combos, chunk)):
+        masks = np.array([sum(1 << c for c in combo) for combo in batch], dtype=np.int64)
         proj = np.sort(patterns[None, :] & masks[:, None], axis=1)
         distinct = 1 + np.count_nonzero(proj[:, 1:] != proj[:, :-1], axis=1)
-        bad = np.nonzero(distinct < full)[0]
+        bad = np.flatnonzero(distinct < full)
         if bad.size:
-            return combos[int(bad[0])]
-        return None
-
-    for combo in combinations(range(q), p):
-        buf.append(combo)
-        if len(buf) == chunk:
-            hit = scan(buf)
-            if hit is not None:
-                return hit
-            buf = []
-    if buf:
-        return scan(buf)
+            return batch[bad[0]]
     return None
 
 

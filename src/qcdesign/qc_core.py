@@ -302,21 +302,13 @@ def realize_profiles(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _REPRESENTATIVES[0][classes], _REPRESENTATIVES[1][classes]
 
 
-def realize_profile(profile: GeneratorProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return a canonical (u, v) whose profile is the given one (see
-    ``realize_profiles``)."""
-    if profile.n == 0:
-        raise ValueError("cannot realize the all-zero profile")
-    u, v = realize_profiles([profile.counts])
-    return tuple(u[0].tolist()), tuple(v[0].tolist())
-
-
 def spec_for(
     family: Family,
     profile: GeneratorProfile,
     u0v0: tuple[int, int] | None = None,
 ) -> GeneratorSpec:
-    """Build a GeneratorSpec from a profile via its canonical realization."""
-    u, v = realize_profile(profile)
+    """The GeneratorSpec of a profile's canonical (u, v) (see
+    ``realize_profiles``); the all-zero profile is refused, as n = 0."""
+    u, v = realize_profiles([profile.counts])
     u0, v0 = (None, None) if u0v0 is None else _check_pair(u0v0)
-    return GeneratorSpec(family, profile.n, u, v, u0, v0)
+    return GeneratorSpec(family, profile.n, u[0], v[0], u0, v0)

@@ -270,14 +270,15 @@ def optimize(
 
 
 def orthogonal_array_ceiling(family: Family, n: int) -> int:
-    """Highest projectivity any design of this size could have: log2 N - 1.
+    """Highest projectivity any design of this size could have: log2 N - 1,
+    that is 2n + b - 1 with b = 1 for the branched families and 0 otherwise.
 
     A projectivity of log2 N would need an index-one orthogonal array of
     strength log2 N on more than log2 N + 1 factors, which does not exist;
     rows attaining the ceiling have maximum projectivity among all designs,
     not just the code-derived ones.
     """
-    return family.run_count(n).bit_length() - 2
+    return 2 * _check_n(n) + family.branched - 1
 
 
 # ---------------------------------------------------------------------------

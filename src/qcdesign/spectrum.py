@@ -81,9 +81,6 @@ class WordSpectrum:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def word_count(self) -> int:
         return sum(e.count for e in self.entries)

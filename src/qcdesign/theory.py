@@ -342,11 +342,10 @@ def closed_forms(
 def _raw_family(
     family: Family, profile: GeneratorProfile, u0v0: U0V0 | str | None = None
 ) -> RawSpectrum:
-    """The (length, e, count) table rows of one design with a nonzero
-    count, unmerged."""
+    """The (length, e, count) table rows of one design, unmerged and with
+    zero counts kept (``WordSpectrum.from_entries`` drops them)."""
     forms = closed_forms(family, np.array([profile.counts], dtype=np.int16), (u0v0,))
-    rows = zip(*(a[0].tolist() for a in forms.words(np.array([0]), np.array([0]))))
-    return [row for row in rows if row[2]]
+    return list(zip(*(a[0].tolist() for a in forms.words(np.array([0]), np.array([0])))))
 
 
 def family_spectrum(

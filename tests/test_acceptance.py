@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,6 @@ from qcdesign import (
     profile_of,
     projectivity,
     projectivity_bound,
-    realize_profile,
     reproduce_table,
     spec_for,
     spectrum_bruteforce,
@@ -272,3 +272,11 @@ def test_criterion_9_structural_properties():
         ]
         assert levels == [True] * p + [False] * (design.n_factors - p)
     print("ACCEPTANCE 9: PASS  deletion, projectivity-floor, and monotonicity properties")
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "9/2\n5\nTrue\n"

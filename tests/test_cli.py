@@ -513,6 +513,11 @@ def test_bound_command(capsys):
     code, stdout, _ = run(capsys, "bound", "--family", "eighth-even", "--n", "3")
     assert code == EXIT_OK
     assert "none" in stdout
+    # The ceiling 2n + b - 1 is log2 N - 1, read without building N = 2^(2n+b).
+    for family in Family:
+        code, stdout, err = run(capsys, "bound", "--family", family.value, "--n", str(10**12))
+        assert code == EXIT_OK and err == ""
+        assert stdout.endswith(f"size): {2 * 10**12 + family.branched - 1}\n")
     # An n below 1 has one wording on every command that takes --n.
     for command in ("bound", "search"):
         for n in ("0", "-2"):

@@ -125,7 +125,7 @@ def test_spectrum_reference_cases():
     assert [(e.length, e.ai, e.count) for e in spectrum] == [
         (4, half, 24), (5, half, 24), (5, Fraction(1), 2), (8, Fraction(1), 1),
     ]
-    assert len(spectrum_bruteforce(full_factorial(4))) == 0
+    assert spectrum_bruteforce(full_factorial(4)).entries == ()
 
 
 def test_metrics_reference_cases():
@@ -353,11 +353,11 @@ def test_projectivity_matches_projection_scan(design):
 
 
 @st.composite
-def sign_matrices(draw):
-    """Arbitrary +1/-1 matrices with q <= 8, not QC designs: random runs, a
-    run count that need not be a power of two, repeated runs, a constant
+def sign_matrices(draw, max_q=8):
+    """Arbitrary +1/-1 matrices with q <= max_q, not QC designs: random runs,
+    a run count that need not be a power of two, repeated runs, a constant
     column, or a full factorial, which has no word."""
-    q = draw(st.integers(1, 8))
+    q = draw(st.integers(1, max_q))
     if draw(st.booleans()):
         codes = list(range(1 << q))
     else:
@@ -377,6 +377,23 @@ def test_projectivity_matches_projection_scan_on_sign_matrices(design):
     assert _levels(design) == [
         scan_level_full(design, level) for level in range(1, design.n_factors + 1)
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sign_matrices(max_q=7), st.data())
+def test_first_deficient_returns_the_first_deficient_subset(design, data):
+    # The reference scan's own contract, on which perfbench/make_reference.py
+    # relies: the lexicographically first deficient p-subset, or None, for any
+    # batch size (one subset per batch when chunk_elems is 1).
+    q = design.n_factors
+    p = data.draw(st.integers(1, q))
+    patterns = oracle._distinct_patterns(design)
+    first = next((
+        subset for subset in combinations(range(q), p)
+        if len({x & sum(1 << c for c in subset) for x in patterns.tolist()}) < 1 << p
+    ), None)
+    for chunk_elems in (1, 7, 1 << 22):
+        assert oracle._first_deficient(patterns, q, p, chunk_elems) == first
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,6 @@ from qcdesign import (
     build_design,
     column_labels,
     profile_of,
-    realize_profile,
     spec_for,
 )
 from qcdesign.qc_core import GRAY
@@ -219,19 +218,24 @@ def test_frequencies_rejects_length_mismatch():
         profile_of((1, 2), (1,))
 
 
-def test_realize_profile_reference_cases():
+def canonical_uv(profile):
+    spec = spec_for(Family.SIXTEENTH_EVEN, profile)
+    return spec.u, spec.v
+
+
+def test_spec_for_reference_cases():
     profile = GeneratorProfile((0, 0, 0, 1, 1, 1, 0, 0, 0, 0))
-    assert realize_profile(profile) == ((2, 1, 1), (1, 1, 3))
-    assert realize_profile(GeneratorProfile((0,) * 9 + (3,))) == (
+    assert canonical_uv(profile) == ((2, 1, 1), (1, 1, 3))
+    assert canonical_uv(GeneratorProfile((0,) * 9 + (3,))) == (
         (0, 0, 0),
         (0, 0, 0),
     )
-    assert realize_profile(GeneratorProfile((1, 1) + (0,) * 8)) == ((1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        realize_profile(GeneratorProfile((0,) * 10))
+    assert canonical_uv(GeneratorProfile((1, 1) + (0,) * 8)) == ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        spec_for(Family.SIXTEENTH_EVEN, GeneratorProfile((0,) * 10))
 
 
-def test_realize_profile_round_trip_exhaustive_small():
+def test_spec_for_round_trip_exhaustive_small():
     def compositions(n):
         def rec(prefix, rem):
             if len(prefix) == 9:
@@ -244,19 +248,17 @@ def test_realize_profile_round_trip_exhaustive_small():
     for n in (1, 2):
         for counts in compositions(n):
             profile = GeneratorProfile(counts)
-            u, v = realize_profile(profile)
-            assert profile_of(u, v) == profile
+            assert profile_of(*canonical_uv(profile)) == profile
 
 
-def test_realize_profile_round_trip_random():
+def test_spec_for_round_trip_random():
     rng = random.Random(11)
     for _ in range(50):
         counts = [0] * 10
         for _ in range(rng.randrange(1, 8)):
             counts[rng.randrange(10)] += 1
         profile = GeneratorProfile(tuple(counts))
-        u, v = realize_profile(profile)
-        assert profile_of(u, v) == profile
+        assert profile_of(*canonical_uv(profile)) == profile
 
 
 def test_profile_digits_round_trip():

@@ -336,6 +336,8 @@ def test_orthogonal_array_ceiling():
         for n in range(1, 11):
             q = family.factor_count(n)
             assert orthogonal_array_ceiling(family, n) == q - (5 if family.sixteenth else 4)
+        for n in range(1, 201):
+            assert orthogonal_array_ceiling(family, n) == family.run_count(n).bit_length() - 2
 
 
 def test_regular_reference_embedded():
