@@ -108,6 +108,10 @@ def _pair_text(pair: tuple[int, int] | None, missing: str | None = None) -> str 
     return missing if pair is None else f"{pair[0]}{pair[1]}"
 
 
+# The head and tail of each run in a JSON document and in a CSV body.
+_JSON_RUN, _CSV_RUN = (b"    [", b"],\n"), (b"", b"\n")
+
+
 def _encode_runs(rows: np.ndarray, head: bytes, tail: bytes) -> str:
     """Each run as ``head``, its entries as ``1``/``-1`` joined by commas,
     then ``tail``.  Each entry is a three-byte cell (0 or ``-``, ``1``,
@@ -139,7 +143,7 @@ def document_to_json(doc: DesignDocument) -> str:
     }
     text = json.dumps(payload, indent=2)
     if doc.design.n_runs:  # one run per line; quotes in earlier values are escaped
-        runs = _encode_runs(doc.design.rows, b"    [", b"],\n")
+        runs = _encode_runs(doc.design.rows, *_JSON_RUN)
         text = text.replace('"rows": []', f'"rows": [\n{runs[:-2]}\n  ]', 1)
     return text + "\n"
 
@@ -157,71 +161,36 @@ def _validate_metrics_payload(payload: dict) -> dict:
     return out
 
 
-# Byte classes (bytes.translate tables).  In a CSV, _SPACE is what str.strip()
-# drops in a line and _BREAK a str.splitlines() break; in JSON, _SPACE is JSON
-# whitespace.  _FAULT is 0 at a << 4 | b where class b may follow class a: a
-# CSV run is `[sign]1` fields joined by commas (a blank line has none); a JSON
-# run is `[`, `[-]1` entries joined by commas, `]`, and runs are joined by _SEPs.
-_SPACE, _BREAK, _COMMA, _ONE, _OTHER, _OPEN, _CLOSE, _SEP, _PLUS, _MINUS = range(10)
-_CSV_CLASS, _JSON_CLASS = np.full((2, 256), _OTHER, np.uint8)
-_CSV_CLASS[list(b"\t \x1f")] = _SPACE
-_CSV_CLASS[list(b"\n\r\v\f\x1c\x1d\x1e")] = _BREAK
-_CSV_CLASS[list(b",1+-")] = _COMMA, _ONE, _PLUS, _MINUS
-_JSON_CLASS[list(b" \t\n\r,1-[]")] = *[_SPACE] * 4, _COMMA, _ONE, _MINUS, _OPEN, _CLOSE
-_FAULT = np.ones(256, np.uint8)
-_FAULT[[a << 4 | b for a, bs in {
-    _BREAK: (_BREAK, _ONE, _PLUS, _MINUS), _PLUS: (_ONE,), _MINUS: (_ONE,),
-    _COMMA: (_ONE, _PLUS, _MINUS), _ONE: (_COMMA, _BREAK, _CLOSE),
-    _SEP: (_OPEN,), _OPEN: (_ONE, _MINUS, _CLOSE), _CLOSE: (_COMMA,),
-}.items() for b in bs]] = 0
-# An entry's value at the pair code that ends in its `1`; 0 at a run's end,
-# (1, break) in a CSV and (1 or `[`, `]`) in JSON; 2, dropped, elsewhere.
-_ENTRY = np.full(256, 2, np.int8)
-_ENTRY[[a << 4 | _ONE for a in range(16)]] = 1
-_ENTRY[_MINUS << 4 | _ONE] = -1
-_ENTRY[[_ONE << 4 | _BREAK, _ONE << 4 | _CLOSE, _OPEN << 4 | _CLOSE]] = 0
-_DROP = bytes(code for code in range(256) if _ENTRY[code] == 2)
-
-
-def _pairs(classes: bytes) -> bytes:
-    """The code a << 4 | b of each two adjacent classes once whitespace is
-    dropped, from the caller's temporary ``classes``, freed once read.  A
-    space after a sign becomes _OTHER, and a comma after `]` becomes the
-    _SEP that opens the next run."""
-    cls = np.frombuffer(classes, np.uint8)
-    signed = cls[:-1] >= _PLUS
-    signed &= cls[1:] == _SPACE  # `- 1` is no entry
-    if signed.any():
-        classes = np.where(np.append(False, signed), np.uint8(_OTHER), cls).tobytes()
-    del cls, signed
-    tokens = np.frombuffer(classes.translate(None, bytes((_SPACE,))), np.uint8)
-    del classes
-    pairs = tokens[:-1] << 4
-    pairs |= tokens[1:]
-    pairs[1:][pairs[:-1] == _CLOSE << 4 | _COMMA] += _SEP - _COMMA << 4
-    return pairs.tobytes()
-
-
 def _check_widths(kind: str, widths: np.ndarray, q: int) -> None:
     for run in np.flatnonzero(widths != q)[:1]:
         raise UsageError(f"{kind} run {run + 1} has {widths[run]} entries for {q} columns")
 
 
-def _sign_runs(pairs: bytes, q: int, kind: str) -> np.ndarray:
-    """The int8 runs of a text whose pair codes _FAULT takes; a ragged run
-    is refused."""
-    values = np.frombuffer(pairs.translate(_ENTRY, _DROP), np.int8)
-    _check_widths(kind, np.diff(np.flatnonzero(values == 0), prepend=-1) - 1, q)
-    return np.ascontiguousarray(values.reshape(-1, q + 1)[:, :q])  # each run, then its end
+# Each -1 marked 0 read back as 1, and each entry as its int8 value.
+_UNMARK = bytes.maketrans(b"0", b"1")
+_SIGNS = bytes.maketrans(b"01", b"\xff\x01")
+
+
+def _runs(marked: bytes, q: int, head: bytes, tail: bytes) -> np.ndarray | None:
+    """The int8 runs of ``marked``, the text _encode_runs(rows, head, tail)
+    writes with each ``-1`` marked ``0``, or None for any other text."""
+    run = head + b"1," * (q - 1) + b"1" + tail
+    if marked.translate(_UNMARK) != run * (len(marked) // len(run)):
+        return None
+    return np.frombuffer(marked.translate(_SIGNS, b"," + head + tail), np.int8).reshape(-1, q)
 
 
 def _rows_block(text: str, pos: int) -> tuple[object, int]:
-    """The ``rows`` value at text[pos] and the index after it: the pair
-    codes of a list of runs of 1 and -1, or else the stdlib's value."""
-    if text.startswith("[", pos) and (close := _ROWS_END.search(text, pos)):
-        pairs = _pairs(text[pos + 1 : close.end() - 1].encode().translate(_JSON_CLASS))
-        if pairs[:1] and pairs[0] >> 4 == _OPEN and pairs.translate(_FAULT).find(1) < 0:
-            return pairs, close.end()  # runs, from the first inner `[` to the first `]]`
+    """The ``rows`` value at text[pos] and the index after it: the int8
+    runs if its text up to the first ``]]`` is the writer's, whitespace
+    aside, or else the stdlib's value."""
+    close = text.startswith("[", pos) and _ROWS_END.search(text, pos)
+    block = close and text[pos + 1 : close.start() + 1].encode()
+    if block and b"0" not in block:  # `- 1` keeps its space until the -1 are marked
+        block = block.replace(b"-1", b" 0").translate(None, b" \t\n\r") + b","
+        runs = _runs(block, block.find(b"]") // 2, *map(bytes.strip, _JSON_RUN))
+        if runs is not None:
+            return runs, close.end()
     return _DECODER.raw_decode(text, pos)
 
 
@@ -257,9 +226,9 @@ def document_from_json(text: str) -> DesignDocument:
         raise UsageError("JSON columns must be a list of strings")
     if not columns:
         raise UsageError("JSON columns must name at least one column")
-    rows, q = payload.pop("rows"), len(columns)  # the pair codes are freed once read
-    if type(rows) is bytes:
-        rows = _sign_runs(rows, q, "JSON")
+    rows, q = payload["rows"], len(columns)
+    if type(rows) is np.ndarray:  # runs as wide as the first
+        _check_widths("JSON", np.array(rows.shape[1:]), q)
     elif type(rows) is not list or set(map(type, rows)) - {list}:
         raise UsageError("JSON rows must be a list of runs, each a list of entries")
     else:  # a list of lists _rows_block refused: its first ragged run, else bad entry
@@ -289,13 +258,26 @@ def document_from_json(text: str) -> DesignDocument:
 
 
 def design_to_csv(design: DesignMatrix) -> str:
-    return ",".join(design.columns) + "\n" + _encode_runs(design.rows, b"", b"\n")
+    return ",".join(design.columns) + "\n" + _encode_runs(design.rows, *_CSV_RUN)
 
 
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # Non-ASCII whitespace as " ", and its line breaks as "\n" (str.translate table).
 _WIDE_SPACE = str.maketrans("\x85\u2028\u2029", "\n\n\n") | dict.fromkeys(
     (0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000), " ")
+# The ASCII line breaks of str.splitlines() as "\n" (bytes.translate table).
+_BREAKS = bytes.maketrans(b"\r\v\f\x1c\x1d\x1e", b"\n" * 6)
+
+
+def _csv_fault(body: str, q: int) -> None:
+    """Raise for the first bad token or ragged run of a CSV body, line by line."""
+    for run, line in enumerate(filter(str.strip, body.splitlines()), start=1):
+        tokens = [tok.strip() for tok in line.split(",")]
+        for tok in tokens:
+            if tok not in ("1", "+1", "-1"):
+                raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
+        if len(tokens) != q:
+            raise UsageError(f"CSV run {run} has {len(tokens)} entries for {q} columns")
 
 
 def design_from_csv(text: str) -> DesignMatrix:
@@ -303,23 +285,21 @@ def design_from_csv(text: str) -> DesignMatrix:
     entry is ``1``, ``+1`` or ``-1`` after stripping whitespace."""
     first = re.search(r"\S", text)
     header = first and _LINE_BREAK.search(text, first.start())
-    start = header.start() if header else len(text)  # the runs start with a line break
-    if not re.compile(r"\S").search(text, start):
+    if not (header and re.compile(r"\S").search(text, header.end())):
         raise UsageError("a CSV design needs a header line and at least one run")
-    # Each copy of the runs is a temporary, freed once the next one is made.
-    pairs = _pairs(
-        (text[start:] + "\n" if text.isascii() else (text[start:] + "\n").translate(_WIDE_SPACE))
-        .encode().translate(_CSV_CLASS)
-    )
-    columns = tuple(map(str.strip, text[first.start() : start].split(",")))
-    fault = pairs.translate(_FAULT).find(1)
-    if fault >= 0:  # the runs before its line end by the last (1, break) before it
-        done = pairs.rfind(bytes((_ONE << 4 | _BREAK,)), 0, fault) + 1
-        run = len(_sign_runs(pairs[:done], len(columns), "CSV"))  # a ragged one comes first
-        line = [line for line in text[start:].splitlines() if line.strip()][run]
-        tok = next(t for t in map(str.strip, line.split(",")) if t not in ("1", "+1", "-1"))
-        raise UsageError(f"CSV entries must be +1 or -1, got {tok!r}")
-    return DesignMatrix(columns, _sign_runs(pairs, len(columns), "CSV"))
+    columns = tuple(map(str.strip, text[first.start() : header.start()].split(",")))
+    body = text[header.end() :]
+    body = (body if body.isascii() else body.translate(_WIDE_SPACE)).encode()
+    rows = None
+    if b"0" not in body:  # -1 marked 0, +1 as 1, line breaks as "\n", no spaces
+        body = body.replace(b"-1", b" 0")
+        body = body.replace(b"+1", b" 1") if b"+" in body else body
+        body = body.translate(_BREAKS, b" \t\x1f").strip(b"\n") + b"\n"
+        while (rows := _runs(body, len(columns), *_CSV_RUN)) is None and b"\n\n" in body:
+            body = body.replace(b"\n\n", b"\n")  # blank lines
+    if rows is None:
+        _csv_fault(text[header.end() :], len(columns))
+    return DesignMatrix(columns, rows)
 
 
 def load_design(path: str) -> DesignDocument:
@@ -426,7 +406,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}")
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}")
         print(f"wrote {design.n_runs} x {design.n_factors} design to {args.out}")
     else:
         sys.stdout.write(text)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from qcdesign import (
     GeneratorProfile,
     GeneratorSpec,
     build_design,
+    cli,
     family_spectrum,
     profile_of,
     projectivity,
@@ -280,3 +282,14 @@ def test_readme_library_quick_start_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "9/2\n5\nTrue\n"
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = " ".join(lines).replace("\\ ", "").split("qcdesign ")[1:]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)  # build writes design.json, which later lines read
+    for command in commands:
+        assert cli.main(shlex.split(command)) == 0, command
