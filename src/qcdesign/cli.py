@@ -20,7 +20,7 @@ from itertools import chain
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,23 +110,27 @@ def _pair_text(pair: tuple[int, int] | None, missing: str | None = None) -> str 
 
 # The head and tail of each run in a JSON document and in a CSV body.
 _JSON_RUN, _CSV_RUN = (b"    [", b"],\n"), (b"", b"\n")
+# Runs per written piece, and characters per read block (up to a run's end).
+_WRITE_RUNS, _READ_CHARS = 256, 1 << 16
 
 
-def _encode_runs(rows: np.ndarray, head: bytes, tail: bytes) -> str:
-    """Each run as ``head``, its entries as ``1``/``-1`` joined by commas,
-    then ``tail``.  Each entry is a three-byte cell (0 or ``-``, ``1``,
-    ``,``) of one uint8 buffer; a run's last comma and the zeros are cut."""
+def _encode_runs(rows: np.ndarray, head: bytes, tail: bytes, end: str | None = None):
+    """Pieces of _WRITE_RUNS runs, each ``head``, its entries ``1``/``-1``
+    joined by commas, then ``tail`` (a nonempty one replaced by ``end`` for
+    the last run, if given): rows of a uint8 buffer of three bytes (0 or
+    ``-``, ``1``, ``,``) per entry, less the last comma, with the zeros cut."""
     n, q = rows.shape
-    cells = np.empty((n, q, 3), np.uint8)
-    cells[:, :, 0] = (rows < 0).view(np.uint8) * ord("-")
-    cells[:, :, 1] = ord("1")
-    cells[:, :, 2] = ord(",")
-    edge = [np.broadcast_to(np.frombuffer(b, np.uint8), (n, len(b))) for b in (head, tail)]
-    lines = np.concatenate([edge[0], cells.reshape(n, 3 * q)[:, :-1], edge[1]], axis=1)
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    line = head + b"\0" + b"1,\0" * (q - 1) + b"1" + tail
+    lines = np.tile(np.frombuffer(line, np.uint8), (min(n, _WRITE_RUNS), 1))
+    for start in range(0, n, _WRITE_RUNS):
+        block = rows[start : start + _WRITE_RUNS]
+        lines[: len(block), len(head) : len(head) + 3 * q : 3] = (block < 0) * ord("-")
+        piece = lines[: len(block)].tobytes().translate(None, b"\0").decode("ascii")
+        yield piece if end is None or start + _WRITE_RUNS < n else piece[: -len(tail)] + end
 
 
-def document_to_json(doc: DesignDocument) -> str:
+def _json_pieces(doc: DesignDocument) -> Iterable[str]:
+    """The text of document_to_json, a piece at a time."""
     spec = doc.spec
     payload = {
         "schema": SCHEMA,
@@ -141,11 +145,16 @@ def document_to_json(doc: DesignDocument) -> str:
         "rows": [],
         "metrics": doc.metrics,
     }
-    text = json.dumps(payload, indent=2)
-    if doc.design.n_runs:  # one run per line; quotes in earlier values are escaped
-        runs = _encode_runs(doc.design.rows, *_JSON_RUN)
-        text = text.replace('"rows": []', f'"rows": [\n{runs[:-2]}\n  ]', 1)
-    return text + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
+    if not doc.design.n_runs:
+        return [text]
+    before, _, after = text.partition('"rows": []')  # quotes in earlier values are escaped
+    runs = _encode_runs(doc.design.rows, *_JSON_RUN, end=f"]\n  ]{after}")  # one per line
+    return chain([before + '"rows": [\n'], runs)
+
+
+def document_to_json(doc: DesignDocument) -> str:
+    return "".join(_json_pieces(doc))
 
 
 def _validate_metrics_payload(payload: dict) -> dict:
@@ -171,26 +180,44 @@ _UNMARK = bytes.maketrans(b"0", b"1")
 _SIGNS = bytes.maketrans(b"01", b"\xff\x01")
 
 
-def _runs(marked: bytes, q: int, head: bytes, tail: bytes) -> np.ndarray | None:
-    """The int8 runs of ``marked``, the text _encode_runs(rows, head, tail)
-    writes with each ``-1`` marked ``0``, or None for any other text."""
-    run = head + b"1," * (q - 1) + b"1" + tail
-    if marked.translate(_UNMARK) != run * (len(marked) // len(run)):
-        return None
-    return np.frombuffer(marked.translate(_SIGNS, b"," + head + tail), np.int8).reshape(-1, q)
+def _read_runs(text: str, start: int, stop: int, cut: re.Pattern, mark, q: int,
+               head: bytes, tail: bytes) -> np.ndarray | None:
+    """The int8 runs of text[start:stop], or None unless each block (cut where ``cut``
+    first matches _READ_CHARS or more characters in), marked by ``mark(block, last)``,
+    is what _encode_runs(rows, head, tail) writes for q-entry runs, each -1 as 0."""
+    run, parts = head + b"1," * (q - 1) + b"1" + tail, []
+    while start < stop:
+        found = cut.search(text, start + _READ_CHARS, stop)
+        end = found.end() if found else stop
+        marked = mark(text[start:end], end == stop)
+        while marked is not None and marked.translate(_UNMARK) != run * (len(marked) // len(run)):
+            # Blank CSV lines; no line break is left in a marked JSON block.
+            marked = marked.replace(b"\n\n", b"\n") if b"\n\n" in marked else None
+        if marked is None:
+            return None
+        parts.append(marked.translate(_SIGNS, b"," + head + tail))
+        start = end
+    return np.frombuffer(b"".join(parts), np.int8).reshape(-1, q)
+
+
+def _mark_json(block: str, last: bool) -> bytes | None:
+    """-1 marked 0, no whitespace, and the comma the last run lacks."""
+    block = block.encode()
+    if b"0" in block:
+        return None  # `- 1` keeps its space until the -1 are marked
+    return block.replace(b"-1", b" 0").translate(None, b" \t\n\r") + b"," * last
 
 
 def _rows_block(text: str, pos: int) -> tuple[object, int]:
     """The ``rows`` value at text[pos] and the index after it: the int8
     runs if its text up to the first ``]]`` is the writer's, whitespace
-    aside, or else the stdlib's value."""
+    aside, or else the stdlib's value.  Blocks are cut before a ``[``; the
+    width is one more than the commas before the first ``]``."""
     close = text.startswith("[", pos) and _ROWS_END.search(text, pos)
-    block = close and text[pos + 1 : close.start() + 1].encode()
-    if block and b"0" not in block:  # `- 1` keeps its space until the -1 are marked
-        block = block.replace(b"-1", b" 0").translate(None, b" \t\n\r") + b","
-        runs = _runs(block, block.find(b"]") // 2, *map(bytes.strip, _JSON_RUN))
-        if runs is not None:
-            return runs, close.end()
+    q = close and text.count(",", pos, text.index("]", pos)) + 1
+    if close and (runs := _read_runs(text, pos + 1, close.start() + 1, re.compile(r"(?=\[)"),
+                                     _mark_json, q, *map(bytes.strip, _JSON_RUN))) is not None:
+        return runs, close.end()
     return _DECODER.raw_decode(text, pos)
 
 
@@ -217,6 +244,7 @@ def _json_payload(text: str) -> object:
 
 def document_from_json(text: str) -> DesignDocument:
     payload = _json_payload(text)
+    del text  # unless the caller holds it, freed before the rows are checked and rebuilt
     if not isinstance(payload, dict):
         raise UsageError("a design document must be a JSON object")
     if payload.get("schema") != SCHEMA:
@@ -257,8 +285,12 @@ def document_from_json(text: str) -> DesignDocument:
     return DesignDocument(spec, design, metrics)
 
 
+def _csv_pieces(design: DesignMatrix) -> Iterable[str]:
+    return chain([",".join(design.columns) + "\n"], _encode_runs(design.rows, *_CSV_RUN))
+
+
 def design_to_csv(design: DesignMatrix) -> str:
-    return ",".join(design.columns) + "\n" + _encode_runs(design.rows, *_CSV_RUN)
+    return "".join(_csv_pieces(design))
 
 
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -280,23 +312,28 @@ def _csv_fault(body: str, q: int) -> None:
             raise UsageError(f"CSV run {run} has {len(tokens)} entries for {q} columns")
 
 
+def _mark_csv(block: str, last: bool) -> bytes | None:
+    """-1 marked 0, +1 as 1, line breaks as "\\n" and no spaces."""
+    block = (block if block.isascii() else block.translate(_WIDE_SPACE)).encode()
+    if b"0" in block:
+        return None
+    block = block.replace(b"-1", b" 0")
+    block = block.replace(b"+1", b" 1") if b"+" in block else block
+    block = block.translate(_BREAKS, b" \t\x1f").strip(b"\n")
+    return block and block + b"\n"
+
+
 def design_from_csv(text: str) -> DesignMatrix:
     """A header of column labels, then one run per non-blank line; each
-    entry is ``1``, ``+1`` or ``-1`` after stripping whitespace."""
+    entry is ``1``, ``+1`` or ``-1`` after stripping whitespace.  Blocks
+    are cut after a line break."""
     first = re.search(r"\S", text)
     header = first and _LINE_BREAK.search(text, first.start())
     if not (header and re.compile(r"\S").search(text, header.end())):
         raise UsageError("a CSV design needs a header line and at least one run")
     columns = tuple(map(str.strip, text[first.start() : header.start()].split(",")))
-    body = text[header.end() :]
-    body = (body if body.isascii() else body.translate(_WIDE_SPACE)).encode()
-    rows = None
-    if b"0" not in body:  # -1 marked 0, +1 as 1, line breaks as "\n", no spaces
-        body = body.replace(b"-1", b" 0")
-        body = body.replace(b"+1", b" 1") if b"+" in body else body
-        body = body.translate(_BREAKS, b" \t\x1f").strip(b"\n") + b"\n"
-        while (rows := _runs(body, len(columns), *_CSV_RUN)) is None and b"\n\n" in body:
-            body = body.replace(b"\n\n", b"\n")  # blank lines
+    rows = _read_runs(text, header.end(), len(text), _LINE_BREAK, _mark_csv, len(columns),
+                      *_CSV_RUN)
     if rows is None:
         _csv_fault(text[header.end() :], len(columns))
     return DesignMatrix(columns, rows)
@@ -306,10 +343,9 @@ def load_design(path: str) -> DesignDocument:
     """Read a JSON design document, or a CSV one by its ``.csv`` extension;
     malformed input is a UsageError."""
     try:
-        text = Path(path).read_text()
         if path.lower().endswith(".csv"):
-            return DesignDocument(None, design_from_csv(text))
-        return document_from_json(text)
+            return DesignDocument(None, design_from_csv(Path(path).read_text()))
+        return document_from_json(Path(path).read_text())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
     except KeyError as exc:
@@ -401,15 +437,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.with_metrics:
         metrics = _metrics_payload(_theory_spectrum_for(doc), design.n_factors)
         doc = DesignDocument(spec, design, metrics)
-    text = design_to_csv(design) if args.format == "csv" else document_to_json(doc)
+    pieces = _csv_pieces(design) if args.format == "csv" else _json_pieces(doc)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with Path(args.out).open("w") as out:
+                out.writelines(pieces)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc.strerror}")
         print(f"wrote {design.n_runs} x {design.n_factors} design to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 

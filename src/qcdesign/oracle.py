@@ -22,7 +22,7 @@ from .spectrum import WordSpectrum
 
 #: Default cap on q.  On the q = 20 designs of perfbench/reference/oracle_docs.json,
 #: tracemalloc measures 5.5 to 9.0 MiB for the oracle's table, spectrum and
-#: projectivity, and 14.3 to 14.5 MiB for ``metrics --method oracle``, set by its JSON load.
+#: projectivity, and 7.1 to 10.5 MiB for ``metrics --method oracle`` (its JSON load: 7.1).
 DEFAULT_MAX_FACTORS = 20
 
 

@@ -213,10 +213,14 @@ def build_design(spec: GeneratorSpec) -> DesignMatrix:
     when a0 = 0, the second Gray coordinate of a0, then the Gray pair of each aj."""
     family = spec.family  # z4_code ignores [None] for the even-run families
     digits, tu, tv = z4_code(family, spec.n, [spec.u], [spec.v], [spec.u0v0])
-    # Each Gray pair taken as one int16; then F1 of an eighth fraction and the
-    # first coordinate of a0, always +1, are dropped.
-    pairs = np.take(GRAY.view(np.int16), np.hstack([tu.T, tv.T, digits.T])).view(np.int8)
-    rows = np.hstack([pairs[:, 4 - family.checks : 4], pairs[:, 4 + family.branched :]])
+    # Each Gray coordinate GRAY[k, c] = 1 - ((k + c) & 2) of each code row into its
+    # column, less F1 of an eighth fraction and the first of a0 (always +1).
+    coords = [(code.view(np.int8), c) for code in (*tu, *tv, *digits) for c in (0, 1)]
+    coords = coords[4 - family.checks : 4] + coords[4 + family.branched :]
+    rows = np.empty((digits.shape[1], len(coords)), np.int8)
+    for column, (code, c) in zip(rows.T, coords):
+        np.subtract(1, (code + c) & 2, out=column)
+    del digits, tu, tv, coords, code  # freed before DesignMatrix checks the rows
     return DesignMatrix(column_labels(family, spec.n), rows)
 
 

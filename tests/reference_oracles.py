@@ -13,7 +13,10 @@ before it read CSV as arrays; its acceptance and its messages are the
 reference for ``design_from_csv``.  ``json_document`` is the JSON reader
 that ``qcdesign.cli`` used before it read ``rows`` as bytes: ``json.loads``
 of the whole text, then ``json_runs`` on the nested lists.  It is the
-reference for ``document_from_json``.  ``profile_array`` lists the
+reference for ``document_from_json``.  ``encode_runs``, ``json_text`` and
+``csv_text`` are the writers that encoded every run in one array and
+returned one string: the references for the block writers
+``document_to_json``, ``design_to_csv`` and ``build``.  ``profile_array`` lists the
 compositions from ``itertools.combinations``, and ``optimize`` is the search
 that scores every candidate, not one per isomorphism orbit, and keys the
 wordlength pattern of each, not only of those at the highest resolution: the
@@ -34,10 +37,13 @@ import numpy as np
 from conftest import GRAY_PAIRS
 from qcdesign import DesignMatrix, GeneratorSpec, build_design
 from qcdesign.cli import (
+    _CSV_RUN,
+    _JSON_RUN,
     SCHEMA,
     DesignDocument,
     MismatchError,
     UsageError,
+    _pair_text,
     _validate_metrics_payload,
 )
 from qcdesign.oracle import check_factor_cap
@@ -273,6 +279,46 @@ def json_document(text: str) -> DesignDocument:
     if metrics is not None:
         metrics = _validate_metrics_payload(metrics)
     return DesignDocument(spec, design, metrics)
+
+
+def encode_runs(rows: np.ndarray, head: bytes, tail: bytes) -> str:
+    """Each run as ``head``, its entries as ``1``/``-1`` joined by commas,
+    then ``tail``.  Each entry is a three-byte cell (0 or ``-``, ``1``,
+    ``,``) of one uint8 buffer; a run's last comma and the zeros are cut."""
+    n, q = rows.shape
+    cells = np.empty((n, q, 3), np.uint8)
+    cells[:, :, 0] = (rows < 0).view(np.uint8) * ord("-")
+    cells[:, :, 1] = ord("1")
+    cells[:, :, 2] = ord(",")
+    edge = [np.broadcast_to(np.frombuffer(b, np.uint8), (n, len(b))) for b in (head, tail)]
+    lines = np.concatenate([edge[0], cells.reshape(n, 3 * q)[:, :-1], edge[1]], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def json_text(doc: DesignDocument) -> str:
+    spec = doc.spec
+    payload = {
+        "schema": SCHEMA,
+        "family": spec.family.value if spec else None,
+        "n": spec.n if spec else None,
+        "u": list(spec.u) if spec else None,
+        "v": list(spec.v) if spec else None,
+        "u0v0": _pair_text(spec.u0v0) if spec else None,
+        "n_runs": doc.design.n_runs,
+        "n_factors": doc.design.n_factors,
+        "columns": list(doc.design.columns),
+        "rows": [],
+        "metrics": doc.metrics,
+    }
+    text = json.dumps(payload, indent=2)
+    if doc.design.n_runs:  # one run per line; quotes in earlier values are escaped
+        runs = encode_runs(doc.design.rows, *_JSON_RUN)
+        text = text.replace('"rows": []', f'"rows": [\n{runs[:-2]}\n  ]', 1)
+    return text + "\n"
+
+
+def csv_text(design: DesignMatrix) -> str:
+    return ",".join(design.columns) + "\n" + encode_runs(design.rows, *_CSV_RUN)
 
 
 def profile_array(n: int) -> np.ndarray:

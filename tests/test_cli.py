@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import inspect
 import json
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import scan_level_full
-from reference_oracles import csv_rows, json_document
+from reference_oracles import csv_rows, csv_text, json_document, json_text
 
 from qcdesign import (
     Family,
@@ -890,6 +891,10 @@ def csv_documents(draw, bad_token=False, ragged=False, design=None):
 @example("A,A\n\n1,1")
 @example("A,B\r\n1,-1\r\n-1,+1\r\n")
 @example("A\n\x1f\n1\n\x1f")
+# Block cuts (every run a block of its own in test_readers_at_every_block_cut):
+# \r and \n on either side of a cut, and a block made only of blank lines.
+@example("A,B\r\n1,-1\r\n\r\n-1,1\n\r")
+@example("A\n1\n\n \n\r\n-1\n")
 def test_csv_reader_matches_reference_parser(text):
     columns, rows = csv_rows(text)
     design = design_from_csv(text)
@@ -910,6 +915,9 @@ def test_csv_reader_matches_reference_parser(text):
 @example("A,B\n1,1-\n1,1\n")
 @example("A\n-\n1\n")
 @example("A,B\n1,0\n")
+# A - right before a block cut.
+@example("A,B\n1,-\n1,1\n")
+@example("A,B\n1,-\r\n1,1\n")
 def test_malformed_csv_ends_in_one_error_line(tmp_path, capsys, text):
     with pytest.raises(ValueError) as reference:
         csv_rows(text)
@@ -1130,6 +1138,14 @@ def _outcome(read, text: str) -> tuple:
           '"n_runs": 2, "n_factors": 1}', False))
 @example(('{"schema": "qcdesign/1", "columns": ["A", "B"], "rows": [[1,0]], '
           '"n_runs": 1, "n_factors": 2}', False))
+# Block cuts: a - right before one, \r and \n around them, one right
+# before the closing ]].
+@example(('{"schema": "x", "columns": ["A"], "rows": [[1,-[1]]}', False))
+@example(('{"schema": "qcdesign/1", "columns": ["A"], "rows": [\r\n[1],\r\n [-1]\n\r], '
+          '"n_runs": 2, "n_factors": 1}', True))
+@example(('{"schema": "qcdesign/1", "columns": ["A"], "rows": [[1],[-1]]  , '
+          '"n_runs": 2, "n_factors": 1}', True))
+@example(('{"schema": "x", "columns": ["A"], "rows": [[1],[]]}', False))
 def test_json_reader_matches_reference_reader(document):
     text, fast = document
     ours = _outcome(document_from_json, text)
@@ -1158,6 +1174,48 @@ def test_documents_round_trip(spec, with_metrics):
     assert loaded.spec == spec and loaded.metrics == metrics
     assert loaded.design.columns == design.columns
     assert np.array_equal(loaded.design.rows, design.rows)
+
+
+@pytest.mark.parametrize("test", [
+    test_json_reader_matches_reference_reader,
+    test_csv_reader_matches_reference_parser,
+    test_malformed_csv_ends_in_one_error_line,
+    test_malformed_json_ends_in_one_error_line,
+    test_well_formed_csv_takes_the_template_path,
+], ids=lambda test: test.__name__)
+def test_readers_at_every_block_cut(request, monkeypatch, test):
+    # Every run is a block of its own, in the readers and in the writers.
+    monkeypatch.setattr(cli, "_READ_CHARS", 1)
+    monkeypatch.setattr(cli, "_WRITE_RUNS", 1)
+    test(**{name: request.getfixturevalue(name) for name in inspect.signature(test).parameters})
+
+
+@pytest.mark.parametrize("runs", [1, 3, cli._WRITE_RUNS])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs(max_n=8).filter(lambda spec: spec.family.factor_count(spec.n) <= 20), st.booleans())
+@example(spec_for(Family.SIXTEENTH_EVEN, GeneratorProfile.from_digits("0120112001")), True)
+def test_block_writers_match_the_whole_array_writers(tmp_path, capsys, monkeypatch, runs,
+                                                     spec, with_metrics):
+    monkeypatch.setattr(cli, "_WRITE_RUNS", runs)
+    design = build_design(spec)
+    metrics = None
+    if with_metrics:
+        spectrum = family_spectrum(spec.family, profile_of(spec.u, spec.v), spec.u0v0)
+        metrics = cli._metrics_payload(spectrum, design.n_factors)
+    doc = DesignDocument(spec, design, metrics)
+    assert document_to_json(doc) == json_text(doc)
+    assert design_to_csv(design) == csv_text(design)
+    argv = ["build", "--family", spec.family.value, "--n", str(spec.n),
+            "--u", ",".join(map(str, spec.u)), "--v", ",".join(map(str, spec.v))]
+    argv += ["--u0v0", cli._pair_text(spec.u0v0)] if spec.u0v0 else []
+    argv += ["--with-metrics"] if with_metrics else ["--format", "csv"]
+    want = json_text(doc) if with_metrics else csv_text(design)
+    assert run(capsys, *argv) == (EXIT_OK, want, "")
+    out = tmp_path / "design"
+    wrote = f"wrote {design.n_runs} x {design.n_factors} design to {out}\n"
+    assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, wrote, "")
+    assert out.read_text() == want
 
 
 def test_unicode_whitespace_table_is_complete():
@@ -1226,27 +1284,36 @@ def test_indent_2_layout_gives_the_same_metrics(tmp_path, capsys):
     assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
 
+def _traced(call):
+    """What ``call()`` returns, and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_readers_peak_memory_is_a_few_times_the_file(tmp_path):
     # q = 16, 8192 runs, and the q = 20, 65,536-run size the benchmark
-    # loads.  The readers keep no index array per entry; with two int64
-    # indices per entry the CSV reader peaked at 12 times its file.
+    # loads.  The writers join their pieces once (the pieces and the text,
+    # 2x), read_text holds the bytes and the text (2x), and build_design
+    # holds its rows and DesignMatrix's check of them (3x).
     for spec in (
         GeneratorSpec(Family.EIGHTH_ODD, 6, (1, 2, 3, 0, 1, 2), (2, 1, 0, 3, 2, 1), 1, 2),
         spec_for(Family.SIXTEENTH_EVEN, GeneratorProfile.from_digits("0120112001")),
     ):
-        doc = DesignDocument(spec, build_design(spec))
-        for name, text in (("doc.json", document_to_json(doc)),
-                           ("doc.csv", design_to_csv(doc.design))):
+        design, peak = _traced(lambda: build_design(spec))
+        assert peak < 4 * design.rows.nbytes, (spec.n, "build", peak / design.rows.nbytes)
+        doc = DesignDocument(spec, design)
+        for name, write in (("doc.json", lambda: document_to_json(doc)),
+                            ("doc.csv", lambda: design_to_csv(design))):
+            text, peak = _traced(write)
+            assert peak < 2.5 * len(text), (spec.n, name, peak / len(text))
             path = tmp_path / name
             path.write_text(text)
-            tracemalloc.start()
-            try:
-                loaded = cli.load_design(str(path))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert np.array_equal(loaded.design.rows, doc.design.rows)
-            assert peak < 6.5 * len(text), (spec.n, name, peak / len(text))
+            loaded, peak = _traced(lambda: cli.load_design(str(path)))
+            assert np.array_equal(loaded.design.rows, design.rows)
+            assert peak < 3 * len(text), (spec.n, name, peak / len(text))
 
 
 @pytest.mark.parametrize("entry", ["257", "1.5", "-1.9", "true", '"1"', "1e400", "-128"])
