@@ -175,37 +175,51 @@ def _check_widths(kind: str, widths: np.ndarray, q: int) -> None:
         raise UsageError(f"{kind} run {run + 1} has {widths[run]} entries for {q} columns")
 
 
-# Each -1 marked 0 read back as 1, and each entry as its int8 value.
-_UNMARK = bytes.maketrans(b"0", b"1")
-_SIGNS = bytes.maketrans(b"01", b"\xff\x01")
-
-
 def _read_runs(text: str, start: int, stop: int, cut: re.Pattern, mark, q: int,
                head: bytes, tail: bytes) -> np.ndarray | None:
     """The int8 runs of text[start:stop], or None unless each block (cut where ``cut``
     first matches _READ_CHARS or more characters in), marked by ``mark(block, last)``,
-    is what _encode_runs(rows, head, tail) writes for q-entry runs, each -1 as 0."""
-    run, parts = head + b"1," * (q - 1) + b"1" + tail, []
+    is what _encode_runs(rows, head, tail) writes for q-entry runs, each -1 as 0: a
+    (runs, width) view of it equals the run once the low bit of each 1 is set."""
+    run = np.frombuffer(head + b"1," * (q - 1) + b"1" + tail, np.uint8)
+    ones, parts = (run == ord("1")).view(np.uint8), []
     while start < stop:
         found = cut.search(text, start + _READ_CHARS, stop)
         end = found.end() if found else stop
         marked = mark(text[start:end], end == stop)
-        while marked is not None and marked.translate(_UNMARK) != run * (len(marked) // len(run)):
+        while marked is not None:
+            runs = np.frombuffer(marked, np.uint8)
+            if runs.size % run.size == 0:
+                runs = runs.reshape(-1, run.size)
+                if ((runs | ones) == run).all():
+                    break
             # Blank CSV lines; no line break is left in a marked JSON block.
             marked = marked.replace(b"\n\n", b"\n") if b"\n\n" in marked else None
         if marked is None:
             return None
-        parts.append(marked.translate(_SIGNS, b"," + head + tail))
+        # The entry columns, 0 (48) and 1 (49), as -1 and 1.
+        parts.append(runs[:, len(head) : len(head) + 2 * q : 2].view(np.int8) * 2 - 97)
         start = end
-    return np.frombuffer(b"".join(parts), np.int8).reshape(-1, q)
+    return np.concatenate(parts)
 
 
-def _mark_json(block: str, last: bool) -> bytes | None:
+def _mark(block: bytearray, sign: bytes, digit: bytes) -> bytearray:
+    """``block`` with each ``sign`` ``1`` made `` `` ``digit`` in place, as
+    ``bytes.replace(sign + b"1", b" " + digit)`` does: the pair cannot overlap
+    itself, so each of its bytes just loses its distance to the new one."""
+    a = np.frombuffer(block, np.uint8)
+    pairs = ((a[:-1] == sign[0]) & (a[1:] == ord("1"))).view(np.uint8)
+    a[:-1] -= pairs * (sign[0] - ord(" "))
+    a[1:] -= pairs * (ord("1") - digit[0])
+    return block
+
+
+def _mark_json(block: str, last: bool) -> bytearray | None:
     """-1 marked 0, no whitespace, and the comma the last run lacks."""
-    block = block.encode()
+    block = bytearray(block, "utf-8")
     if b"0" in block:
         return None  # `- 1` keeps its space until the -1 are marked
-    return block.replace(b"-1", b" 0").translate(None, b" \t\n\r") + b"," * last
+    return _mark(block, b"-", b"0").translate(None, b" \t\n\r") + b"," * last
 
 
 def _rows_block(text: str, pos: int) -> tuple[object, int]:
@@ -312,13 +326,14 @@ def _csv_fault(body: str, q: int) -> None:
             raise UsageError(f"CSV run {run} has {len(tokens)} entries for {q} columns")
 
 
-def _mark_csv(block: str, last: bool) -> bytes | None:
+def _mark_csv(block: str, last: bool) -> bytearray | None:
     """-1 marked 0, +1 as 1, line breaks as "\\n" and no spaces."""
-    block = (block if block.isascii() else block.translate(_WIDE_SPACE)).encode()
+    block = bytearray(block if block.isascii() else block.translate(_WIDE_SPACE), "utf-8")
     if b"0" in block:
         return None
-    block = block.replace(b"-1", b" 0")
-    block = block.replace(b"+1", b" 1") if b"+" in block else block
+    _mark(block, b"-", b"0")
+    if b"+" in block:
+        _mark(block, b"+", b"1")  # a -1 marked " 0" starts no +1
     block = block.translate(_BREAKS, b" \t\x1f").strip(b"\n")
     return block and block + b"\n"
 

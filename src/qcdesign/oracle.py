@@ -21,7 +21,7 @@ from .qc_core import (
 from .spectrum import WordSpectrum
 
 #: Default cap on q.  On the q = 20 designs of perfbench/reference/oracle_docs.json,
-#: tracemalloc measures 5.5 to 9.0 MiB for the oracle's table, spectrum and
+#: tracemalloc measures 5.0 to 9.0 MiB for the oracle's table, spectrum and
 #: projectivity, and 7.1 to 10.5 MiB for ``metrics --method oracle`` (its JSON load: 7.1).
 DEFAULT_MAX_FACTORS = 20
 
@@ -185,7 +185,9 @@ class JTable:
     def reach(self) -> np.ndarray:
         """Whether the |J| of each column set's nonempty subsets sum to N or
         more, per design and mask: the filter, built on first use."""
-        sums = np.abs(self.values)
+        # In the dtype of a table of 2N runs, which holds 4N: N < 2^13 keeps
+        # int16, and the clip runs every second stage or less often.
+        sums = np.abs(self.values, dtype=_table_dtype(2 * self.n_runs))
         sums[:, 0] = 0
         return _subset_sums(sums, self.n_runs) >= self.n_runs
 
@@ -345,21 +347,49 @@ def j_table_chunks(
         yield cp, cc, JTable(columns, n_runs, values)
 
 
+def _int16_stages(cells: np.ndarray, counts: np.ndarray, q: int) -> int:
+    """The largest s <= q such that each aligned 2^s-entry block of the tally
+    (``counts`` runs on the ascending ``cells``) holds a run count that
+    ``_table_dtype`` maps to int16.  That count bounds every partial sum of
+    the first s transform stages inside the block."""
+    if _table_dtype(int(counts.sum())) == np.int16:
+        return q
+    s = 0  # blocks of 2^s cells hold at most 2^s times the largest count
+    while _table_dtype(int(counts.max()) << s + 1) == np.int16:
+        s += 1
+    while True:  # ends by s = q - 1: the whole table holds N runs, not int16
+        starts = np.flatnonzero(np.diff(cells >> s + 1, prepend=-1))
+        totals = np.add.reduceat(counts, starts)
+        if _table_dtype(int(totals.max())) != np.int16:
+            return s
+        cells, counts, s = cells[starts], totals, s + 1
+
+
 def j_characteristics(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS) -> JTable:
     """J(S) for every column subset S of one design.
 
-    The sign patterns of the runs are tallied into a 2^q table of dtype
-    ``_table_dtype(N)`` (bincount's int64 one would double the peak) and
-    transformed, so J(S) = sum_p freq[p] (-1)^popcount(p & S), the sum over
-    runs of the product of the columns in S.  The functions below take this
-    table to run above the default cap.
+    The sign patterns of the runs are tallied into a 2^q table (bincount's
+    int64 one would double the peak) and transformed, so J(S) = sum_p
+    freq[p] (-1)^popcount(p & S), the sum over runs of the product of the
+    columns in S.  The low stages that ``_int16_stages`` allows run in int16,
+    the rest in ``_table_dtype(N)``.  The functions below take this table to
+    run above the default cap.
     """
     q = design.n_factors
     check_factor_cap(q, max_factors=max_factors)
     cells, counts = np.unique(sign_patterns(design.rows), return_counts=True)
-    freq = np.zeros(1 << q, dtype=_table_dtype(design.n_runs))
-    freq[cells] = counts
-    return JTable(design.columns, design.n_runs, _walsh_hadamard(freq[None]))
+    low = _int16_stages(cells, counts, q)
+    table = np.zeros(1 << q, dtype=_table_dtype(design.n_runs))
+    widen = 0 < low < q  # then the int16 tally is the first half of the int32 table's bytes
+    tally = table.view(np.int16)[: 1 << q] if widen else table
+    tally[cells] = counts
+    del cells, counts
+    _walsh_hadamard(tally.reshape(-1, 1 << low))  # stages 0..low-1 mix only 2^low blocks
+    if widen:  # entry i moves from byte 2i to 4i, each half after the one above it
+        for half in (1 << k for k in reversed(range(q))):
+            table[half : 2 * half] = tally[half : 2 * half]
+        table[0] = tally[0]
+    return JTable(design.columns, design.n_runs, _walsh_hadamard(table[None], low))
 
 
 def spectrum_bruteforce(design: DesignMatrix, table: JTable | None = None) -> WordSpectrum:

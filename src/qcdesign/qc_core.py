@@ -165,7 +165,11 @@ class DesignMatrix:
             raise ValueError("rows must be a 2-d array")
         if rows.shape[1] != len(self.columns):
             raise ValueError("row width must match the number of column labels")
-        if not np.all(np.abs(rows) == 1):  # before the cast, which would wrap
+        if rows.dtype.kind in "biu":  # reductions, no temporary as large as the rows
+            valid = rows.all() and rows.min(initial=0) >= -1 and rows.max(initial=0) <= 1
+        else:
+            valid = np.all(np.abs(rows) == 1)
+        if not valid:  # before the cast, which would wrap
             raise ValueError("design entries must be +1 or -1")
         rows = rows.astype(np.int8, copy=False)
         rows.flags.writeable = False

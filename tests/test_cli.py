@@ -1190,6 +1190,25 @@ def test_readers_at_every_block_cut(request, monkeypatch, test):
     test(**{name: request.getfixturevalue(name) for name in inspect.signature(test).parameters})
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(b"-+10 ,[]\n\r\t"), max_size=40).map(bytes))
+@example(b"--1")
+@example(b"-1-1")
+@example(b"+-1")
+@example(b"1,1,-")
+@example(b"")
+@example(b"-")
+@example(b"1")
+def test_marking_equals_bytes_replace(block):
+    # The readers' arithmetic marking, alone and -1 then +1 as the CSV
+    # reader applies it, is bytes.replace, which never rescans its output.
+    for sign, digit in ((b"-", b"0"), (b"+", b"1")):
+        want = block.replace(sign + b"1", b" " + digit)
+        assert cli._mark(bytearray(block), sign, digit) == want
+    both = cli._mark(cli._mark(bytearray(block), b"-", b"0"), b"+", b"1")
+    assert both == block.replace(b"-1", b" 0").replace(b"+1", b" 1")
+
+
 @pytest.mark.parametrize("runs", [1, 3, cli._WRITE_RUNS])
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -539,6 +539,49 @@ def test_one_hot_tables_transform_to_plus_minus_n_in_int16(n_runs):
     assert np.array_equal(_walsh_hadamard(freq), n_runs * signs)
 
 
+def _design_of_patterns(patterns: np.ndarray, q: int) -> DesignMatrix:
+    """The runs whose sign patterns (see ``oracle.sign_patterns``) are given."""
+    rows = 1 - 2 * ((patterns[:, None] >> np.arange(q)) & 1)
+    return DesignMatrix(tuple(f"X{i}" for i in range(q)), rows)
+
+
+def _int64_table(design: DesignMatrix) -> np.ndarray:
+    freq = np.bincount(oracle.sign_patterns(design.rows), minlength=1 << design.n_factors)
+    return _walsh_hadamard(freq.astype(np.int64)[None])
+
+
+@pytest.mark.parametrize("n_runs", [1 << 14, (1 << 15) + 3, 1 << 16])
+def test_one_hot_tables_past_int16_are_tallied_in_int32(n_runs):
+    # One cell holding 2^14 runs or more: no stage runs in int16, the tally
+    # is int32 from the start, and every J is (-1)^popcount(s & x) N.
+    q, x = 16, 0b1011_0110_0101_1001
+    design = _design_of_patterns(np.full(n_runs, x), q)
+    table = j_characteristics(design).values
+    assert oracle._int16_stages(np.array([x]), np.array([n_runs]), q) == 0
+    assert table.dtype == np.int32
+    assert np.array_equal(table, _int64_table(design))
+    assert set(np.abs(table[0]).tolist()) == {n_runs}
+
+
+@pytest.mark.parametrize("block_runs, stages", [((1 << 14) - 1, 14), (1 << 14, 1)])
+def test_tables_widen_after_the_stages_whose_blocks_fit_int16(block_runs, stages):
+    # The first four cells hold block_runs runs between them, a quarter (and
+    # the rest) each, and 2^14 one-run cells, every second cell from 2^15
+    # on, fill the aligned 2^15 block above them.  Stages 0..s-1 stay in
+    # int16 while every aligned 2^s block holds fewer than 2^14 runs: up to
+    # s = 14, whose largest block holds the first four cells' 2^14 - 1, or
+    # s = 1 once those four cells hold 2^14.
+    q = 16
+    heavy = np.repeat(np.arange(4), [block_runs - 3 * (block_runs // 4)] + [block_runs // 4] * 3)
+    patterns = np.concatenate([heavy, (1 << 15) + 2 * np.arange(1 << 14)])
+    design = _design_of_patterns(patterns, q)
+    cells, counts = np.unique(patterns, return_counts=True)
+    assert oracle._int16_stages(cells, counts, q) == stages
+    table = j_characteristics(design).values
+    assert table.dtype == np.int32
+    assert np.array_equal(table, _int64_table(design))
+
+
 @pytest.mark.parametrize(
     "family, n, dtype",
     [(Family.EIGHTH_ODD, 6, np.int16), (Family.SIXTEENTH_EVEN, 7, np.int32)],

@@ -199,6 +199,15 @@ def test_design_matrix_validates_entries():
         DesignMatrix(("A",), [[1, -1]])
     with pytest.raises(ValueError, match="rows must be a 2-d array"):
         DesignMatrix(("A", "B"), [1, -1])
+    # Integer and bool rows are checked by reductions, the others entry by
+    # entry; 257 as int8 would wrap to 1, and True is the integer 1.
+    for entry in (0, 2, -2, np.int64(257), 0.5, np.nan, False):
+        for rows in ([[1, entry], [1, -1]], np.array([[entry, -1]]), np.array([[entry]])):
+            with pytest.raises(ValueError, match="design entries must be"):
+                DesignMatrix(("A", "B")[: np.shape(rows)[1]], rows)
+    assert DesignMatrix(("A", "B"), [[True, -1]]).rows.tolist() == [[1, -1]]
+    assert DesignMatrix(("A",), np.array([[True], [True]])).rows.tolist() == [[1], [1]]
+    assert DesignMatrix(("A",), np.zeros((0, 1), np.uint8)).n_runs == 0
 
 
 def test_profile_reference_cases():
