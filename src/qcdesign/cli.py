@@ -426,6 +426,8 @@ def _spec_from_flags(args: argparse.Namespace) -> GeneratorSpec:
 def _resolve_design(args: argparse.Namespace, build: bool) -> DesignDocument:
     """The document of ``--design``, or of the generator flags, whose matrix
     is built only if ``build``."""
+    if args.max_factors < 1:
+        raise UsageError("--max-factors must be positive")
     if args.design:
         return load_design(args.design)
     if not (args.family and args.u and args.v) or args.n is None:
@@ -442,7 +444,8 @@ def _resolve_design(args: argparse.Namespace, build: bool) -> DesignDocument:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.with_metrics and args.format == "csv":
+    csv = args.format == "csv" if args.format else (args.out or "").lower().endswith(".csv")
+    if args.with_metrics and csv:
         raise UsageError("--with-metrics needs --format json; a CSV design has no metrics")
     spec = _spec_from_flags(args)
     if spec.n > MAX_N:  # refused before a matrix of 4^n runs or more is allocated
@@ -452,7 +455,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.with_metrics:
         metrics = _metrics_payload(_theory_spectrum_for(doc), design.n_factors)
         doc = DesignDocument(spec, design, metrics)
-    pieces = _csv_pieces(design) if args.format == "csv" else _json_pieces(doc)
+    pieces = _csv_pieces(design) if csv else _json_pieces(doc)
     if args.out:
         try:
             with Path(args.out).open("w") as out:
@@ -803,7 +806,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build", help="construct a design and write it out")
     _add_generator(p, required=True)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"),
+                   help="default: csv for an --out ending in .csv, else json")
     p.add_argument("--with-metrics", action="store_true",
                    help="embed closed-form metrics in the JSON document")
     p.set_defaults(func=cmd_build)

@@ -38,6 +38,7 @@ from .theory import (
 #: n = 11 the eighth-odd scan peaks at 79 MiB (2-core Xeon, Python 3.11.7,
 #: numpy 2.4.6, one fresh process per scan).
 MAX_N = 10
+assert (MAX_N + 1) ** 10 < 2 ** 53  # the orbit filter's float64 keys are exact
 
 Candidate = tuple[GeneratorProfile, U0V0 | None]
 
@@ -173,6 +174,20 @@ class SearchResult:
         return self.wlp[3:]
 
 
+def _projectivity_bounds(
+    forms: ClosedForms, res: np.ndarray, p: np.ndarray, c: np.ndarray, n: int, family: Family
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (floor, ceiling) of the candidates' projectivity.  The
+    floor ceil(R) - 1 = r - [e = 0] of the key r << 8 | e is Deng & Tang
+    1999's, as in ``JTable.projectivity``.  A full word of length L makes its
+    L-projection a half fraction: the ceiling is the shortest one's L - 1 (q
+    without one), at most ``projectivity_bound`` for the sixteenth fractions."""
+    r, e = np.divmod(res[p, c].astype(np.int64), 1 << 8)
+    lengths, exps, counts = forms.words(p, c)
+    cap = projectivity_bound(n, family) if family.sixteenth else family.factor_count(n)
+    return r - (e == 0), np.where((exps == 0) & (counts != 0), lengths - 1, cap).min(axis=1)
+
+
 def _projectivities(
     family: Family, profiles: np.ndarray, pairs: tuple, pool: np.ndarray
 ) -> np.ndarray:
@@ -199,26 +214,26 @@ def optimize(
     Only one profile per orbit of ``_isomorphisms`` is scored, crossed with
     every u0v0 class; the ties are the orbits of the scored survivors.  Each
     wordlength-pattern minimum is ``_min_wlp``'s, which keys only the
-    candidates it can keep.  The oracle's cap on q, when oracle projectivity
-    is needed, is checked before the theory scan.
+    candidates it can keep.  The refinement builds only the ties that
+    ``_projectivity_bounds`` leaves open, checking the oracle's cap on q first.
     """
     if _check_n(n) > MAX_N:
         raise ValueError(f"n must lie in 1..{MAX_N}")
     q = family.factor_count(n)
-    if criterion is Criterion.PROJECTIVITY or with_projectivity:
-        use = "--criterion projectivity" if criterion is Criterion.PROJECTIVITY else (
-            "the projectivity refinement, which --skip-projectivity skips,")
-        check_factor_cap(q, f"{family.value} designs at n = {n} have", f" for {use}")
+    subject = f"{family.value} designs at n = {n} have"
+    if criterion is Criterion.PROJECTIVITY:
+        check_factor_cap(q, subject, " for --criterion projectivity")
     profiles = profile_array(n)
     pairs = u0v0_classes(family)
     maps = _isomorphisms(family, pairs)
     # Keys order profiles as profile_array lists them; a profile is scored
     # when its key is the smallest of its images', and scores are equal
     # across an orbit, so the extremes below are those of every candidate.
-    weights = (n + 1) ** np.arange(9, -1, -1, dtype=np.int64)
-    keys = profiles @ weights
-    image_keys = [profiles @ weights[perm] for _, perm, _ in maps]
-    scored = profiles[np.all(keys <= image_keys, axis=0)]
+    # One exact float64 BLAS product per map (keys < 11^10 < 2^53); stacking peaks higher.
+    rows, weights = profiles.astype(np.float64), (n + 1.0) ** np.arange(9, -1, -1)
+    keys = rows @ weights
+    scored = profiles[np.all([keys <= rows @ weights[perm] for _, perm, _ in maps], axis=0)]
+    del rows
     forms = closed_forms(family, scored, pairs)
     res = _resolution_keys(forms)
     max_res = res.max()
@@ -236,10 +251,19 @@ def optimize(
         pool = _min_wlp(forms, q, res, projs == projs.max())
         pool &= res == res[pool].max()
 
-    # The projectivity refinement scores only the ties.
+    # The refinement builds only the ties whose floor is below their ceiling
+    # and whose ceiling reaches the best floor; the rest keep their floor.
     if with_projectivity and projs is None:
-        projs = _projectivities(family, scored, pairs, pool)
-        pool &= projs == projs.max()
+        p, c = np.divmod(np.flatnonzero(pool), len(pairs))
+        projs, upper = _projectivity_bounds(forms, res, p, c, n, family)
+        build = (projs < upper) & (upper >= projs.max())
+        if build.any():
+            check_factor_cap(q, subject, " for the projectivity refinement, which"
+                             " --skip-projectivity skips,")
+            built = np.zeros_like(pool)
+            built[p, c] = build
+            projs[build] = _projectivities(family, scored, pairs, built)[p[build], c[build]]
+        pool[p, c] = projs == projs.max()
 
     # The ties are the orbits of the pool, in (profile, pair) index order:
     # profiles are lexicographic and pairs sorted.

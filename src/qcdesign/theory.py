@@ -97,7 +97,7 @@ def _exponent_groups(counts: np.ndarray, pairs: Sequence[U0V0]) -> np.ndarray:
     """(profiles, pairs, 5) int8 exponents theta1, theta2, omega1, omega2,
     omega (rho1, rho2, xi1, xi2, xi at u0v0 = 00)."""
     shifts = [(d1, d2, e1, e2, e1 + e2 + 1) for d1, d2, e1, e2 in map(_indicators, pairs)]
-    sums = (counts @ _X)[:, None, :] + np.array(shifts, dtype=np.int16)
+    sums = (counts @ _X).astype(np.int16)[:, None, :] + np.array(shifts, dtype=np.int16)
     return (sums // 2).astype(np.int8)
 
 
@@ -291,8 +291,8 @@ class ClosedForms:
     def row(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lengths (profiles,), exponents and doubled weights (profiles,
         pairs) of table row r."""
-        token, weights = self.table.token[r], self.table.weights[self.gates, :, r]
-        return self.lengths[:, r], self.tokens[:, :, token], weights
+        weights = np.take(self.table.weights[:, :, r], self.gates, axis=0)
+        return self.lengths[:, r], self.tokens[:, :, self.table.token[r]], weights
 
     def words(self, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lengths, exponents e and word counts w * 4^e / 2 of every row of
@@ -317,9 +317,11 @@ def closed_forms(
     if counts.size and int(counts.sum(axis=1).max()) > _MAX_PROFILE_N:
         raise ValueError(f"closed forms are evaluated for n <= {_MAX_PROFILE_N}")
     table = _table(family, pairs)
-    groups = _exponent_groups(counts, pairs)
+    # Both products run on float64 BLAS, exact: no sum passes 2 * _MAX_PROFILE_N.
+    rows = counts.astype(np.float64)
+    groups = _exponent_groups(rows, pairs)
     forms = ClosedForms(
-        lengths=(counts @ _L)[:, table.l_index] + table.offset,
+        lengths=(rows @ _L).astype(np.int16)[:, table.l_index] + table.offset,
         tokens=np.concatenate(
             [
                 groups[..., :2],

@@ -102,6 +102,35 @@ def test_build_writes_document(tmp_path, capsys):
     assert np.array_equal(rebuilt.rows, doc.design.rows)
 
 
+@pytest.mark.parametrize("name", ["d.json", "d.JSON", "d.csv", "d.CSV"])
+def test_build_out_takes_its_format_from_the_extension(tmp_path, capsys, name):
+    flags = ("--family", "sixteenth-odd", "--n", "2", "--u", "1,2", "--v", "2,1",
+             "--u0v0", "11")
+    out = tmp_path / name
+    code, stdout, _ = run(capsys, "build", *flags, "--out", str(out))
+    assert code == EXIT_OK and stdout == f"wrote 32 x 9 design to {out}\n"
+    assert out.read_text().startswith("{") == name.lower().endswith(".json")
+    code, stdout, _ = run(capsys, "metrics", "--design", str(out), "--method", "oracle")
+    assert code == EXIT_OK and "[oracle] resolution: 9/2" in stdout
+    # An explicit --format wins over the extension, and stdout stays JSON.
+    code, _, _ = run(capsys, "build", *flags, "--out", str(out), "--format", "json")
+    assert code == EXIT_OK and out.read_text().startswith("{")
+    code, stdout, _ = run(capsys, "build", *flags)
+    assert code == EXIT_OK and stdout.startswith("{")
+    if name.lower().endswith(".csv"):
+        code, _, err = run(capsys, "build", *flags, "--out", str(out), "--with-metrics")
+        assert code == EXIT_USAGE and err.count("\n") == 1 and "--with-metrics" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_max_factors_below_one_is_one_error_line(capsys, cap):
+    flags = ("--family", "sixteenth-even", "--n", "2", "--u", "1,2", "--v", "2,1")
+    for command in ("metrics", "spectrum"):
+        code, out, err = run(capsys, command, *flags, "--max-factors", cap)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --max-factors must be positive\n"
+
+
 def test_build_refuses_metrics_in_csv(capsys):
     code, stdout, err = run(
         capsys, "build", "--family", "sixteenth-even", "--n", "1",
@@ -339,9 +368,16 @@ def test_search_rejects_bad_n(capsys):
 
 
 def test_search_refuses_oversized_projectivity_refinement(capsys):
-    code, _, err = run(capsys, "search", "--n", "9", "--family", "eighth-even")
+    # Eighth-even n = 10 (q = 23) leaves 2 ties that only a J-table settles.
+    code, _, err = run(capsys, "search", "--n", "10", "--family", "eighth-even")
     assert code == EXIT_USAGE
     assert err.count("\n") == 1 and "--skip-projectivity" in err
+
+
+def test_search_answers_settled_sizes_past_the_cap(capsys):
+    code, out, _ = run(capsys, "search", "--n", "9", "--family", "eighth-even",
+                       "--report", "json")
+    assert code == EXIT_OK and json.loads(out)["projectivity"] == 11
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from qcdesign.search import (
     profile_array,
     u0v0_classes,
 )
-from qcdesign.theory import U0V0_PAIRS, closed_forms, u0v0_class
+from qcdesign.theory import U0V0_PAIRS, closed_forms, projectivity_bound, u0v0_class
 
 
 def test_enumerate_profiles_counts():
@@ -293,22 +294,143 @@ def test_optimize_rejects_out_of_range_n():
         optimize(0, Family.SIXTEENTH_EVEN, Criterion.ABERRATION)
 
 
+#: Sizes past the oracle's cap whose projectivity the closed-form bounds
+#: settle, so the default search answers them without a J-table; every other
+#: size past the cap needs a build and is refused.
+_SETTLED_PAST_CAP = {
+    Criterion.ABERRATION: {
+        (Family.SIXTEENTH_EVEN, 9), (Family.SIXTEENTH_EVEN, 10), (Family.EIGHTH_EVEN, 9),
+        (Family.SIXTEENTH_ODD, 8), (Family.SIXTEENTH_ODD, 9), (Family.SIXTEENTH_ODD, 10),
+        (Family.EIGHTH_ODD, 9),
+    },
+    Criterion.RESOLUTION: {
+        (Family.EIGHTH_EVEN, 9), (Family.SIXTEENTH_ODD, 9), (Family.EIGHTH_ODD, 9),
+    },
+}
+
+
+def _past_the_cap():
+    return [(family, n) for family in Family for n in range(1, MAX_N + 1)
+            if family.factor_count(n) > DEFAULT_MAX_FACTORS]
+
+
+def _no_build(*args):
+    raise AssertionError("a J-table was built")
+
+
+@pytest.mark.parametrize("criterion", [Criterion.ABERRATION, Criterion.RESOLUTION])
+def test_settled_sizes_past_the_cap_answer_without_a_build(monkeypatch, criterion):
+    monkeypatch.setattr(search, "j_table_chunks", _no_build)
+    sizes = _SETTLED_PAST_CAP[criterion]
+    assert sizes <= set(_past_the_cap())
+    for family, n in sorted(sizes, key=lambda size: (size[0].value, size[1])):
+        result = optimize(n, family, criterion)
+        skipped = optimize(n, family, criterion, with_projectivity=False)
+        assert result.wlp == skipped.wlp and result.resolution == skipped.resolution
+        assert set(result.ties) <= set(skipped.ties)
+        assert result.projectivity <= orthogonal_array_ceiling(family, n)
+        if family.sixteenth:
+            assert result.projectivity <= projectivity_bound(n, family)
+
+
+@pytest.mark.parametrize("criterion", [Criterion.ABERRATION, Criterion.RESOLUTION])
+def test_unsettled_sizes_past_the_cap_are_refused_before_any_build(monkeypatch, criterion):
+    monkeypatch.setattr(search, "j_table_chunks", _no_build)
+    unsettled = [size for size in _past_the_cap() if size not in _SETTLED_PAST_CAP[criterion]]
+    assert len(unsettled) == 9 - len(_SETTLED_PAST_CAP[criterion])
+    for family, n in unsettled:
+        with pytest.raises(ValueError, match="--skip-projectivity skips, needs q <= 20"):
+            optimize(n, family, criterion)
+
+
 def test_oversized_projectivity_search_is_refused_up_front(monkeypatch):
-    # At n = 9 every family has q > 20: the refusal comes before the theory
-    # scan allocates anything.
+    # --criterion projectivity builds every candidate: past the cap it is
+    # refused before the theory scan allocates anything.
     def scan(*args):
         raise AssertionError("the theory scan ran")
 
     monkeypatch.setattr(search, "closed_forms", scan)
-    for family in Family:
-        assert family.factor_count(9) > DEFAULT_MAX_FACTORS
-        for criterion in (Criterion.ABERRATION, Criterion.RESOLUTION):
-            with pytest.raises(ValueError, match="--skip-projectivity"):
-                optimize(9, family, criterion)
-        with pytest.raises(ValueError, match="needs q <= 20"):
-            optimize(9, family, Criterion.PROJECTIVITY, with_projectivity=False)
+    for (family, n), refine in itertools.product(_past_the_cap(), (True, False)):
+        with pytest.raises(ValueError, match="--criterion projectivity needs q <= 20"):
+            optimize(n, family, Criterion.PROJECTIVITY, with_projectivity=refine)
     with pytest.raises(AssertionError, match="theory scan ran"):
         optimize(9, Family.EIGHTH_EVEN, Criterion.ABERRATION, with_projectivity=False)
+
+
+def _refinement_trace(monkeypatch, family, n, criterion):
+    """The result of one default search, with the scan's candidates, each tie's
+    closed-form bounds and the number of designs built."""
+    seen = {"built": 0}
+    scan, bounds, chunks = search.closed_forms, search._projectivity_bounds, search.j_table_chunks
+
+    def traced_scan(family, counts, pairs):
+        seen["scan"] = counts, pairs
+        return scan(family, counts, pairs)
+
+    def traced_bounds(forms, res, p, c, n, family):
+        lower, upper = bounds(forms, res, p, c, n, family)
+        seen["bounds"] = p, c, lower.copy(), upper.copy()  # optimize refines lower in place
+        return lower, upper
+
+    def counted_chunks(family, counts, pairs, p, c):
+        seen["built"] += len(p)
+        return chunks(family, counts, pairs, p, c)
+
+    monkeypatch.setattr(search, "closed_forms", traced_scan)
+    monkeypatch.setattr(search, "_projectivity_bounds", traced_bounds)
+    monkeypatch.setattr(search, "j_table_chunks", counted_chunks)
+    result = optimize(n, family, criterion)
+    monkeypatch.undo()
+    return result, seen
+
+
+@pytest.mark.parametrize("criterion", [Criterion.ABERRATION, Criterion.RESOLUTION])
+@pytest.mark.parametrize("family", list(Family))
+def test_projectivity_bounds_bracket_every_tie(monkeypatch, family, criterion):
+    # At every size up to the cap, each tie's (floor, ceiling) holds its
+    # J-table projectivity, a tie the bounds settle has exactly that value, a
+    # tie below the best floor is not among the most projective, and only the
+    # open ties are built.
+    unbuilt = 0
+    for n in range(1, MAX_N + 1):
+        if family.factor_count(n) > DEFAULT_MAX_FACTORS:
+            break
+        result, seen = _refinement_trace(monkeypatch, family, n, criterion)
+        (counts, pairs), (p, c, lower, upper) = seen["scan"], seen["bounds"]
+        exact = np.concatenate([table.projectivity() for _, _, table in
+                                oracle.j_table_chunks(family, counts, pairs, p, c)])
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        settled = lower == upper
+        assert np.array_equal(exact[settled], lower[settled])
+        assert np.all(exact[upper < lower.max()] < exact.max())
+        assert result.projectivity == exact.max()
+        assert seen["built"] == np.count_nonzero(~settled & (upper >= lower.max()))
+        unbuilt += seen["built"] == 0
+    # Sizes whose ties the bounds settle, at q <= 20 and n >= 1.
+    want = {Criterion.ABERRATION: {Family.SIXTEENTH_EVEN: 4, Family.EIGHTH_EVEN: 5,
+                                   Family.SIXTEENTH_ODD: 5, Family.EIGHTH_ODD: 4},
+            Criterion.RESOLUTION: {Family.SIXTEENTH_EVEN: 3, Family.EIGHTH_EVEN: 4,
+                                   Family.SIXTEENTH_ODD: 5, Family.EIGHTH_ODD: 4}}
+    assert unbuilt == want[criterion][family]
+
+
+def test_the_benchmark_search_builds_no_table(monkeypatch):
+    # perfbench's search-n8 runs this default search; its 4 ties are settled.
+    result, seen = _refinement_trace(monkeypatch, Family.EIGHTH_EVEN, 6, Criterion.ABERRATION)
+    assert seen["built"] == 0 and len(seen["bounds"][0]) == 4
+    assert result.projectivity == 7
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_float_orbit_keys_equal_the_integer_keys(family):
+    maps = search._isomorphisms(family, u0v0_classes(family))
+    for n in range(1, MAX_N + 1):
+        profiles = profile_array(n)
+        weights = (n + 1) ** np.arange(9, -1, -1, dtype=np.int64)
+        rows = profiles.astype(np.float64)
+        for _, perm, _ in maps:
+            exact = profiles.astype(np.int64) @ weights[perm]
+            assert np.array_equal(rows @ weights[perm].astype(np.float64), exact)
 
 
 def test_skip_projectivity_mode():

@@ -27,6 +27,7 @@ from qcdesign import (
     theory,
 )
 from qcdesign.search import (
+    MAX_N,
     _resolution_keys,
     _wlp_keys,
     profile_array,
@@ -35,6 +36,8 @@ from qcdesign.search import (
 from qcdesign.theory import (
     U0V0_PAIRS,
     _L,
+    _MAX_PROFILE_N,
+    _X,
     _gates,
     _indicators,
     _k_weights,
@@ -65,6 +68,26 @@ def test_length_offsets_reference_cases():
         [3, 3, 1, 1, 2, 2, 4, 2, 2, 2],
         [0] * 10,
     ]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_closed_forms_equal_an_int64_matmul_reference(family):
+    # closed_forms runs its two class-count products on float64 BLAS; an int64
+    # product gives the same lengths and exponent tokens, at every search size
+    # and on profiles at the largest n the closed forms take.
+    pairs = u0v0_classes(family)
+    rng = np.random.default_rng(7)
+    largest = rng.multinomial(_MAX_PROFILE_N, [0.1] * 10, size=200)
+    for counts in [*map(profile_array, range(1, MAX_N + 1)), largest]:
+        forms = closed_forms(family, counts, pairs)
+        wide = counts.astype(np.int64)
+        lengths = (wide @ _L.astype(np.int64))[:, forms.table.l_index] + forms.table.offset
+        assert forms.lengths.dtype == np.int16 and np.array_equal(forms.lengths, lengths)
+        for j, pair in enumerate(pairs):
+            d1, d2, e1, e2 = _indicators(pair or (0, 0))
+            g = (wide @ _X.astype(np.int64) + (d1, d2, e1, e2, e1 + e2 + 1)) // 2
+            tokens = np.stack([g[:, 0], g[:, 1], 0 * g[:, 0], g[:, 2] + g[:, 3], g[:, 4]], axis=1)
+            assert np.array_equal(forms.tokens[:, j], tokens)
 
 
 def _exponents(profile: GeneratorProfile, pair=None) -> list[int]:
