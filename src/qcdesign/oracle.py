@@ -62,7 +62,7 @@ def sign_patterns(rows: np.ndarray) -> np.ndarray:
 #: 11.4 / 11.9 ms with width 8 / 16 / 32 / 64; a (2048, 256) int16 batch, as
 #: ``JTable._has_empty_cell`` transforms, 5.30 ms and 3.56 / 2.14 / 1.98 /
 #: 2.36 ms (best of 11, 2-core Xeon).  ``code_tables`` gathers every stage
-#: below the width.
+#: below the width and runs the others radix 2 on rows of designs x width.
 _BUTTERFLY_WIDTH, _BLOCK_ENTRIES = 32, 1 << 16
 
 
@@ -269,6 +269,8 @@ class JTable:
 
 #: Pattern bits of the Gray pair of each Z4 value.
 _GRAY_BITS = sign_patterns(GRAY).astype(np.uint8)
+#: Check bits F1..F4 of the Z4 pair (a'u, a'v) = (x & 3, x >> 2), by x.
+_CHECK_BITS = _GRAY_BITS[np.arange(16) & 3] | _GRAY_BITS[np.arange(16) >> 2] << 2
 
 
 @cache
@@ -303,29 +305,35 @@ def code_tables(family: Family, n: int, u: np.ndarray, v: np.ndarray, u0v0) -> n
 
     The shared columns (F5 and the Gray pairs of a) form a full 2^(q-k)
     factorial, k = ``family.checks``, so the pattern table is one-hot: one run
-    per shared pattern, its check bits c below them.  The stages below the
-    butterfly width, k + m of them, mix only groups of 2^m consecutive shared
-    patterns, so their output is gathered by the checks of each group (see
-    ``_group_rows``); only stages k + m..q-1 remain."""
+    per shared pattern, its check bits c below them.  The k + m stages below
+    the butterfly width mix only groups of 2^m consecutive shared patterns, so
+    their output is gathered by each group's checks (``_group_rows``), group
+    first.  Stages k + m..q-1 pair whole rows of that (2^(q-k-m), designs x
+    2^(k+m)) array, radix 2; one transposed copy is the (designs, 2^q) stack."""
     k, q = family.checks, family.factor_count(n)
     check_factor_cap(q)
     m = _BUTTERFLY_WIDTH.bit_length() - 1 - k
     _, tu, tv = z4_code(family, n, u, v, u0v0)
     checks = np.empty_like(tu)
-    checks[:, _shared_slots(family, n)] = (
-        np.take(_GRAY_BITS, tu) | np.take(_GRAY_BITS, tv) << 2) >> 4 - k
-    groups = checks.reshape(len(checks), -1, 1 << m).astype(np.intp)
+    checks[:, _shared_slots(family, n)] = np.take(_CHECK_BITS >> 4 - k, tv << 2 | tu)
+    groups = checks.reshape(len(checks), -1, 1 << m).astype(np.uint16)  # k 2^m <= 12 bits
     index = groups[..., 0]
     for i in range(1, 1 << m):
         index = index << k | groups[..., i]
     rows = _group_rows(k, m, _table_dtype(family.run_count(n)))
-    return _walsh_hadamard(np.take(rows, index, axis=0).reshape(len(checks), 1 << q), k + m)
+    stages = np.take(rows, index.T, axis=0).reshape(index.shape[1], -1)
+    for h in (1 << s for s in range(q - k - m)):
+        low, high = stages.reshape(-1, 2, h, stages.shape[1]).swapaxes(0, 1)
+        low += high
+        high *= -2
+        high += low
+    return stages.reshape(len(stages), len(index), -1).swapaxes(0, 1).reshape(len(index), 1 << q)
 
 
 #: J-table bytes per chunk of stacked designs (one design at least).  With
-#: 2^16 / 2^17 / 2^18 / 2^19, ``verify --n-max 3`` takes 0.128 / 0.093 /
-#: 0.072 / 0.071 s at 33.3 / 33.3 / 33.6 / 34.4 MiB peak RSS (median of 15,
-#: in-process, median of three processes, 2-core Xeon).
+#: 2^17 / 2^18 / 2^19, ``verify --n-max 3`` takes 0.069 / 0.051 / 0.043 s and
+#: ``--n-max 4`` 0.83 / 0.58 / 0.45 s, at 33.0 / 33.6 / 34.4 and 33.0 / 33.6 /
+#: 34.3 MiB peak RSS (median of 15 and 5 calls in-process, of 3 processes, 2-core Xeon).
 CHUNK_BYTES = 1 << 18
 
 
@@ -342,8 +350,9 @@ def j_table_chunks(
     columns = column_labels(family, n)
     for start in range(0, p.size, step):
         cp, cc = p[start : start + step], c[start : start + step]
-        u, v = realize_profiles(counts[cp])
-        values = code_tables(family, n, u, v, pair_rows[cc])
+        distinct, inverse = np.unique(cp, return_inverse=True)
+        u, v = realize_profiles(counts[distinct])
+        values = code_tables(family, n, u[inverse], v[inverse], pair_rows[cc])
         yield cp, cc, JTable(columns, n_runs, values)
 
 

@@ -208,7 +208,7 @@ def z4_code(
         pairs = np.asarray(u0v0, dtype=np.uint8)
         u, v = np.hstack([pairs[:, :1], u]), np.hstack([pairs[:, 1:], v])
     # A sum of rows: integer matmul is slower, and einsum costs resident memory.
-    return digits, *(sum(w[:, j, None] * a for j, a in enumerate(digits)) % 4 for w in (u, v))
+    return digits, *(sum(w[:, j, None] * a for j, a in enumerate(digits)) & 3 for w in (u, v))
 
 
 def build_design(spec: GeneratorSpec) -> DesignMatrix:

@@ -37,6 +37,7 @@ from qcdesign.oracle import (
     j_table_chunks,
     projection_level_full,
 )
+from qcdesign.qc_core import realize_profiles
 from qcdesign.search import enumerate_profiles, profile_array, u0v0_classes
 from qcdesign.theory import family_spectrum, normalize_u0v0
 from reference_oracles import (
@@ -599,6 +600,31 @@ def test_code_tables_match_the_matrix_tables_at_the_int16_border(family, n, dtyp
     assert np.array_equal(table.values, matrix.values)
 
 
+@pytest.mark.parametrize(
+    "family, n, dtype, stack",
+    [(Family.EIGHTH_ODD, 6, np.int16, 2), (Family.EIGHTH_ODD, 6, np.int16, 3),
+     (Family.SIXTEENTH_EVEN, 7, np.int32, 2), (Family.SIXTEENTH_EVEN, 7, np.int32, 3)],
+)
+def test_code_tables_of_stacks_match_the_matrix_tables_at_the_int16_border(
+    family, n, dtype, stack
+):
+    # At N = 2^13 and 2^14 a chunk of the default budget holds one design,
+    # so only a direct call makes the stage-major rows 2 or 3 x 32 entries
+    # wide on both sides of the dtype border.  The designs differ in profile
+    # and, for the odd-run family, in u0v0.
+    classes = [[1, 2, 3, 4, 5, 6, 2], [0, 0, 7, 8, 9, 3, 5], [4, 6, 6, 1, 8, 0, 2]][:stack]
+    counts = np.array([[c[:n].count(k) for k in range(10)] for c in classes])
+    every_pair = u0v0_classes(family)  # (None,) for the even-run family
+    pairs = [every_pair[i % len(every_pair)] for i in (-1, 0, 3)][:stack]
+    u, v = realize_profiles(counts)
+    values = oracle.code_tables(family, n, u, v, np.array(pairs))
+    assert values.shape == (stack, 1 << family.factor_count(n))
+    assert values.dtype == dtype
+    for row, profile, pair in zip(values, counts, pairs):
+        spec = spec_for(family, GeneratorProfile(tuple(profile.tolist())), pair)
+        assert np.array_equal(row, j_characteristics(build_design(spec)).values[0])
+
+
 def _filter_builds(monkeypatch) -> list:
     """The calls of the projection filter's subset-sum transform, from now on."""
     real, calls = oracle._subset_sums, []
@@ -689,9 +715,10 @@ def _walsh_hadamard_from(a: np.ndarray, first: int) -> np.ndarray:
 
 @settings(max_examples=80, deadline=None)
 @given(stacks(1 << 20), st.booleans(), st.integers(0, 6))
-# From stage 5, where code_tables starts every table, 2^10 and 2^11 entries
-# leave an odd and an even number of stages at and above the width of 2^5
-# and none below it; 2^17 entries split their top quarters.
+# From stage 5, as when j_characteristics widens after five int16 stages,
+# 2^10 and 2^11 entries leave an odd and an even number of stages at and
+# above the width of 2^5 and none below it; 2^17 entries split their top
+# quarters.
 @example(_example_stack(10, dtype=np.int32), True, 5)
 @example(_example_stack(11, dtype=np.int32), True, 5)
 @example(_example_stack(17, rows=1, dtype=np.int32), False, 0)
