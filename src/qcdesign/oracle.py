@@ -348,11 +348,11 @@ def j_table_chunks(
     step = max(1, CHUNK_BYTES // (_table_dtype(n_runs).itemsize << family.factor_count(n)))
     pair_rows = np.array(pairs)  # z4_code ignores it for even-run families
     columns = column_labels(family, n)
+    distinct, inverse = np.unique(p, return_inverse=True)  # realize each profile once
+    u, v = realize_profiles(counts[distinct]) if p.size else (None, None)
     for start in range(0, p.size, step):
-        cp, cc = p[start : start + step], c[start : start + step]
-        distinct, inverse = np.unique(cp, return_inverse=True)
-        u, v = realize_profiles(counts[distinct])
-        values = code_tables(family, n, u[inverse], v[inverse], pair_rows[cc])
+        cp, cc, ci = (a[start : start + step] for a in (p, c, inverse))
+        values = code_tables(family, n, u[ci], v[ci], pair_rows[cc])
         yield cp, cc, JTable(columns, n_runs, values)
 
 

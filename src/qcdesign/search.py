@@ -25,6 +25,7 @@ from .oracle import check_factor_cap, j_table_chunks
 from .qc_core import _CLASS_OF, _CLASS_PAIRS, Family, GeneratorProfile, _check_n
 from .theory import (
     U0V0,
+    U0V0_PAIRS,
     ClosedForms,
     closed_forms,
     projectivity_bound,
@@ -33,10 +34,10 @@ from .theory import (
 )
 
 #: Largest n ``optimize`` accepts.  At n = 10 the whole-space theory scan
-#: takes 0.04-0.07 s for the even families, 0.07-0.11 s for sixteenth-odd
-#: and 0.10-0.17 s for eighth-odd, peaking at 47, 48 and 58 MiB RSS; at
-#: n = 11 the eighth-odd scan peaks at 79 MiB (2-core Xeon, Python 3.11.7,
-#: numpy 2.4.6, one fresh process per scan).
+#: takes 0.03-0.05 s for the even families and sixteenth-odd and 0.05 s for
+#: eighth-odd, peaking at 44 / 50, 46 and 57 MiB RSS; at n = 11 the
+#: eighth-odd scan takes 0.08 s and peaks at 74 MiB (2-core Xeon, Python
+#: 3.11.7, numpy 2.4.6, one fresh process per scan).
 MAX_N = 10
 assert (MAX_N + 1) ** 10 < 2 ** 53  # the orbit filter's float64 keys are exact
 
@@ -89,15 +90,15 @@ def _isomorphisms(
     image.  An eighth fraction drops F1, so it keeps the maps that fix a'u:
     v -> -v.  Every pair of a class maps into one class, so the class's
     first-listed pair (``_CLASS_PAIRS``) or u0v0 decides."""
-    maps = []
+    maps, classes = [], U0V0_PAIRS if family.branched else ()
+    column = {None: 0} | {pair: pairs.index(u0v0_class(family, pair)) for pair in classes}
     for matrix in _SIGNED_PERMUTATIONS:
-        if not family.sixteenth and matrix[0].tolist() != [1, 0]:
+        (a, b), (c, d) = matrix.tolist()
+        if not family.sixteenth and (a, b) != (1, 0):
             continue
-        perm = [_CLASS_OF[tuple(matrix @ members[0] % 4)] for members in _CLASS_PAIRS]
-        images = [
-            0 if pair is None else pairs.index(u0v0_class(family, tuple(matrix @ pair % 4)))
-            for pair in pairs
-        ]
+        image = {(x, y): ((a * x + b * y) % 4, (c * x + d * y) % 4) for x, y in U0V0_PAIRS}
+        perm = [_CLASS_OF[image[members[0]]] for members in _CLASS_PAIRS]
+        images = [column[pair and image[pair]] for pair in pairs]
         maps.append((matrix, np.array(perm), np.array(images)))
     return maps
 
@@ -120,25 +121,34 @@ def _wlp_keys(forms: ClosedForms, q: int, p: np.ndarray, c: np.ndarray) -> np.nd
     return wlp[:, 1:]
 
 
-def _resolution_keys(forms: ClosedForms) -> np.ndarray:
-    """Keys r << 8 | e increasing with resolution R = r + 1 - 2^-e, (profiles,
-    pairs) int16: one pass takes the least length << 8 | e over the rows with a
-    nonzero weight.  Lengths, at most 2n + 5, stay below 2^7 for n <= MAX_N."""
-    keys = np.full(forms.tokens.shape[:2], np.iinfo(np.int16).max, dtype=np.int16)
-    for r in range(forms.lengths.shape[1]):
-        lengths, exps, weights = forms.row(r)
-        np.minimum(keys, np.where(weights != 0, lengths[:, None] << 8 | exps, keys), out=keys)
-    return keys
+def _shortest(forms: ClosedForms) -> np.ndarray:
+    """Shortest word length r of every candidate, (profiles, pairs) int16: the
+    least length over its rows with a nonzero weight, one minimum over the
+    profiles per distinct (gate, pair) pattern of such rows."""
+    nonzero = forms.table.weights != 0
+    patterns, index = np.unique(nonzero.reshape(-1, nonzero.shape[2]), axis=0, return_inverse=True)
+    lengths, none = np.ascontiguousarray(forms.lengths.T), np.iinfo(np.int16).max
+    least = np.array([np.minimum.reduce(lengths[rows], initial=none) for rows in patterns])
+    by_pair = index.reshape(nonzero.shape[:2]).astype(np.int8)[forms.gates]  # < 4 x 16 patterns
+    return least[by_pair, np.arange(len(by_pair))[:, None]]
 
 
-def _min_wlp(forms: ClosedForms, q: int, res: np.ndarray, alive: np.ndarray) -> np.ndarray:
+def _resolution_keys(forms: ClosedForms, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Keys r << 8 | e increasing with resolution R = r + 1 - 2^-e of the
+    candidates (p[i], c[i]), int64: the least length << 8 | e over their rows
+    with a nonzero weight, whose high bits are ``_shortest``'s r."""
+    keys = forms.lengths[p].astype(np.int64) << 8 | forms.exponents(p, c)
+    keys[forms.table.weights[forms.gates[p], c] == 0] = np.iinfo(np.int64).max
+    return keys.min(axis=1)
+
+
+def _min_wlp(forms: ClosedForms, q: int, r: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """The candidates of the (profiles, pairs) mask ``alive`` whose wordlength
     pattern is the lexicographically smallest among them.  They have the
-    longest shortest word in ``alive`` (``res >> 8``): no weight is negative,
-    so a shorter shortest word r gives A_r > 0 where they have A_1..A_r = 0.
-    Only those are keyed, and filtered one length at a time."""
-    shortest = res >> 8
-    alive = alive & (shortest == shortest[alive].max())
+    longest shortest word in ``alive`` (``r``, from ``_shortest``): no weight
+    is negative, so a shorter shortest word r gives A_r > 0 where they have
+    A_1..A_r = 0.  Only those are keyed, and filtered one length at a time."""
+    alive = alive & (r == r[alive].max())
     p, c = np.divmod(np.flatnonzero(alive), alive.shape[1])  # np.nonzero is slower
     best = np.ones(len(p), dtype=bool)
     for column in _wlp_keys(forms, q, p, c).T:
@@ -235,20 +245,27 @@ def optimize(
     scored = profiles[np.all([keys <= rows @ weights[perm] for _, perm, _ in maps], axis=0)]
     del rows
     forms = closed_forms(family, scored, pairs)
-    res = _resolution_keys(forms)
+    # A key's high byte is its r, so the top r holds the largest key and every
+    # least pattern: only its candidates are keyed (0, below any key, elsewhere).
+    shortest = _shortest(forms)
+    res = np.zeros_like(shortest)
+    p, c = np.divmod(np.flatnonzero(shortest == shortest.max()), len(pairs))
+    res[p, c] = _resolution_keys(forms, p, c)
     max_res = res.max()
 
-    ma_set = _min_wlp(forms, q, res, np.ones(res.shape, dtype=bool))
+    ma_set = _min_wlp(forms, q, shortest, np.ones(res.shape, dtype=bool))
     criteria_coincide = bool((res[ma_set] == max_res).any())
 
     projs = None
     if criterion is Criterion.ABERRATION:
         pool = ma_set & (res == res[ma_set].max())
     elif criterion is Criterion.RESOLUTION:
-        pool = _min_wlp(forms, q, res, res == max_res)
+        pool = _min_wlp(forms, q, shortest, res == max_res)
     else:  # scores every representative
         projs = _projectivities(family, scored, pairs, np.ones(res.shape, dtype=bool))
-        pool = _min_wlp(forms, q, res, projs == projs.max())
+        pool = _min_wlp(forms, q, shortest, projs == projs.max())
+        p, c = np.divmod(np.flatnonzero(pool), len(pairs))  # may lie below the top r
+        res[p, c] = _resolution_keys(forms, p, c)
         pool &= res == res[pool].max()
 
     # The refinement builds only the ties whose floor is below their ceiling

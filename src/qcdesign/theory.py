@@ -9,10 +9,12 @@ for entry.
 
 The closed forms run as one integer array program over a batch of
 candidates, profiles times u0v0 values (``closed_forms``): the length
-offsets are a fixed linear map of the class counts, the exponents are
-halved sums of the counts, and each row of the family's count table adds
-words of one length and one aliasing index 2^-e.  The one-design functions
-below are one-row calls into the same program.  Aliasing indices are
+offsets are a fixed linear map of the class counts, and each row of the
+family's count table adds words of one length and one aliasing index 2^-e.
+An exponent e halves a profile's class-count sum plus its pair's indicator
+shift, so the batch keeps the sums and the shifts and works exponents out
+only for the candidates asked for.  The one-design functions below are
+one-candidate calls into the same program.  Aliasing indices are
 powers of 1/2 throughout, so raw spectra are (length, exponent, count)
 triples with integer arithmetic; the public functions return
 :class:`~qcdesign.spectrum.WordSpectrum` values with exact ``Fraction``
@@ -80,8 +82,8 @@ _X = np.array(
     dtype=np.int16,
 )
 
-#: Exponents and table weights are stored as int8; an exponent is at most
-#: n + 1, so profiles must stay below this size.
+#: Table weights are int8, lengths and sums int16, and an exponent, at most
+#: n + 1, fits int8 and a resolution key's low byte; profiles stay this small.
 _MAX_PROFILE_N = 126
 
 
@@ -91,14 +93,6 @@ def _indicators(u0v0: U0V0) -> tuple[int, int, int, int]:
     eps2 = delta2 and not delta1."""
     d1, d2 = u0v0[0] & 1, u0v0[1] & 1
     return d1, d2, d1 & (1 - d2), d2 & (1 - d1)
-
-
-def _exponent_groups(counts: np.ndarray, pairs: Sequence[U0V0]) -> np.ndarray:
-    """(profiles, pairs, 5) int8 exponents theta1, theta2, omega1, omega2,
-    omega (rho1, rho2, xi1, xi2, xi at u0v0 = 00)."""
-    shifts = [(d1, d2, e1, e2, e1 + e2 + 1) for d1, d2, e1, e2 in map(_indicators, pairs)]
-    sums = (counts @ _X).astype(np.int16)[:, None, :] + np.array(shifts, dtype=np.int16)
-    return (sums // 2).astype(np.int8)
 
 
 def _gates(counts: np.ndarray) -> np.ndarray:
@@ -134,8 +128,10 @@ def _gates(counts: np.ndarray) -> np.ndarray:
 _H, _K11, _K12, _K21, _K22 = "h", "k11", "k12", "k21", "k22"
 _T1, _T2, _ONE, _W0, _W = "theta1", "theta2", "one", "omega0", "omega"
 
-#: Exponent tokens in the order of ``closed_forms``' token axis.
-_TOKENS = (_T1, _T2, _ONE, _W0, _W)
+#: Exponent tokens, and the groups (columns of _X) each one adds: omega0 is
+#: omega1 + omega2, the unit token none (``ClosedForms.exponents`` folds so).
+_TOKENS = (_T1, _T2, _W0, _ONE, _W)
+_TOKEN_GROUPS = ((0,), (1,), (2, 3), (), (4,))
 
 
 def _k_weights(populated: bool) -> dict[str, int]:
@@ -278,26 +274,30 @@ class ClosedForms:
     Row r of candidate (p, c) holds words of length ``lengths[p, r]`` and
     aliasing index 2^-e, with doubled weight w: their count is
     w * 4^e / 2, and their share of the wordlength-pattern entry A_length
-    is w / 2.  The exponent e is ``tokens[p, c, table.token[r]]`` and w is
-    ``table.weights[gates[p], c, r]``, so nothing of size profiles x pairs
-    x rows is stored; ``row`` and ``words`` gather them.
+    is w / 2.  w is ``table.weights[gates[p], c, r]``, and e adds the
+    halved groups ``(sums[p] + shifts[c]) // 2`` of the row's token
+    (``_TOKEN_GROUPS``).  Nothing of size profiles x pairs is stored;
+    ``exponents`` and ``words`` work them out for the candidates given.
     """
 
     lengths: np.ndarray  # (profiles, rows) int16
-    tokens: np.ndarray  # (profiles, pairs, tokens) int8 exponents
+    sums: np.ndarray  # (profiles, 5) int16 class-count sums counts @ _X
+    shifts: np.ndarray  # (pairs, 5) int16 indicator shifts
     gates: np.ndarray  # (profiles,) index into table.weights
     table: _Table
 
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Lengths (profiles,), exponents and doubled weights (profiles,
-        pairs) of table row r."""
-        weights = np.take(self.table.weights[:, :, r], self.gates, axis=0)
-        return self.lengths[:, r], self.tokens[:, :, self.table.token[r]], weights
+    def exponents(self, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Exponents e of every row of the candidates (p[i], c[i]),
+        (candidates, rows) int64."""
+        groups = (self.sums[p] + self.shifts[c]).astype(np.int64) >> 1
+        groups[:, 2] += groups[:, 3]  # omega0 in omega1's place, and the
+        groups[:, 3] = 0  # unit token in omega2's: the order of _TOKENS
+        return groups[:, self.table.token]
 
     def words(self, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lengths, exponents e and word counts w * 4^e / 2 of every row of
         the candidates (p[i], c[i]), as (candidates, rows) int64 arrays."""
-        exps = self.tokens[p, c][:, self.table.token].astype(np.int64)
+        exps = self.exponents(p, c)
         weights = self.table.weights[self.gates[p], c].astype(np.int64)
         return self.lengths[p].astype(np.int64), exps, (weights << 2 * exps) >> 1
 
@@ -319,26 +319,18 @@ def closed_forms(
     table = _table(family, pairs)
     # Both products run on float64 BLAS, exact: no sum passes 2 * _MAX_PROFILE_N.
     rows = counts.astype(np.float64)
-    groups = _exponent_groups(rows, pairs)
-    forms = ClosedForms(
-        lengths=(rows @ _L).astype(np.int16)[:, table.l_index] + table.offset,
-        tokens=np.concatenate(
-            [
-                groups[..., :2],
-                np.zeros_like(groups[..., :1]),
-                groups[..., 2:3] + groups[..., 3:4],
-                groups[..., 4:],
-            ],
-            axis=-1,
-        ),
-        gates=_gates(counts),
-        table=table,
-    )
-    for r in np.flatnonzero((table.weights & 1).any(axis=(0, 1))):
-        _, exps, weights = forms.row(r)
-        if np.any((weights & 1).astype(bool) & (exps == 0)):
+    lengths = (rows @ _L).astype(np.int16)[:, table.l_index] + table.offset
+    sums, gates = (rows @ _X).astype(np.int16), _gates(counts)
+    del rows
+    shifts = np.array([(*i, i[2] + i[3] + 1) for i in map(_indicators, pairs)], np.int16)
+    # No candidate's odd weight may meet e = 0: one (profiles, pairs)
+    # exponent plane per token that carries an odd weight in any row.
+    odd = (table.weights & 1).astype(bool)
+    for t in set(table.token[odd.any(axis=(0, 1))].tolist()):
+        exps = sum(((sums[:, g, None] + shifts[:, g]) >> 1 for g in _TOKEN_GROUPS[t]), 0)
+        if np.any(odd[:, :, table.token == t].any(axis=2)[gates] & (exps == 0)):
             raise AssertionError("half-integer weight with unit aliasing index")
-    return forms
+    return ClosedForms(lengths=lengths, sums=sums, shifts=shifts, gates=gates, table=table)
 
 
 def _raw_family(

@@ -19,9 +19,14 @@ returned one string: the references for the block writers
 ``document_to_json``, ``design_to_csv`` and ``build``.  ``profile_array`` lists the
 compositions from ``itertools.combinations``, and ``optimize`` is the search
 that scores every candidate, not one per isomorphism orbit, and keys the
-wordlength pattern of each, not only of those at the highest resolution: the
-references for ``qcdesign.search.profile_array`` and
-``qcdesign.search.optimize``.
+wordlength pattern and the resolution of each, not only of those at the
+longest shortest word: the references for ``qcdesign.search.profile_array``
+and ``qcdesign.search.optimize``.  Its exponents come from
+``exponent_tokens``, an int64 product that stores every token of every
+candidate, and ``table_row`` reads one count-table row of every candidate
+from them, as ``ClosedForms`` did before it kept only the class-count sums;
+``resolution_keys`` and ``candidate_rows`` are the row-by-row references for
+``qcdesign.search._resolution_keys`` and ``ClosedForms.words``.
 """
 
 from __future__ import annotations
@@ -48,12 +53,11 @@ from qcdesign.cli import (
 )
 from qcdesign.oracle import check_factor_cap
 from qcdesign.qc_core import Family, GeneratorProfile
-from qcdesign.search import (
-    _REGULAR_REFERENCE, MAX_N, Criterion, SearchResult, _projectivities, _resolution_keys,
-)
+from qcdesign.search import _REGULAR_REFERENCE, MAX_N, Criterion, SearchResult, _projectivities
 from qcdesign.spectrum import spectrum_metrics
 from qcdesign.theory import (
-    ClosedForms, closed_forms, family_spectrum, normalize_u0v0, u0v0_classes,
+    _ONE, _T1, _T2, _TOKENS, _W, _W0, _X, ClosedForms, _indicators, closed_forms,
+    family_spectrum, normalize_u0v0, u0v0_classes,
 )
 
 _G1 = tuple(GRAY_PAIRS[k][0] for k in range(4))
@@ -330,16 +334,65 @@ def profile_array(n: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
+def exponent_tokens(counts: np.ndarray, pairs: Sequence) -> np.ndarray:
+    """(profiles, pairs, tokens) int16 exponents of the count-table tokens
+    in ``theory._TOKENS`` order, from an int64 product: theta1, theta2 and
+    omega halve one class-count sum plus the pair's indicator each, omega0
+    adds the halved omega1 and omega2, and the unit token is 0."""
+    sums = np.asarray(counts, dtype=np.int64).reshape(-1, 10) @ _X.astype(np.int64)
+    shifts = []
+    for pair in pairs:
+        d1, d2, e1, e2 = _indicators(pair or (0, 0))
+        shifts.append((d1, d2, e1, e2, e1 + e2 + 1))
+    g = (sums[:, None, :] + np.array(shifts, dtype=np.int64)) // 2
+    token = {_T1: g[..., 0], _T2: g[..., 1], _ONE: 0 * g[..., 0],
+             _W0: g[..., 2] + g[..., 3], _W: g[..., 4]}
+    return np.stack([token[name] for name in _TOKENS], axis=-1).astype(np.int16)
+
+
+def table_row(
+    forms: ClosedForms, tokens: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths (profiles,), exponents and doubled weights (profiles, pairs)
+    of count-table row r of every candidate."""
+    return forms.lengths[:, r], tokens[:, :, forms.table.token[r]], _row_weights(forms, r)
+
+
+def _row_weights(forms: ClosedForms, r: int) -> np.ndarray:
+    """Doubled weights (profiles, pairs) of count-table row r."""
+    return np.take(forms.table.weights[:, :, r], forms.gates, axis=0)
+
+
+def resolution_keys(forms: ClosedForms, tokens: np.ndarray) -> np.ndarray:
+    """Keys r << 8 | e of every candidate, (profiles, pairs) int64: the least
+    length << 8 | e over the rows with a nonzero weight, row by row."""
+    keys = np.full(tokens.shape[:2], np.iinfo(np.int64).max)
+    for r in range(forms.lengths.shape[1]):
+        lengths, exps, weights = table_row(forms, tokens, r)
+        row_keys = lengths[:, None].astype(np.int64) << 8 | exps
+        keys = np.minimum(keys, np.where(weights != 0, row_keys, keys))
+    return keys
+
+
+def candidate_rows(
+    forms: ClosedForms, tokens: np.ndarray, p: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths, exponents and doubled weights of every row of the candidates
+    (p[i], c[i]), (candidates, rows) int64, gathered row by row."""
+    rows = [table_row(forms, tokens, r) for r in range(forms.lengths.shape[1])]
+    lengths, exps, weights = zip(*((a[p], e[p, c], w[p, c]) for a, e, w in rows))
+    return tuple(np.stack(x, axis=1).astype(np.int64) for x in (lengths, exps, weights))
+
+
 def _wlp_keys(forms: ClosedForms, q: int) -> np.ndarray:
     """Doubled wordlength patterns of every candidate, (profiles, q, pairs)
     int8: entry [p, k - 1, c] sums the doubled weights of the rows of
     length k."""
-    n_profiles, n_pairs = forms.tokens.shape[:2]
+    n_profiles, n_pairs = len(forms.gates), len(forms.shifts)
     wlp = np.zeros((n_profiles, q + 1, n_pairs), dtype=np.int8)
     profiles = np.arange(n_profiles)
     for r in range(forms.lengths.shape[1]):
-        lengths, _, weights = forms.row(r)
-        wlp[profiles, lengths] += weights
+        wlp[profiles, forms.lengths[:, r]] += _row_weights(forms, r)
     return wlp[:, 1:, :]
 
 
@@ -366,7 +419,7 @@ def optimize(
     pairs = u0v0_classes(family)
     forms = closed_forms(family, profiles, pairs)
     wlp_keys = _wlp_keys(forms, q)
-    res = _resolution_keys(forms)
+    res = resolution_keys(forms, exponent_tokens(profiles, pairs))
 
     ma_set = _min_wlp(wlp_keys, np.ones(res.shape, dtype=bool))
     max_res = res.max()

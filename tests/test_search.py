@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from qcdesign import (
     reproduce_table,
     spec_for,
 )
-from qcdesign import oracle, search
+from qcdesign import cli, oracle, search, theory
 from qcdesign.oracle import DEFAULT_MAX_FACTORS
 from qcdesign.qc_core import _CLASS_OF, _CLASS_PAIRS
 from qcdesign.search import (
@@ -153,7 +155,7 @@ def test_closed_form_keys_are_equal_across_orbits(family, n):
     every = np.nonzero(np.ones((len(profiles), len(pairs)), dtype=bool))
     wlp = search._wlp_keys(forms, family.factor_count(n), *every)
     wlp = wlp.reshape(len(profiles), len(pairs), -1)
-    res = search._resolution_keys(forms)
+    res = search._resolution_keys(forms, *every).reshape(len(profiles), len(pairs))
     index = {row: i for i, row in enumerate(map(tuple, profiles.tolist()))}
     for _, perm, images in search._isomorphisms(family, pairs):
         image = np.empty_like(profiles)
@@ -165,8 +167,12 @@ def test_closed_form_keys_are_equal_across_orbits(family, n):
 
 @functools.cache
 def _resolution_scan(family: Family, n: int):
-    forms = closed_forms(family, profile_array(n), u0v0_classes(family))
-    return forms, search._resolution_keys(forms)
+    """Closed forms of every candidate at size n and the reference keys."""
+    profiles, pairs = profile_array(n), u0v0_classes(family)
+    forms = closed_forms(family, profiles, pairs)
+    return forms, reference_oracles.resolution_keys(
+        forms, reference_oracles.exponent_tokens(profiles, pairs)
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -185,7 +191,101 @@ def test_min_wlp_keeps_the_least_pattern_of_any_set(family, n, density, seed):
     alive.flat[rng.integers(alive.size)] = True
     q = family.factor_count(n)
     expected = reference_oracles._min_wlp(reference_oracles._wlp_keys(forms, q), alive)
-    assert np.array_equal(search._min_wlp(forms, q, res, alive), expected)
+    assert np.array_equal(search._min_wlp(forms, q, res >> 8, alive), expected)
+
+
+def _scored_scan(monkeypatch, family: Family, n: int):
+    """The class counts, pairs and closed forms ``optimize`` scores at size
+    n: one orbit representative per profile orbit, crossed with every pair."""
+    seen, scan = {}, search.closed_forms
+
+    def traced_scan(family, counts, pairs):
+        seen["scan"] = counts, pairs, scan(family, counts, pairs)
+        return seen["scan"][2]
+
+    monkeypatch.setattr(search, "closed_forms", traced_scan)
+    optimize(n, family, Criterion.ABERRATION, with_projectivity=False)
+    monkeypatch.undo()
+    return seen["scan"]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_shortest_is_the_high_byte_of_the_full_space_key(monkeypatch, family):
+    # Every candidate optimize scores, at every search size: _shortest's r is
+    # the shortest-word length of the reference key r << 8 | e.
+    for n in range(1, MAX_N + 1):
+        counts, pairs, forms = _scored_scan(monkeypatch, family, n)
+        tokens = reference_oracles.exponent_tokens(counts, pairs)
+        shortest = search._shortest(forms)
+        assert shortest.dtype == np.int16
+        assert np.array_equal(shortest, reference_oracles.resolution_keys(forms, tokens) >> 8)
+
+
+_BENCHMARK_SEARCHES = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+)["SEARCH_COMMANDS"]
+
+
+def test_the_benchmark_scan_keys_only_its_top_length(monkeypatch):
+    # perfbench's search-n8 scans all 84,380 sixteenth-odd n = 8 candidates
+    # (8,438 representatives x 10 pairs) and keys only the 124 with the
+    # longest shortest word; its pool lies among them, so it is not keyed again.
+    [argv] = [argv for name, argv in _BENCHMARK_SEARCHES if "sixteenth_odd" in name]
+    seen, keyed = {}, []
+    shortest, keys = search._shortest, search._resolution_keys
+
+    def traced_shortest(forms):
+        seen["r"] = shortest(forms)
+        return seen["r"]
+
+    def counted_keys(forms, p, c):
+        keyed.append(np.ravel_multi_index((p, c), seen["r"].shape))
+        return keys(forms, p, c)
+
+    monkeypatch.setattr(search, "_shortest", traced_shortest)
+    monkeypatch.setattr(search, "_resolution_keys", counted_keys)
+    assert cli.main(list(argv)) == 0
+    r = seen["r"]
+    assert r.size == 84_380 and len(keyed) == 1
+    assert np.array_equal(keyed[0], np.flatnonzero(r == r.max())) and len(keyed[0]) == 124
+
+
+@functools.cache
+def _random_profiles(n: int) -> np.ndarray:
+    """60 profiles at size n, each from its own class shares, so that some
+    classes are often empty and every weight-table gate occurs."""
+    rng = np.random.default_rng(n)
+    shares = rng.dirichlet(np.full(10, 0.3), size=60)
+    return np.array([rng.multinomial(n, share) for share in shares], dtype=np.int16)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(list(Family)),
+    st.sampled_from((1, 2, 3, 4, 5, theory._MAX_PROFILE_N)),
+    st.integers(0, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_candidate_keys_and_words_equal_the_reference(family, n, size, seed):
+    # On any candidate subset, ``_resolution_keys``, ``_shortest`` and
+    # ``ClosedForms.words`` equal the row-by-row reference, at the search
+    # sizes with every profile and at the largest n the closed forms take;
+    # counts are compared where w * 4^e / 2 fits int64.
+    counts = profile_array(n) if n <= 5 else _random_profiles(n)
+    pairs = u0v0_classes(family)
+    forms = closed_forms(family, counts, pairs)
+    tokens = reference_oracles.exponent_tokens(counts, pairs)
+    rng = np.random.default_rng(seed)
+    p, c = rng.integers(len(counts), size=size), rng.integers(len(pairs), size=size)
+    want = reference_oracles.resolution_keys(forms, tokens)[p, c]
+    assert np.array_equal(search._resolution_keys(forms, p, c), want)
+    assert np.array_equal(search._shortest(forms)[p, c], want >> 8)
+    lengths, exps, word_counts = forms.words(p, c)
+    want_lengths, want_exps, weights = reference_oracles.candidate_rows(forms, tokens, p, c)
+    assert np.array_equal(lengths, want_lengths) and np.array_equal(exps, want_exps)
+    fits = want_exps < 30
+    want_counts = weights * 4 ** np.where(fits, want_exps, 0) // 2
+    assert np.array_equal(word_counts[fits], want_counts[fits])
 
 
 @pytest.mark.parametrize("criterion", list(Criterion))
@@ -207,7 +307,8 @@ def test_projectivity_search_keys_the_most_projective_off_the_top_resolution(
     # A stand-in projectivity, equal across orbits, that is highest where the
     # shortest word is shortest: no winner has the longest shortest word.
     def shortest_first(family, profiles, pairs, pool):
-        res = search._resolution_keys(closed_forms(family, profiles, pairs))
+        tokens = reference_oracles.exponent_tokens(profiles, pairs)
+        res = reference_oracles.resolution_keys(closed_forms(family, profiles, pairs), tokens)
         return np.where(pool, 100 - (res >> 8), -1)
 
     monkeypatch.setattr(search, "_projectivities", shortest_first)

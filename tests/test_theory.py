@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_oracles
 import scalar_theory
 from qcdesign import (
     Family,
@@ -73,8 +74,9 @@ def test_length_offsets_reference_cases():
 @pytest.mark.parametrize("family", list(Family))
 def test_closed_forms_equal_an_int64_matmul_reference(family):
     # closed_forms runs its two class-count products on float64 BLAS; an int64
-    # product gives the same lengths and exponent tokens, at every search size
-    # and on profiles at the largest n the closed forms take.
+    # product gives the same lengths, class-count sums and exponents of every
+    # row of every candidate, at every search size and on profiles at the
+    # largest n the closed forms take.
     pairs = u0v0_classes(family)
     rng = np.random.default_rng(7)
     largest = rng.multinomial(_MAX_PROFILE_N, [0.1] * 10, size=200)
@@ -83,18 +85,25 @@ def test_closed_forms_equal_an_int64_matmul_reference(family):
         wide = counts.astype(np.int64)
         lengths = (wide @ _L.astype(np.int64))[:, forms.table.l_index] + forms.table.offset
         assert forms.lengths.dtype == np.int16 and np.array_equal(forms.lengths, lengths)
+        assert forms.sums.dtype == np.int16
+        assert np.array_equal(forms.sums, wide @ _X.astype(np.int64))
+        every = np.arange(len(counts))
         for j, pair in enumerate(pairs):
-            d1, d2, e1, e2 = _indicators(pair or (0, 0))
-            g = (wide @ _X.astype(np.int64) + (d1, d2, e1, e2, e1 + e2 + 1)) // 2
-            tokens = np.stack([g[:, 0], g[:, 1], 0 * g[:, 0], g[:, 2] + g[:, 3], g[:, 4]], axis=1)
-            assert np.array_equal(forms.tokens[:, j], tokens)
+            tokens = reference_oracles.exponent_tokens(counts, (pair,))[:, 0]
+            exps = forms.exponents(every, np.full(len(every), j))
+            assert np.array_equal(exps, tokens[:, forms.table.token])
 
 
 def _exponents(profile: GeneratorProfile, pair=None) -> list[int]:
     """Exponents of the tokens theta1, theta2, one, omega0, omega (rho1,
-    rho2, one, xi1 + xi2, xi without a pair): aliasing index 2^-e."""
+    rho2, one, xi1 + xi2, xi without a pair): aliasing index 2^-e, read off
+    a row of each token in the count table of every u0v0 class."""
     family = Family.SIXTEENTH_EVEN if pair is None else Family.SIXTEENTH_ODD
-    return closed_forms(family, [profile.counts], (pair,)).tokens[0, 0].tolist()
+    pairs = u0v0_classes(family)
+    forms = closed_forms(family, [profile.counts], pairs)
+    exps = forms.exponents(np.array([0]), np.array([pairs.index(pair)]))[0]
+    names = (theory._T1, theory._T2, theory._ONE, theory._W0, theory._W)
+    return [int(exps[forms.table.token == theory._TOKENS.index(t)][0]) for t in names]
 
 
 def test_aliasing_constants_reference_cases():
@@ -277,6 +286,28 @@ def test_half_integer_check_reads_a_planted_odd_weight(monkeypatch, family):
         closed_forms(family, profile_array(2), pairs)
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_half_integer_check_reads_every_row(monkeypatch, family):
+    """An odd weight planted on any one row, whatever its token, is refused
+    for the profiles where some candidate's exponent on it is 0, and only
+    for those."""
+    pairs = u0v0_classes(family)
+    profiles = profile_array(3)
+    table = theory._table(family, tuple(pair or (0, 0) for pair in pairs))
+    tokens = reference_oracles.exponent_tokens(profiles, pairs)
+    for r, t in enumerate(table.token.tolist()):
+        weights = table.weights.copy()
+        weights[:, :, r] |= 1
+        planted = dataclasses.replace(table, weights=weights)
+        monkeypatch.setattr(theory, "_table", lambda *_, planted=planted: planted)
+        zero = (tokens[:, :, t] == 0).any(axis=1)
+        assert zero.any()
+        with pytest.raises(AssertionError, match="half-integer weight"):
+            closed_forms(family, profiles[zero], pairs)
+        closed_forms(family, profiles[~zero], pairs)
+        assert (~zero).any() or t == theory._TOKENS.index(theory._ONE)
+
+
 def test_master_equivalence_exhaustive_n2():
     for n in (1, 2):
         for profile in compositions(n):
@@ -345,13 +376,14 @@ def test_projectivity_bound_reference_cases():
 def _shortest_full_words(family: Family, n: int) -> np.ndarray:
     """Length of the shortest full word (e = 0, nonzero weight) of every
     (profile, u0v0 class) candidate at size n, from the count table."""
-    forms = closed_forms(family, profile_array(n), u0v0_classes(family))
+    profiles, pairs = profile_array(n), u0v0_classes(family)
+    forms = closed_forms(family, profiles, pairs)
     none = np.iinfo(np.int16).max
-    shortest = np.full(forms.tokens.shape[:2], none)
-    for r in range(forms.lengths.shape[1]):
-        lengths, exps, weights = forms.row(r)
-        full = (weights != 0) & (exps == 0)
-        shortest = np.minimum(shortest, np.where(full, lengths[:, None], none))
+    every = np.arange(len(profiles))
+    shortest = np.full((len(profiles), len(pairs)), none)
+    for j in range(len(pairs)):
+        lengths, exps, counts = forms.words(every, np.full(len(every), j))
+        shortest[:, j] = np.where((counts != 0) & (exps == 0), lengths, none).min(axis=1)
     assert (shortest < none).all()  # at least three full words exist
     return shortest
 
@@ -406,7 +438,7 @@ def test_array_path_matches_scalar_reference(family):
         forms = closed_forms(family, profiles, pairs)
         every = np.nonzero(np.ones((len(profiles), len(pairs)), dtype=bool))
         wlp = _wlp_keys(forms, q, *every).reshape(len(profiles), len(pairs), q).tolist()
-        res = _resolution_keys(forms).tolist()
+        res = _resolution_keys(forms, *every).reshape(len(profiles), len(pairs)).tolist()
         for p, counts in enumerate(profiles.tolist()):
             profile = GeneratorProfile(tuple(counts))
             assert tuple((profiles[p] @ _L).tolist()) == (
