@@ -20,9 +20,9 @@ from .qc_core import (
 )
 from .spectrum import WordSpectrum
 
-#: Default cap on q.  On the q = 20 designs of perfbench/reference/oracle_docs.json,
-#: tracemalloc measures 5.0 to 9.0 MiB for the oracle's table, spectrum and
-#: projectivity, and 7.1 to 10.5 MiB for ``metrics --method oracle`` (its JSON load: 7.1).
+#: Default cap on q.  On the q = 20 designs of perfbench/reference/oracle_docs.json, the
+#: oracle's table takes 5.6 to 8.0 ms (2-core Xeon); with spectrum and projectivity tracemalloc
+#: reads 5.3 to 9.0 MiB, and 7.1 to 10.3 MiB for ``metrics --method oracle`` (JSON load: 7.1).
 DEFAULT_MAX_FACTORS = 20
 
 
@@ -44,36 +44,43 @@ def _table_dtype(n_runs: int) -> np.dtype:
     return np.dtype(np.int16 if n_runs < 1 << 14 else np.int32)
 
 
+def _pattern_codes(rows: np.ndarray) -> np.ndarray:
+    """``sign_patterns`` in float32 up to q = 24, int64 past it: (rows < 0)
+    @ 2^i, one product per block of _BLOCK_ENTRIES entries."""
+    q = rows.shape[-1]
+    flat = rows.reshape(int(np.prod(rows.shape[:-1])), q)
+    weights = (1 << np.arange(q)).astype(np.float32 if q <= 24 else np.int64)
+    codes, step = np.empty(len(flat), weights.dtype), max(1, _BLOCK_ENTRIES // max(q, 1))
+    for start in range(0, len(flat), step):
+        np.matmul(flat[start : start + step] < 0, weights, out=codes[start : start + step])
+    return codes.reshape(rows.shape[:-1])
+
+
 def sign_patterns(rows: np.ndarray) -> np.ndarray:
     """Encode each run as a q-bit integer: +1 -> bit 0, -1 -> bit 1.
 
     ``rows`` is (..., N, q); bit i corresponds to column i in label order.
     """
-    negative = rows < 0
-    patterns = np.zeros(rows.shape[:-1], dtype=np.int64)
-    for i in range(rows.shape[-1]):
-        patterns |= negative[..., i].astype(np.int64) << i
-    return patterns
+    return _pattern_codes(rows).astype(np.int64, copy=False)
 
 
 #: Butterfly stages with h below the width run on transposed blocks of at
-#: most _BLOCK_ENTRIES entries.  From stage 0, a (1, 2^20) int32 table, as
-#: ``j_characteristics`` transforms, takes 18.0 ms in place and 14.8 / 11.3 /
-#: 11.4 / 11.9 ms with width 8 / 16 / 32 / 64; a (2048, 256) int16 batch, as
-#: ``JTable._has_empty_cell`` transforms, 5.30 ms and 3.56 / 2.14 / 1.98 /
-#: 2.36 ms (best of 11, 2-core Xeon).  ``code_tables`` gathers every stage
-#: below the width and runs the others radix 2 on rows of designs x width.
+#: most _BLOCK_ENTRIES entries.  From stage 0, a (2048, 256) int16 batch, as
+#: ``JTable._has_empty_cell`` transforms, takes 5.30 ms in place and 3.56 /
+#: 2.14 / 1.98 / 2.36 ms with width 8 / 16 / 32 / 64 (best of 11, 2-core
+#: Xeon).  ``code_tables`` gathers every stage below the width and runs the
+#: others radix 2 on rows of designs x width.
 _BUTTERFLY_WIDTH, _BLOCK_ENTRIES = 32, 1 << 16
 
 
-def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Yield (low, high, k) for each stage k >= ``first`` over the power-of-two
+def _butterflies(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield (low, high, k) for each stage k over the power-of-two
     last axis of the C-contiguous ``a``: views pairing the entries without bit
     2^k with those that have it, for the caller to update in place.  Stages
     below the width, whose inner runs are too short for numpy's strided loops,
     run on a transposed (width, M) copy of each block, every operand a row."""
     width = min(_BUTTERFLY_WIDTH, a.shape[-1])
-    narrow = range(first, width.bit_length() - 1)
+    narrow = range(width.bit_length() - 1)
     blocks = a.reshape(-1, width)
     for start in range(0, blocks.shape[0] if narrow else 0, _BLOCK_ENTRIES // width):
         rows = blocks[start : start + _BLOCK_ENTRIES // width].T.copy()
@@ -81,15 +88,14 @@ def _butterflies(a: np.ndarray, first: int = 0) -> Iterator[tuple[np.ndarray, np
             pairs = rows.reshape(-1, 2, 1 << k, rows.shape[1])
             yield pairs[:, 0], pairs[:, 1], k
         blocks[start : start + rows.shape[1]] = rows.T
-    for k in range(max(first, width.bit_length() - 1), a.shape[-1].bit_length() - 1):
+    for k in range(width.bit_length() - 1, a.shape[-1].bit_length() - 1):
         pairs = a.reshape(*a.shape[:-1], -1, 2, 1 << k)
         yield pairs[..., 0, :], pairs[..., 1, :], k
 
 
-def _walsh_hadamard(a: np.ndarray, first: int = 0) -> np.ndarray:
-    """Sylvester transform in place over the last axis from stage ``first`` on,
-    out[s] = sum_p (-1)^popcount(s & p) in[p] when ``first`` is 0, in a dtype
-    that holds it (see ``_table_dtype``).
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Sylvester transform in place over the last axis, out[s] = sum_p
+    (-1)^popcount(s & p) in[p], in a dtype that holds it (see ``_table_dtype``).
 
     The stages at and above the width run in pairs (k, k + 1), radix 4, on
     the quarters x0..x3 of one block of at most _BLOCK_ENTRIES entries at a
@@ -99,9 +105,9 @@ def _walsh_hadamard(a: np.ndarray, first: int = 0) -> np.ndarray:
     runs radix 2 after the narrow ones.  Integer wrap-around leaves the exact
     result wherever the dtype holds it."""
     top = a.shape[-1].bit_length() - 1
-    wide = max(first, min(_BUTTERFLY_WIDTH, a.shape[-1]).bit_length() - 1)
+    wide = min(_BUTTERFLY_WIDTH, a.shape[-1]).bit_length() - 1
     wide += (top - wide) % 2
-    for low, high, k in _butterflies(a, first):
+    for low, high, k in _butterflies(a):
         if k == wide:  # every narrow block is written back by now
             break
         low += high
@@ -289,7 +295,8 @@ def _group_rows(k: int, m: int, dtype: np.dtype) -> np.ndarray:
     consecutive shared patterns i, whose runs have check bits c_i: the sum of
     rows i 2^k + c_i of the order 2^(k+m) Sylvester-Hadamard matrix, by
     c_0, ..., c_{2^m - 1} packed k bits each, c_0 highest: 2^(k 2^m) rows,
-    4096 for k = 3 and 256 for k = 4 at the width of 2^5.  Read-only."""
+    4096 for k = 3 and 256 for k = 4 at the width of 2^5, and the Sylvester
+    matrix itself for m = 0.  Read-only."""
     sylvester = _walsh_hadamard(np.eye(1 << k + m, dtype=dtype))
     blocks = sylvester.reshape(1 << m, 1 << k, 1 << k + m)  # block i: rows i 2^k + c
     rows = blocks[0]
@@ -356,49 +363,47 @@ def j_table_chunks(
         yield cp, cc, JTable(columns, n_runs, values)
 
 
-def _int16_stages(cells: np.ndarray, counts: np.ndarray, q: int) -> int:
-    """The largest s <= q such that each aligned 2^s-entry block of the tally
-    (``counts`` runs on the ascending ``cells``) holds a run count that
-    ``_table_dtype`` maps to int16.  That count bounds every partial sum of
-    the first s transform stages inside the block."""
-    if _table_dtype(int(counts.sum())) == np.int16:
-        return q
-    s = 0  # blocks of 2^s cells hold at most 2^s times the largest count
-    while _table_dtype(int(counts.max()) << s + 1) == np.int16:
-        s += 1
-    while True:  # ends by s = q - 1: the whole table holds N runs, not int16
-        starts = np.flatnonzero(np.diff(cells >> s + 1, prepend=-1))
-        totals = np.add.reduceat(counts, starts)
-        if _table_dtype(int(totals.max())) != np.int16:
-            return s
-        cells, counts, s = cells[starts], totals, s + 1
+def _tally_table(cells: np.ndarray, counts: np.ndarray, q: int) -> np.ndarray:
+    """The 2^q J-values, dtype ``_table_dtype(N)``, of ``counts`` runs on the
+    distinct sign patterns ``cells``: a float tally transformed in place,
+    radix 2 above 2^17 entries, then in each sub-table by an even number of
+    GEMMs x.reshape(2^b, -1).T @ H_b, b <= 5, each moving the digit it
+    transforms to the bottom.  Exact: no partial sum passes 2N in magnitude,
+    and float32 holds them while N < 2^24, float64 past it (README, oracle)."""
+    n_runs = int(counts.sum())
+    table = np.zeros(1 << q, np.float32 if n_runs < 1 << 24 else np.float64)
+    table[cells.astype(np.intp)] = counts
+    m = min(q, 17)  # one temporary of 2^17 entries, not a second table
+    for k in range(m, q):
+        low, high = table.reshape(-1, 2, 1 << k).swapaxes(0, 1)
+        low += high
+        high *= -2
+        high += low
+    count = 2 * -(-m // 10)  # digits of 5 bits at most: H_b of order 32 at most
+    digits = [m // count + (i < m % count) for i in range(count)]
+    temp = np.empty(1 << m, table.dtype)
+    for x in table.reshape(-1, 1 << m):
+        for b, (src, dst) in zip(digits, [(x, temp), (temp, x)] * count):
+            np.matmul(src.reshape(1 << b, -1).T, _group_rows(b, 0, table.dtype),
+                      out=dst.reshape(-1, 1 << b))
+    values = table.view(_table_dtype(n_runs))[: 1 << q]
+    for start in range(0, 1 << q, _BLOCK_ENTRIES):  # a block's bytes start at or below its own
+        values[start : start + _BLOCK_ENTRIES] = table[start : start + _BLOCK_ENTRIES]
+    return values
 
 
 def j_characteristics(design: DesignMatrix, max_factors: int = DEFAULT_MAX_FACTORS) -> JTable:
     """J(S) for every column subset S of one design.
 
-    The sign patterns of the runs are tallied into a 2^q table (bincount's
-    int64 one would double the peak) and transformed, so J(S) = sum_p
-    freq[p] (-1)^popcount(p & S), the sum over runs of the product of the
-    columns in S.  The low stages that ``_int16_stages`` allows run in int16,
-    the rest in ``_table_dtype(N)``.  The functions below take this table to
-    run above the default cap.
+    The sign patterns of the runs are tallied into a 2^q table and
+    transformed (``_tally_table``), so J(S) = sum_p freq[p] (-1)^popcount(p &
+    S), the sum over runs of the product of the columns in S.  The functions
+    below take this table to run above the default cap.
     """
     q = design.n_factors
     check_factor_cap(q, max_factors=max_factors)
-    cells, counts = np.unique(sign_patterns(design.rows), return_counts=True)
-    low = _int16_stages(cells, counts, q)
-    table = np.zeros(1 << q, dtype=_table_dtype(design.n_runs))
-    widen = 0 < low < q  # then the int16 tally is the first half of the int32 table's bytes
-    tally = table.view(np.int16)[: 1 << q] if widen else table
-    tally[cells] = counts
-    del cells, counts
-    _walsh_hadamard(tally.reshape(-1, 1 << low))  # stages 0..low-1 mix only 2^low blocks
-    if widen:  # entry i moves from byte 2i to 4i, each half after the one above it
-        for half in (1 << k for k in reversed(range(q))):
-            table[half : 2 * half] = tally[half : 2 * half]
-        table[0] = tally[0]
-    return JTable(design.columns, design.n_runs, _walsh_hadamard(table[None], low))
+    cells, counts = np.unique(_pattern_codes(design.rows), return_counts=True)
+    return JTable(design.columns, design.n_runs, _tally_table(cells, counts, q)[None])
 
 
 def spectrum_bruteforce(design: DesignMatrix, table: JTable | None = None) -> WordSpectrum:

@@ -285,10 +285,11 @@ def optimize(
     # The ties are the orbits of the pool, in (profile, pair) index order:
     # profiles are lexicographic and pairs sorted.
     p, c = np.divmod(np.flatnonzero(pool), len(pairs))
-    ties = np.unique(np.concatenate([
+    ties = np.sort(np.concatenate([
         np.searchsorted(keys, scored[p] @ weights[perm]) * len(pairs) + images[c]
         for _, perm, images in maps
     ]))
+    ties = ties[np.diff(ties, prepend=-1) > 0]  # a plain np.unique imports numpy.ma
     ties = [
         (GeneratorProfile(tuple(profiles[i].tolist())), pairs[j])
         for i, j in zip(*np.divmod(ties, len(pairs)))

@@ -296,7 +296,8 @@ class ClosedForms:
 
     def words(self, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lengths, exponents e and word counts w * 4^e / 2 of every row of
-        the candidates (p[i], c[i]), as (candidates, rows) int64 arrays."""
+        the candidates (p[i], c[i]), as (candidates, rows) int64 arrays, exact
+        for n <= 28 (w <= 8, e <= n + 1); ``_raw_family``'s are unbounded."""
         exps = self.exponents(p, c)
         weights = self.table.weights[self.gates[p], c].astype(np.int64)
         return self.lengths[p].astype(np.int64), exps, (weights << 2 * exps) >> 1
@@ -337,9 +338,12 @@ def _raw_family(
     family: Family, profile: GeneratorProfile, u0v0: U0V0 | str | None = None
 ) -> RawSpectrum:
     """The (length, e, count) table rows of one design, unmerged and with
-    zero counts kept (``WordSpectrum.from_entries`` drops them)."""
+    zero counts kept (``WordSpectrum.from_entries`` drops them); Python
+    integers count them, exact at every n."""
     forms = closed_forms(family, np.array([profile.counts], dtype=np.int16), (u0v0,))
-    return list(zip(*(a[0].tolist() for a in forms.words(np.array([0]), np.array([0])))))
+    exps = forms.exponents(np.array([0]), np.array([0]))[0].tolist()
+    weights = forms.table.weights[forms.gates[0], 0].tolist()
+    return [(r, e, w << 2 * e >> 1) for r, e, w in zip(forms.lengths[0].tolist(), exps, weights)]
 
 
 def family_spectrum(

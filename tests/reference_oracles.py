@@ -7,7 +7,9 @@ generator data, with the Gray coordinates of k in Z4 taken from
 sqrt(2)*cos(pi/4 + pi*k/2)).  Neither shares code with the subset-parity
 transform of ``qcdesign.oracle.j_characteristics`` that they check.
 ``walsh_hadamard_matrix`` and ``subset_sums_direct`` are the plain
-definitions of the two in-place butterfly transforms of ``qcdesign.oracle``.
+definitions of the two in-place butterfly transforms of ``qcdesign.oracle``
+(and of its float tally transform), and ``sign_patterns_bits`` the bit loop
+that is the reference for ``qcdesign.oracle.sign_patterns``.
 ``csv_rows`` is the line-by-line CSV parser that ``qcdesign.cli`` used
 before it read CSV as arrays; its acceptance and its messages are the
 reference for ``design_from_csv``.  ``json_document`` is the JSON reader
@@ -70,6 +72,17 @@ def j_direct(design: DesignMatrix, labels: Iterable[str]) -> int:
     if not idx:
         raise ValueError("subset must be nonempty")
     return int(design.rows[:, idx].prod(axis=1, dtype=np.int64).sum())
+
+
+def sign_patterns_bits(rows: np.ndarray) -> np.ndarray:
+    """The q-bit pattern of each run of the (..., N, q) ``rows``, one bit-OR
+    per column (bit i set where column i is -1): the loop that
+    ``qcdesign.oracle.sign_patterns`` ran before it became one product."""
+    negative = rows < 0
+    patterns = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i in range(rows.shape[-1]):
+        patterns |= negative[..., i].astype(np.int64) << i
+    return patterns
 
 
 def walsh_hadamard_matrix(a: np.ndarray) -> np.ndarray:

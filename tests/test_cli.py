@@ -7,6 +7,8 @@ import ast
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -100,6 +102,29 @@ def test_build_writes_document(tmp_path, capsys):
     assert doc.metrics["resolution"] == "9/2"
     rebuilt = build_design(doc.spec)
     assert np.array_equal(rebuilt.rows, doc.design.rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "8", "--family", "sixteenth-odd", "--skip-projectivity"),
+    ("search", "--n", "6", "--family", "eighth-even"),
+    ("verify", "--n-max", "1"),
+    ("metrics", "--design", "d.json", "--method", "oracle"),
+    ("spectrum", "--design", "d.csv", "--method", "oracle"),
+])
+def test_commands_leave_numpy_ma_unimported(tmp_path, capsys, argv):
+    # A plain np.unique imports numpy.ma, a cost every fresh process pays;
+    # its return_counts and return_inverse forms do not.
+    for name in ("d.json", "d.csv"):
+        assert run(
+            capsys, "build", "--family", "sixteenth-odd", "--n", "3", "--u", "1,2,0",
+            "--v", "3,1,2", "--u0v0", "21", "--out", str(tmp_path / name),
+        )[0] == EXIT_OK
+    script = ("import sys; from qcdesign import cli; code = cli.main(sys.argv[1:]); "
+              "sys.exit(3 if 'numpy.ma' in sys.modules else code)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
 
 
 @pytest.mark.parametrize("name", ["d.json", "d.JSON", "d.csv", "d.CSV"])

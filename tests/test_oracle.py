@@ -45,6 +45,7 @@ from reference_oracles import (
     character_sum_odd,
     classify_subset,
     j_direct,
+    sign_patterns_bits,
     subset_sums_direct,
     walsh_hadamard_matrix,
 )
@@ -553,34 +554,14 @@ def _int64_table(design: DesignMatrix) -> np.ndarray:
 
 @pytest.mark.parametrize("n_runs", [1 << 14, (1 << 15) + 3, 1 << 16])
 def test_one_hot_tables_past_int16_are_tallied_in_int32(n_runs):
-    # One cell holding 2^14 runs or more: no stage runs in int16, the tally
-    # is int32 from the start, and every J is (-1)^popcount(s & x) N.
+    # One cell holding 2^14 runs or more: the table is int32, and every J is
+    # (-1)^popcount(s & x) N.
     q, x = 16, 0b1011_0110_0101_1001
     design = _design_of_patterns(np.full(n_runs, x), q)
     table = j_characteristics(design).values
-    assert oracle._int16_stages(np.array([x]), np.array([n_runs]), q) == 0
     assert table.dtype == np.int32
     assert np.array_equal(table, _int64_table(design))
     assert set(np.abs(table[0]).tolist()) == {n_runs}
-
-
-@pytest.mark.parametrize("block_runs, stages", [((1 << 14) - 1, 14), (1 << 14, 1)])
-def test_tables_widen_after_the_stages_whose_blocks_fit_int16(block_runs, stages):
-    # The first four cells hold block_runs runs between them, a quarter (and
-    # the rest) each, and 2^14 one-run cells, every second cell from 2^15
-    # on, fill the aligned 2^15 block above them.  Stages 0..s-1 stay in
-    # int16 while every aligned 2^s block holds fewer than 2^14 runs: up to
-    # s = 14, whose largest block holds the first four cells' 2^14 - 1, or
-    # s = 1 once those four cells hold 2^14.
-    q = 16
-    heavy = np.repeat(np.arange(4), [block_runs - 3 * (block_runs // 4)] + [block_runs // 4] * 3)
-    patterns = np.concatenate([heavy, (1 << 15) + 2 * np.arange(1 << 14)])
-    design = _design_of_patterns(patterns, q)
-    cells, counts = np.unique(patterns, return_counts=True)
-    assert oracle._int16_stages(cells, counts, q) == stages
-    table = j_characteristics(design).values
-    assert table.dtype == np.int32
-    assert np.array_equal(table, _int64_table(design))
 
 
 @pytest.mark.parametrize(
@@ -705,50 +686,105 @@ def _example_stack(k: int, rows: int = 3, dtype: type = np.int16) -> np.ndarray:
     return np.random.default_rng(k).integers(0, 3, size=(rows, 1 << k), endpoint=True).astype(dtype)
 
 
-def _walsh_hadamard_from(a: np.ndarray, first: int) -> np.ndarray:
-    """Stages 0..first-1 run as transforms of 2^first entries, the rest from
-    stage ``first`` on."""
-    first = min(first, a.shape[-1].bit_length() - 1)
-    low = _walsh_hadamard(a.reshape(len(a), -1, 1 << first).copy()).reshape(a.shape)
-    return _walsh_hadamard(low, first)
-
-
 @settings(max_examples=80, deadline=None)
-@given(stacks(1 << 20), st.booleans(), st.integers(0, 6))
-# From stage 5, as when j_characteristics widens after five int16 stages,
+@given(stacks(1 << 20), st.booleans())
 # 2^10 and 2^11 entries leave an odd and an even number of stages at and
-# above the width of 2^5 and none below it; 2^17 entries split their top
-# quarters.
-@example(_example_stack(10, dtype=np.int32), True, 5)
-@example(_example_stack(11, dtype=np.int32), True, 5)
-@example(_example_stack(17, rows=1, dtype=np.int32), False, 0)
-def test_walsh_hadamard_equals_the_matrix_product(a, centred, first):
+# above the width of 2^5; 2^17 entries split their top quarters.
+@example(_example_stack(10, dtype=np.int32), True)
+@example(_example_stack(11, dtype=np.int32), True)
+@example(_example_stack(17, rows=1, dtype=np.int32), False)
+def test_walsh_hadamard_equals_the_matrix_product(a, centred):
     # Entries of at most 2^20 in magnitude keep every partial sum of up to
     # 2^10 of them inside int32, and the examples' entries, at most 2^19,
     # every partial sum of up to 2^11.
     if centred:
         a -= 1 << 19
-    assert np.array_equal(_walsh_hadamard_from(a, first), walsh_hadamard_matrix(a))
+    assert np.array_equal(_walsh_hadamard(a.copy()), walsh_hadamard_matrix(a))
 
 
 @settings(max_examples=80, deadline=None)
-@given(stacks(3, range(14), (np.int16,)), st.booleans(), st.integers(0, 6))
-# From stage 4, 2^13 and 2^12 entries leave an even and an odd number of
-# stages at and above the width of 2^5; 2^3 entries are narrower than the
-# width, and 2^6 leave one stage above it.  16 x 2^13 entries take two
-# blocks of 2^16 per stage pair.
-@example(_example_stack(13), True, 4)
-@example(_example_stack(12), False, 4)
-@example(_example_stack(12), True, 3)
-@example(_example_stack(3), False, 1)
-@example(_example_stack(6), True, 0)
-@example(_example_stack(13, rows=16), True, 4)
-def test_walsh_hadamard_equals_the_matrix_product_on_int16_stacks(a, centred, first):
+@given(stacks(3, range(14), (np.int16,)), st.booleans())
+# 2^13 and 2^12 entries leave an even and an odd number of stages at and
+# above the width of 2^5; 2^3 entries are narrower than the width, and
+# 2^6 leave one stage above it.  16 x 2^13 entries take two blocks of
+# 2^16 per stage pair.
+@example(_example_stack(13), True)
+@example(_example_stack(12), False)
+@example(_example_stack(3), False)
+@example(_example_stack(6), True)
+@example(_example_stack(13, rows=16), True)
+def test_walsh_hadamard_equals_the_matrix_product_on_int16_stacks(a, centred):
     # Entries of at most 3 in magnitude keep every partial sum of up to 2^13
     # of them inside int16.
     if centred:
         a -= 1
-    assert np.array_equal(_walsh_hadamard_from(a, first), walsh_hadamard_matrix(a))
+    assert np.array_equal(_walsh_hadamard(a.copy()), walsh_hadamard_matrix(a))
+
+
+@st.composite
+def tallies(draw, max_bits=12, max_total=(1 << 24) - 1):
+    """A tally of 2^k nonnegative run counts, k <= ``max_bits``, with a total
+    of at most ``max_total``, spread thin or piled on a few cells."""
+    k = draw(st.integers(0, max_bits))
+    total = draw(st.integers(0, max_total))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shares = rng.dirichlet(np.full(1 << k, 10.0 ** draw(st.floats(-3, 1))))
+    return rng.multinomial(total, shares)
+
+
+def _tally_table(tally: np.ndarray) -> np.ndarray:
+    cells = np.flatnonzero(tally)
+    return oracle._tally_table(cells, tally[cells], tally.size.bit_length() - 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(tallies())
+# One cell of 2^24 - 1 runs: every J is +-(2^24 - 1), the most float32
+# holds exactly; 2^19 cells take two radix-2 stages above the sub-tables
+# of 2^17, 2^15 and 2^12 split into four digits, not three, and 2^17
+# cells of fewer than 2^14 runs convert to int16 in two blocks.
+@example(np.eye(1, 1 << 10, 5, dtype=np.int64)[0] * ((1 << 24) - 1))
+@example(np.random.default_rng(19).multinomial((1 << 24) - 1, np.full(1 << 19, 2.0**-19)))
+@example(np.random.default_rng(17).multinomial((1 << 14) - 1, np.full(1 << 17, 2.0**-17)))
+@example(np.random.default_rng(15).multinomial(1 << 20, np.full(1 << 15, 2.0**-15)))
+@example(np.random.default_rng(12).integers(0, 4096, 1 << 12))
+def test_tally_tables_equal_the_matrix_product(tally):
+    # Totals below 2^24 run in float32; every J-value is exact and lands in
+    # the table dtype of the run count.
+    values = _tally_table(tally)
+    assert values.dtype == _table_dtype(int(tally.sum()))
+    assert np.array_equal(values, walsh_hadamard_matrix(tally))
+
+
+@pytest.mark.parametrize("tally", [
+    [1 << 24, 1], [(1 << 24) - 1, 0, 1, 1], [1 << 30, 3, 0, 5],
+    # two blocks of 2^16 entries to convert from float64 to int32 in place
+    np.random.default_rng(24).multinomial((1 << 24) + 1, np.full(1 << 17, 2.0**-17)),
+])
+def test_tallies_of_2_24_runs_or_more_are_transformed_in_float64(tally):
+    # Float32 would round a J-value of an odd 2^24 + 1 or more to an even one.
+    tally = np.array(tally)
+    assert int(np.float32(tally.sum())) != tally.sum()
+    values = _tally_table(tally)
+    assert values.dtype == np.int32
+    assert np.array_equal(values, walsh_hadamard_matrix(tally))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(30, (1 << 16) // 30 + 5, 0, 1)  # more runs than one block of 2^16 entries
+def test_sign_patterns_equal_the_bit_loop(q, runs, stack, seed):
+    # Random +-1 stacks of 0..3 designs (none: one plain matrix), int64 and
+    # bit for bit; the codes that j_characteristics tallies agree, float32
+    # up to q = 24 and int64 past it.
+    shape = (stack, runs, q) if stack else (runs, q)
+    rows = (1 - 2 * np.random.default_rng(seed).integers(0, 2, shape)).astype(np.int8)
+    patterns = oracle.sign_patterns(rows)
+    assert patterns.dtype == np.int64
+    assert np.array_equal(patterns, sign_patterns_bits(rows))
+    codes = oracle._pattern_codes(rows)
+    assert codes.dtype == (np.float32 if q <= 24 else np.int64)
+    assert np.array_equal(codes.astype(np.int64), patterns)
 
 
 @settings(max_examples=80, deadline=None)

@@ -271,6 +271,33 @@ def test_theory_counts_are_positive_integers():
                     assert entry.ai.denominator & (entry.ai.denominator - 1) == 0
 
 
+def _parseval_holds(family: Family, profile: GeneratorProfile, pair) -> bool:
+    """Parseval: the words' squared aliasing indices sum to 2^k - 1, k the
+    family's check columns, as sum_S (J(S)/N)^2 = 2^q / N - 1."""
+    spectrum = family_spectrum(family, profile, pair)
+    return sum(entry.count * entry.ai**2 for entry in spectrum) == (1 << family.checks) - 1
+
+
+@pytest.mark.parametrize("n", [*range(59, 65), 70, 100, 126])
+def test_single_class_spectra_satisfy_parseval_past_int64(n):
+    # Counts w 4^e / 2 pass 2^63 from e = 30 on, first at n = 60 with every
+    # generator in one class; an int64 count would wrap or vanish there.
+    for family in Family:
+        for pair in u0v0_classes(family):
+            for k in range(10):
+                profile = GeneratorProfile(tuple(n * (c == k) for c in range(10)))
+                assert _parseval_holds(family, profile, pair), (family, k, pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Family)), st.integers(1, _MAX_PROFILE_N), st.data())
+def test_random_spectra_satisfy_parseval(family, n, data):
+    classes = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    profile = GeneratorProfile(tuple(classes.count(c) for c in range(10)))
+    pair = data.draw(st.sampled_from(u0v0_classes(family)))
+    assert _parseval_holds(family, profile, pair)
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_half_integer_check_reads_a_planted_odd_weight(monkeypatch, family):
     """``closed_forms`` checks only the rows with an odd doubled weight; an
